@@ -248,7 +248,10 @@ class GroupParams:
             raise ValueError(
                 f"expected {self.element_width} element bytes, got {len(raw)}"
             )
-        return int.from_bytes(raw, "big")
+        value = int.from_bytes(raw, "big")
+        if not 1 <= value < self.p:
+            raise ValueError("element outside [1, p)")
+        return value
 
 
 def make_group_params(source: int | str) -> GroupParams:

@@ -30,8 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bloom import DEFAULT_BITS, DEFAULT_HASHES, bloom_encode, bloom_prefilter
-from .compare import compare
+from .compare import TokenIndex, compare
 from .errors import (
     ConfigDigestMismatch,
     NoMatchInUnion,
@@ -124,8 +123,6 @@ class Party:
         hashed_records: list[HashedIdentifier],
         rng,
         session_digest: bytes = b"",
-        bloom_bits: int = DEFAULT_BITS,
-        bloom_hashes: int = DEFAULT_HASHES,
         recv_timeout: float | None = None,
     ):
         if party_count < 2:
@@ -139,8 +136,6 @@ class Party:
         self.hashed_records = list(hashed_records)
         self.rng = rng
         self.session_digest = session_digest
-        self.bloom_bits = bloom_bits
-        self.bloom_hashes = bloom_hashes
         self.recv_timeout = recv_timeout
         self.mode = ORDERED if match_cfg.ordered else UNORDERED
         # Three per-party secret exponents, consumed by different passes:
@@ -203,9 +198,19 @@ class Party:
 
     def _decode_set(self, payload: bytes, provenance: int) -> EncryptedSet:
         try:
-            return decode_set(payload, self.group, provenance)
+            decoded = decode_set(payload, self.group, provenance)
         except ValueError as exc:
             raise TransportFailure(f"undecodable set payload: {exc}") from exc
+        for ident in decoded.items:
+            self._check_shape(ident)
+        return decoded
+
+    def _check_shape(self, ident: EncryptedIdentifier) -> None:
+        if len(ident.features) != self.match_cfg.d_match:
+            raise TransportFailure(
+                f"received an identifier with {len(ident.features)} features, "
+                f"the session expects {self.match_cfg.d_match}"
+            )
 
     def _abort(self, transport, reason: str) -> None:
         payload = reason.encode("utf-8")[:200]
@@ -328,14 +333,7 @@ class Party:
             concatenated.extend(self._finals[origin].items)
         if self.match_cfg.ordered:
             return dedup_exact(concatenated, self.group)
-        return dedup_noisy(
-            concatenated,
-            self.match_cfg,
-            self.group,
-            self.rng,
-            self.bloom_bits,
-            self.bloom_hashes,
-        )
+        return dedup_noisy(concatenated, self.match_cfg, self.group, self.rng)
 
     def _union_exponent(self) -> int:
         return (self.exponents[2] * self.exponents[1]) % self.group.q
@@ -424,13 +422,10 @@ class Party:
                 encode_identifier(entry, self.group): idx
                 for idx, entry in enumerate(entries)
             }
-            entry_filters = None
+            token_index = None
         else:
             index_of = None
-            entry_filters = [
-                bloom_encode(entry, self.group, self.bloom_bits, self.bloom_hashes)
-                for entry in entries
-            ]
+            token_index = TokenIndex(entries, self.match_cfg)
 
         rng = self.rng if self.mode == UNORDERED else None
         for relay_id, record in enumerate(self.hashed_records):
@@ -459,6 +454,7 @@ class Party:
                 relay_id, ident = _decode_relay(msg.payload, self.group)
             except ValueError as exc:
                 raise TransportFailure(f"undecodable relay payload: {exc}") from exc
+            self._check_shape(ident)
             if msg.msg_type is MessageType.TOKEN_RELAY:
                 if to_serve <= 0:
                     raise PhaseViolation("more relays than peer records")
@@ -494,12 +490,12 @@ class Party:
                 final = encrypt_identifier(
                     ident, self._closing_exponent(), self.group, self.mode, rng
                 )
-                self._store_match(result, relay_id, final, index_of, entry_filters)
+                self._store_match(result, relay_id, final, index_of, token_index)
                 to_return -= 1
         result.unmatched.sort()
         self.index_map = result
 
-    def _store_match(self, result, relay_id, final, index_of, entry_filters) -> None:
+    def _store_match(self, result, relay_id, final, index_of, token_index) -> None:
         if self.match_cfg.ordered:
             key = encode_identifier(final, self.group)
             index = index_of.get(key)
@@ -511,13 +507,11 @@ class Party:
             result.local_to_universal[relay_id] = index
             return
         assert self.union_table is not None
-        probe = bloom_encode(final, self.group, self.bloom_bits, self.bloom_hashes)
-        for index, (entry, entry_filter) in enumerate(
-            zip(self.union_table.entries, entry_filters)
-        ):
-            if not bloom_prefilter(probe, entry_filter, self.match_cfg):
-                continue
-            if compare(final, entry, self.match_cfg).is_match:
+        # The lowest confirmed index: what a first-match scan over the
+        # whole union picks, since the index returns every match.
+        entries = self.union_table.entries
+        for index in token_index.candidates(final, self.match_cfg):
+            if compare(final, entries[index], self.match_cfg).is_match:
                 result.local_to_universal[relay_id] = index
                 return
         result.unmatched.append(relay_id)

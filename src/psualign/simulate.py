@@ -49,8 +49,6 @@ def build_parties(cfg: SessionConfig, hashed_per_party) -> list[Party]:
             hashed_records=hashed_per_party[k],
             rng=cfg.party_rng(k),
             session_digest=digest,
-            bloom_bits=cfg.bloom_bits,
-            bloom_hashes=cfg.bloom_hashes,
             recv_timeout=cfg.recv_timeout,
         )
         for k in range(cfg.party_count)
@@ -248,8 +246,6 @@ def run_networked_party(
         hashed_records=hashed,
         rng=cfg.party_rng(party_id),
         session_digest=cfg.digest(),
-        bloom_bits=cfg.bloom_bits,
-        bloom_hashes=cfg.bloom_hashes,
         recv_timeout=cfg.recv_timeout,
     )
     transport = TcpTransport(

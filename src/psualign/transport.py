@@ -181,6 +181,7 @@ class TcpTransport:
         self._out_socks: dict[int, socket.socket] = {}
         self._out_locks: dict[int, threading.Lock] = {}
         self._server: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._accepting = False
         self._closed = False
@@ -201,6 +202,7 @@ class TcpTransport:
             target=self._accept_loop, name=f"psu-accept-{self.my_id}", daemon=True
         )
         acceptor.start()
+        self._acceptor = acceptor
         self._threads.append(acceptor)
 
     def establish(self, timeout: float | None = None) -> None:
@@ -313,10 +315,18 @@ class TcpTransport:
         self._closed = True
         self._accepting = False
         if self._server is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, and the acceptor then returns.
+            try:
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._server.close()
             except OSError:
                 pass
+        if self._acceptor is not None:
+            self._acceptor.join(timeout=1.0)
         for sock in self._out_socks.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)

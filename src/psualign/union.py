@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bloom import bloom_encode, bloom_prefilter
-from .compare import compare
+from .compare import TokenIndex, compare
 from .groups import GroupParams
 from .masking import EncryptedIdentifier, encode_identifier
 from .tokenization import MatchConfig
@@ -71,32 +70,30 @@ def dedup_noisy(
     cfg: MatchConfig,
     group: GroupParams,
     rng,
-    bloom_bits: int,
-    bloom_hashes: int,
 ) -> list[EncryptedIdentifier]:
     """Merge near-duplicates under the threshold comparison.
 
-    Pairwise scan in ascending index order: when a later item matches an
-    earlier survivor, the later one is deleted.  Survivors keep their full
-    token lists; dropping the matched grams (or trimming a merged
-    survivor) would push it below the match floor its own records need to
-    find it again in the matching phase.  Entries that absorbed nothing
-    are trimmed to exactly the floor, which also shrinks the broadcast.
+    Scan in ascending index order: when a later item matches an earlier
+    survivor, the later one is deleted.  A :class:`TokenIndex` over the
+    items yields each survivor's matches, and ``compare`` confirms them.
+    Survivors keep their full token lists; dropping the matched grams (or
+    trimming a merged survivor) would push it below the match floor its
+    own records need to find it again in the matching phase.  Entries that
+    absorbed nothing are trimmed to exactly the floor, which also shrinks
+    the broadcast.
 
     The relation is not transitive, so the outcome depends on this fixed
     scan order; under a permuted input the surviving set may differ.
     """
     scan = list(items)
-    filters = [bloom_encode(item, group, bloom_bits, bloom_hashes) for item in scan]
+    index = TokenIndex(scan, cfg)
     alive = [True] * len(scan)
     absorbed_any = [False] * len(scan)
     for i in range(len(scan)):
         if not alive[i]:
             continue
-        for j in range(i + 1, len(scan)):
-            if not alive[j]:
-                continue
-            if not bloom_prefilter(filters[i], filters[j], cfg):
+        for j in index.candidates(scan[i], cfg):
+            if j <= i or not alive[j]:
                 continue
             if compare(scan[i], scan[j], cfg).is_match:
                 alive[j] = False

@@ -178,6 +178,9 @@ def test_element_codec_fixed_width():
     assert G512.decode_element(raw) == value
     with pytest.raises(ValueError):
         G512.decode_element(raw[:-1])
+    for outside in (0, G512.p, 2 ** (8 * G512.element_width) - 1):
+        with pytest.raises(ValueError):
+            G512.decode_element(outside.to_bytes(G512.element_width, "big"))
 
 
 # --- powmod against built-in pow -----------------------------------------

@@ -1,8 +1,23 @@
 import random
 from fractions import Fraction
 
-from psualign import FeatureSpec, MatchConfig, encode_identifier, make_group_params
-from psualign.simulate import run_local_session
+import pytest
+
+from psualign import (
+    EncryptedIdentifier,
+    FeatureSpec,
+    MatchConfig,
+    MessageType,
+    Party,
+    TransportFailure,
+    decode_set,
+    encode_identifier,
+    encode_set,
+    make_group_params,
+)
+from psualign.protocol import _decode_relay, _encode_relay
+from psualign.simulate import build_parties, run_local_session, run_session
+from psualign.transport import InProcessHub
 
 from helpers import SINGLE_FEATURE_NOISY, hash_rows, overlap_count, session_config
 
@@ -166,3 +181,61 @@ def test_three_party_chain_uses_fixed_scan_order():
     for result in outcome.results:
         total = len(result.index_map.local_to_universal) + len(result.index_map.unmatched)
         assert total == 1
+
+
+def _with_extra_feature(ident):
+    return EncryptedIdentifier(ident.features + ident.features[:1])
+
+
+def _plant_in_relay(payload, group):
+    relay_id, ident = _decode_relay(payload, group)
+    return _encode_relay(relay_id, _with_extra_feature(ident), group)
+
+
+def _plant_in_union(payload, group):
+    union = decode_set(payload, group, -1)
+    union.items[0] = _with_extra_feature(union.items[0])
+    return encode_set(union, group)
+
+
+@pytest.mark.parametrize(
+    "msg_type, plant",
+    [
+        (MessageType.TOKEN_RELAY, _plant_in_relay),
+        (MessageType.UID_BROADCAST, _plant_in_union),
+    ],
+    ids=["relay", "union"],
+)
+def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant):
+    """A decoded identifier with the wrong feature count fails the session.
+
+    Matching would otherwise find no candidate for it and report it as
+    unmatched, as if it were a record that met no union entry.
+    """
+
+    class PlantingParty(Party):
+        def _send(self, transport, to, sent_type, origin, hop, payload):
+            if sent_type is msg_type:
+                payload = plant(payload, self.group)
+            super()._send(transport, to, sent_type, origin, hop, payload)
+
+    cfg = session_config(2, SINGLE_FEATURE_NOISY, seed=3, recv_timeout=5)
+    group = cfg.group()
+    hashed = [
+        hash_rows([("mary kettler",)], SINGLE_FEATURE_NOISY, group),
+        hash_rows([("mary kettlar",)], SINGLE_FEATURE_NOISY, group),
+    ]
+    parties = build_parties(cfg, hashed)
+    parties[0] = PlantingParty(
+        party_id=0,
+        party_count=2,
+        group=group,
+        match_cfg=cfg.match,
+        hashed_records=hashed[0],
+        rng=cfg.party_rng(0),
+        session_digest=cfg.digest(),
+        recv_timeout=5,
+    )
+    hub = InProcessHub(2, recv_timeout=5)
+    with pytest.raises(TransportFailure, match="2 features, the session expects 1"):
+        run_session(parties, [hub.transport(0), hub.transport(1)])

@@ -1,5 +1,6 @@
 import random
 import socket
+import threading
 
 import pytest
 
@@ -150,6 +151,16 @@ def test_tcp_unknown_peer():
             t.send(2, msg(b""))  # in range but never connected
     finally:
         t.close()
+
+
+def test_tcp_close_stops_the_listener():
+    t = TcpTransport(7, 8, ("127.0.0.1", 0), {}, recv_timeout=1)
+    t.listen()
+    addr = t.listen_addr
+    t.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(addr, timeout=2).close()
+    assert not any(thread.name == "psu-accept-7" for thread in threading.enumerate())
 
 
 def test_tcp_establish_times_out_when_peer_missing():
