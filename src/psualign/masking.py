@@ -10,6 +10,15 @@ stay comparable tokenwise.  "unordered" additionally draws a fresh
 uniform permutation of token positions per identifier per feature, so
 only the per-feature multiset survives an encryption pass.  In both
 modes, set-level masking shuffles the order of identifiers.
+
+Within one pass -- the tokens a party raises to one secret exponent in
+one sweep -- each distinct base is raised once: a ``powers`` memo maps a
+base to its power under that exponent and serves every repeat.  A memo
+hit depends only on whether two bases are equal, never on the exponent,
+and deterministic masking already shows that equality pattern to every
+holder of the output, so sharing the work leaks nothing more.  A memo is
+scoped to its pass and dropped with it, so no table keyed to a secret
+exponent outlives the pass that made it.
 """
 
 from __future__ import annotations
@@ -65,19 +74,27 @@ def encrypt_identifier(
     group: GroupParams,
     mode: str = ORDERED,
     rng=None,
+    powers: dict[int, int] | None = None,
 ) -> EncryptedIdentifier:
     """Raise every token to ``exponent``; permute token positions if unordered.
 
     Feature order is never permuted.  The unordered permutation is drawn
-    fresh per feature on every call.
+    fresh per feature on every call.  ``powers`` is the pass's memo of
+    base -> power under this same ``exponent``; it is read and filled, and
+    a fresh one is used when none is given.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == UNORDERED and rng is None:
         raise ValueError("unordered masking needs a randomness source")
+    if powers is None:
+        powers = {}
     masked = []
     for feature in ident.features:
-        powered = [powmod(value, exponent, group.p) for value in feature]
+        for value in feature:
+            if value not in powers:
+                powers[value] = powmod(value, exponent, group.p)
+        powered = [powers[value] for value in feature]
         if mode == UNORDERED:
             rng.shuffle(powered)
         masked.append(tuple(powered))
@@ -95,11 +112,14 @@ def encrypt_set(
 
     The item shuffle happens in both modes (it hides dataset ordering);
     unordered mode additionally permutes tokens inside each identifier.
+    The call is one pass: every item shares one ``powers`` memo.
     """
     if rng is None:
         raise ValueError("set masking needs a randomness source for the shuffle")
+    powers: dict[int, int] = {}
     items = [
-        encrypt_identifier(item, exponent, group, mode, rng) for item in enc_set.items
+        encrypt_identifier(item, exponent, group, mode, rng, powers)
+        for item in enc_set.items
     ]
     rng.shuffle(items)
     return EncryptedSet(items, enc_set.provenance)

@@ -428,9 +428,12 @@ class Party:
             token_index = TokenIndex(entries, self.match_cfg)
 
         rng = self.rng if self.mode == UNORDERED else None
+        # One powers memo per exponent, each living only as long as its
+        # pass: the opening sweep, then relays served and returns closed.
+        opening: dict[int, int] = {}
         for relay_id, record in enumerate(self.hashed_records):
             opened = encrypt_identifier(
-                as_encrypted(record), self.exponents[1], self.group, self.mode, rng
+                as_encrypted(record), self.exponents[1], self.group, self.mode, rng, opening
             )
             self._send(
                 transport,
@@ -440,7 +443,10 @@ class Party:
                 hop=0,
                 payload=_encode_relay(relay_id, opened, self.group),
             )
+        del opening
 
+        relay_exponent, relay_powers = self._relay_exponent(), {}
+        closing_exponent, closing_powers = self._closing_exponent(), {}
         to_serve = sum(
             size for peer, size in self.peer_sizes.items() if peer != self.party_id
         )
@@ -467,7 +473,7 @@ class Party:
                         f"reached party {self.party_id}"
                     )
                 masked = encrypt_identifier(
-                    ident, self._relay_exponent(), self.group, self.mode, rng
+                    ident, relay_exponent, self.group, self.mode, rng, relay_powers
                 )
                 next_hop = msg.hop + 1
                 done = next_hop == self.party_count - 1
@@ -488,7 +494,7 @@ class Party:
                         f"token return after {msg.hop} hops, expected {self.party_count - 1}"
                     )
                 final = encrypt_identifier(
-                    ident, self._closing_exponent(), self.group, self.mode, rng
+                    ident, closing_exponent, self.group, self.mode, rng, closing_powers
                 )
                 self._store_match(result, relay_id, final, index_of, token_index)
                 to_return -= 1

@@ -80,15 +80,44 @@ def test_duplicate_tokens_count_once_per_index():
 
 
 def test_reflexive_and_symmetric_on_random_inputs():
+    """Symmetry holds while no feature repeats a value; most pairs must decide it.
+
+    ``y`` keeps 8 - k of ``x``'s values, k uniform in 0..4, and fills the
+    rest with values ``x`` lacks, so about 3 in 5 pairs reach the floor
+    of 6 and the rest miss it; the counts below keep either side from
+    passing vacuously.
+    """
     rng = random.Random(42)
     cfg = cfg_for(8, Fraction(3, 4))
+    matches = 0
     for _ in range(200):
-        tokens_x = [rng.randrange(50) for _ in range(8)]
-        tokens_y = [rng.randrange(50) for _ in range(8)]
+        tokens_x = rng.sample(range(50), 8)
+        fresh = rng.sample([v for v in range(50) if v not in tokens_x], 4)
+        k = rng.randint(0, 4)
+        tokens_y = rng.sample(tokens_x, 8 - k) + fresh[:k]
+        rng.shuffle(tokens_y)
         x, y = ident(tokens_x), ident(tokens_y)
         assert compare(x, x, cfg).is_match
         assert compare(y, y, cfg).is_match
-        assert compare(x, y, cfg).is_match == compare(y, x, cfg).is_match
+        forward = compare(x, y, cfg).is_match
+        assert forward == compare(y, x, cfg).is_match
+        assert forward == (overlap_count(tokens_x, tokens_y) >= 6)
+        matches += forward
+    assert 80 <= matches <= 160, matches
+
+
+def test_repeated_values_break_symmetry():
+    """Repeated values: abab... reaches abzz... with 6 of 6, the reverse with 2.
+
+    The first argument's repeated values each count, so ``compare`` is
+    not symmetric once a feature repeats a value.
+    """
+    cfg = cfg_for(6, Fraction(2, 3))
+    abab = ident([1, 2, 1, 2, 1, 2])
+    abzz = ident([1, 2, 9, 9, 9, 9])
+    assert compare(abab, abzz, cfg).is_match
+    assert not compare(abzz, abab, cfg).is_match
+    assert compare(abzz, abab, cfg).matched_indices == ((0, 1),)
 
 
 def test_relation_is_not_transitive():

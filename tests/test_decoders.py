@@ -1,0 +1,113 @@
+"""Decoders of untrusted input fail only with the codec's named errors.
+
+Every decoder a peer's bytes reach is fed arbitrary bytes and damaged
+valid encodings (cut short, one byte overwritten, junk appended).  Each
+must return or raise ``FramingError``, ``ValueError`` or
+``TransportFailure``; an ``IndexError``, ``OverflowError`` or the like
+would escape the protocol's error handling.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psualign import (
+    EncryptedIdentifier,
+    EncryptedSet,
+    FramingError,
+    MessageType,
+    ProtocolMessage,
+    TransportFailure,
+    decode_frame,
+    decode_identifier,
+    decode_set,
+    encode_frame,
+    encode_set,
+    make_group_params,
+)
+from psualign.protocol import _decode_relay, _encode_relay
+
+GROUPS = [make_group_params(23), make_group_params("p512")]
+NAMED = (FramingError, ValueError, TransportFailure)
+
+
+@st.composite
+def identifiers(draw, group):
+    features = draw(
+        st.lists(st.lists(st.integers(1, group.p - 1), max_size=4), max_size=3)
+    )
+    return EncryptedIdentifier(tuple(tuple(f) for f in features))
+
+
+@st.composite
+def damaged(draw, valid: bytes):
+    """``valid`` cut short, with one byte overwritten, or with junk appended."""
+    how = draw(st.sampled_from(["cut", "overwrite", "append"]))
+    if how == "append" or not valid:
+        return valid + draw(st.binary(min_size=1, max_size=16))
+    at = draw(st.integers(0, len(valid) - 1))
+    if how == "cut":
+        return valid[:at]
+    return valid[:at] + bytes([draw(st.integers(0, 255))]) + valid[at + 1 :]
+
+
+@st.composite
+def set_inputs(draw):
+    group = draw(st.sampled_from(GROUPS))
+    items = draw(st.lists(identifiers(group), max_size=4))
+    valid = encode_set(EncryptedSet(items), group)
+    raw = draw(st.one_of(st.binary(max_size=400), damaged(valid)))
+    return group, raw
+
+
+@st.composite
+def relay_inputs(draw):
+    group = draw(st.sampled_from(GROUPS))
+    relay_id = draw(st.integers(0, (1 << 32) - 1))
+    valid = _encode_relay(relay_id, draw(identifiers(group)), group)
+    raw = draw(st.one_of(st.binary(max_size=400), damaged(valid)))
+    return group, raw
+
+
+@st.composite
+def frame_inputs(draw):
+    message = ProtocolMessage(
+        draw(st.sampled_from(list(MessageType))),
+        draw(st.integers(0, 0xFFFF)),
+        draw(st.integers(0, 0xFFFF)),
+        draw(st.binary(max_size=64)),
+    )
+    return draw(st.one_of(st.binary(max_size=200), damaged(encode_frame(message))))
+
+
+def decodes_or_names_its_error(decode, *args) -> None:
+    try:
+        decode(*args)
+    except NAMED:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame_inputs())
+def test_decode_frame_fails_only_with_named_errors(raw):
+    decodes_or_names_its_error(decode_frame, raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(set_inputs())
+def test_decode_set_fails_only_with_named_errors(instance):
+    group, raw = instance
+    decodes_or_names_its_error(decode_set, raw, group)
+
+
+@settings(max_examples=500, deadline=None)
+@given(set_inputs(), st.integers(0, 8))
+def test_decode_identifier_fails_only_with_named_errors(instance, offset):
+    group, raw = instance
+    decodes_or_names_its_error(decode_identifier, raw, group, offset)
+
+
+@settings(max_examples=500, deadline=None)
+@given(relay_inputs())
+def test_decode_relay_fails_only_with_named_errors(instance):
+    group, raw = instance
+    decodes_or_names_its_error(_decode_relay, raw, group)

@@ -1,9 +1,16 @@
 import random
+import threading
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psualign import (
+    FeatureSpec,
+    MatchConfig,
     ORDERED,
     UNORDERED,
     EncryptedIdentifier,
@@ -16,8 +23,21 @@ from psualign import (
     encrypt_identifier,
     encrypt_set,
     make_group_params,
+    masking,
+    protocol,
 )
 from psualign.hashing import HashedIdentifier
+from psualign.masking import MODES
+from psualign.simulate import run_local_session
+
+from helpers import (
+    TWO_FEATURES,
+    hash_rows,
+    hashed_union_oracle,
+    plaintext_equal_pairs,
+    random_instance,
+    session_config,
+)
 
 G23 = make_group_params(23)
 G512 = make_group_params("p512")
@@ -189,3 +209,156 @@ def test_identifier_codec_rejects_truncation():
     raw = encode_identifier(ident([2, 3, 4]), G23)
     with pytest.raises(ValueError):
         decode_identifier(raw[:-1], G23)
+
+
+# --- one exponentiation per distinct base per pass -------------------------
+
+
+def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=None):
+    """``pow`` on every token, with the shuffles the masking pass draws.
+
+    Takes and ignores ``powers``, so it can stand in for
+    ``encrypt_identifier`` at every call site.
+    """
+    masked = []
+    for feature in ident.features:
+        powered = [pow(value, exponent, group.p) for value in feature]
+        if mode == UNORDERED:
+            rng.shuffle(powered)
+        masked.append(tuple(powered))
+    return EncryptedIdentifier(tuple(masked), getattr(ident, "layer_count", 0) + 1)
+
+
+def reference_set(enc_set, exponent, group, mode, rng):
+    items = [reference_identifier(i, exponent, group, mode, rng) for i in enc_set.items]
+    rng.shuffle(items)
+    return EncryptedSet(items, enc_set.provenance)
+
+
+class CountingPowmod:
+    """Stands in for ``masking.powmod`` and records every call."""
+
+    def __init__(self):
+        self.calls = []
+        self.lock = threading.Lock()
+        self.inner = masking.powmod
+
+    def __call__(self, base, exponent, modulus):
+        with self.lock:
+            self.calls.append((threading.current_thread().name, exponent, base))
+        return self.inner(base, exponent, modulus)
+
+    def bases(self):
+        return [base for _, _, base in self.calls]
+
+
+@st.composite
+def memo_instances(draw):
+    """Items whose tokens repeat within a feature, across features and across items."""
+    group = draw(st.sampled_from([G23, G512]))
+    pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=6))
+    token = st.sampled_from(pool)
+    width = draw(st.integers(1, 3))
+    items = draw(
+        st.lists(
+            st.lists(st.lists(token, max_size=6), min_size=width, max_size=width),
+            max_size=6,
+        )
+    )
+    exponent = draw(st.integers(1, group.q - 1))
+    mode = draw(st.sampled_from(MODES))
+    seed = draw(st.integers(0, 2**32))
+    return group, [ident(*features) for features in items], exponent, mode, seed
+
+
+def distinct_bases(items):
+    return {value for item in items for feature in item.features for value in feature}
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_instances())
+def test_encrypt_set_raises_each_distinct_base_once(instance):
+    group, items, exponent, mode, seed = instance
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    counting = CountingPowmod()
+    with mock.patch.object(masking, "powmod", counting):
+        got = encrypt_set(EncryptedSet(list(items), 3), exponent, group, mode, rng)
+    expected = reference_set(EncryptedSet(list(items), 3), exponent, group, mode, ref_rng)
+    assert got == expected
+    assert rng.getstate() == ref_rng.getstate()
+    assert sorted(counting.bases()) == sorted(distinct_bases(items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_instances())
+@example((G23, [ident([2, 3, 2], [3, 2, 4]), ident([4, 2])], 5, ORDERED, 0))
+def test_encrypt_identifier_memo_spans_the_calls_it_is_passed_to(instance):
+    """Without a memo each call shares its own repeats; with one, the calls share."""
+    group, items, exponent, mode, seed = instance
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    counting = CountingPowmod()
+    with mock.patch.object(masking, "powmod", counting):
+        alone = [encrypt_identifier(i, exponent, group, mode, rng) for i in items]
+        alone_calls = counting.bases()
+        counting.calls.clear()
+        powers = {}
+        shared = [encrypt_identifier(i, exponent, group, mode, rng, powers) for i in items]
+    expected = [
+        reference_identifier(i, exponent, group, mode, ref_rng) for i in items + items
+    ]
+    assert alone + shared == expected
+    assert rng.getstate() == ref_rng.getstate()
+    assert sorted(alone_calls) == sorted(
+        base for item in items for base in distinct_bases([item])
+    )
+    assert sorted(counting.bases()) == sorted(distinct_bases(items))
+    assert powers == {base: pow(base, exponent, group.p) for base in distinct_bases(items)}
+
+
+NOISY_TWO_FEATURES = MatchConfig(
+    features=TWO_FEATURES.features, threshold=Fraction(1), ordered=False
+)
+
+
+@pytest.mark.parametrize("match", [TWO_FEATURES, NOISY_TWO_FEATURES], ids=MODES)
+def test_session_raises_no_base_twice_per_party_and_exponent(match):
+    """A seeded 3-party session against the oracles and a memo-free rerun.
+
+    The rerun masks through :func:`reference_identifier`, so it raises
+    every token occurrence; its outputs must be byte-identical.
+    """
+    rng = random.Random("memo-session")
+    raw = random_instance(rng, 3, max_rows=12)
+    for rows in raw:
+        rows.append(rows[0])  # a repeat inside every party's own passes
+    cfg = session_config(3, match, seed=17)
+    hashed = [hash_rows(rows, match, G512) for rows in raw]
+
+    counting = CountingPowmod()
+    with mock.patch.object(masking, "powmod", counting):
+        outcome = run_local_session(cfg, hashed)
+    raised = Counter(counting.calls)
+    assert raised and max(raised.values()) == 1
+    tokens = sum(len(f) for party in hashed for i in party for f in i.features)
+    assert len(counting.calls) < (3 * 3 + 1) * tokens
+
+    assert outcome.results[0].union_table.size == hashed_union_oracle(hashed)
+    for (p1, i1), (p2, i2) in plaintext_equal_pairs(raw):
+        phi1 = outcome.results[p1].index_map.local_to_universal
+        phi2 = outcome.results[p2].index_map.local_to_universal
+        assert phi1[i1] == phi2[i2], ((p1, i1), (p2, i2))
+    tables = {
+        tuple(encode_identifier(e, G512) for e in r.union_table.entries)
+        for r in outcome.results
+    }
+    assert len(tables) == 1
+    for party_id, result in enumerate(outcome.results):
+        assert sorted(result.index_map.local_to_universal) == list(range(len(raw[party_id])))
+        assert result.index_map.unmatched == []
+
+    with mock.patch.object(masking, "encrypt_identifier", reference_identifier), \
+            mock.patch.object(protocol, "encrypt_identifier", reference_identifier):
+        reference = run_local_session(cfg, hashed)
+    for got, want in zip(outcome.results, reference.results):
+        assert got.union_table == want.union_table
+        assert got.index_map == want.index_map
