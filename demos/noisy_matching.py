@@ -27,7 +27,6 @@ def run(threshold):
         match=match,
         datasets=(),
         seed=99,
-        bloom_bits=1 << 16,
     )
     group = cfg.group()
     hashed = [

@@ -28,21 +28,12 @@ from .errors import (
     PsuAlignError,
     TransportFailure,
 )
-from .corpus import load_provenance
-from .datasets import hash_dataset
-from .evaluate import (
-    build_report,
-    exact_true_links,
-    oracle_union_size,
-    provenance_true_links,
-    read_report,
-    reported_links,
-    write_report,
-)
+from .evaluate import build_report, read_report, reported_links, write_report
 from .groups import PRESETS, make_group_params
 from .simulate import (
     fresh_index_start,
     load_party_inputs,
+    plaintext_truth,
     run_local_session,
     run_networked_party,
     write_outputs,
@@ -104,10 +95,7 @@ def _cmd_evaluate(args) -> int:
         index_maps.append(read_aligned_csv(path, party_id, spec.has_header))
 
     loaded = [load_dataset(spec) for spec in cfg.datasets]
-    if cfg.provenance_path is not None:
-        true_links = provenance_true_links(load_provenance(cfg.provenance_path))
-    else:
-        true_links = exact_true_links([data.id_rows for data in loaded])
+    true_links, n_oracle = plaintext_truth(cfg, loaded)
 
     union_indices = {
         index
@@ -125,11 +113,9 @@ def _cmd_evaluate(args) -> int:
     else:
         n_protocol = len(union_indices)
 
-    group = cfg.group()
-    hashed = [hash_dataset(data, cfg.match, group) for data in loaded]
     report = build_report(
         n_protocol=n_protocol,
-        n_oracle=oracle_union_size(hashed),
+        n_oracle=n_oracle,
         true_links=true_links,
         protocol_links=reported_links(index_maps),
         message_counts=previous_counts,

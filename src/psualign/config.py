@@ -1,9 +1,9 @@
 """Harness configuration: one JSON document shared by every party.
 
 The same file drives local simulation and networked runs.  Fields that
-every party must agree on (party count, group, variant, match shapes,
-Bloom settings) feed the session digest exchanged during the handshake;
-a mismatch aborts before any identifier data flows.
+every party must agree on (party count, variant, group, match shapes)
+feed the session digest exchanged during the handshake; a mismatch
+aborts before any identifier data flows.  Unknown keys are ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bloom import DEFAULT_BITS, DEFAULT_HASHES
 from .errors import ConfigError
 from .groups import DEFAULT_PRESET, GroupParams, make_group_params
 from .tokenization import FeatureSpec, MatchConfig
@@ -44,8 +43,6 @@ class SessionConfig:
     datasets: tuple[DatasetSpec, ...]
     seed: int | None = None
     production: bool = False
-    bloom_bits: int = DEFAULT_BITS
-    bloom_hashes: int = DEFAULT_HASHES
     recv_timeout: float = DEFAULT_TIMEOUT
     output_dir: Path = Path("out")
     provenance_path: Path | None = None
@@ -65,7 +62,6 @@ class SessionConfig:
             "features": [
                 [spec.name, spec.length, spec.ngram] for spec in self.match.features
             ],
-            "bloom": [self.bloom_bits, self.bloom_hashes],
         }
         canonical = json.dumps(shared, sort_keys=True, separators=(",", ":"))
         return hashlib.sha3_256(canonical.encode("utf-8")).digest()
@@ -187,16 +183,6 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
     if production and seed is not None:
         raise ConfigError("production mode refuses a configured seed")
 
-    bloom = document.get("bloom", {})
-    if not isinstance(bloom, dict):
-        raise ConfigError("'bloom' must be an object")
-    bloom_bits = bloom.get("bits", DEFAULT_BITS)
-    bloom_hashes = bloom.get("hashes", DEFAULT_HASHES)
-    if not isinstance(bloom_bits, int) or bloom_bits < 1 or bloom_bits & (bloom_bits - 1):
-        raise ConfigError("'bloom.bits' must be a power of two")
-    if not isinstance(bloom_hashes, int) or bloom_hashes < 1:
-        raise ConfigError("'bloom.hashes' must be a positive integer")
-
     timeout = document.get("timeout_s", DEFAULT_TIMEOUT)
     if not isinstance(timeout, (int, float)) or timeout <= 0:
         raise ConfigError("'timeout_s' must be a positive number")
@@ -211,8 +197,6 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
         datasets=datasets,
         seed=seed,
         production=production,
-        bloom_bits=bloom_bits,
-        bloom_hashes=bloom_hashes,
         recv_timeout=float(timeout),
         output_dir=base / document.get("output_dir", "out"),
         provenance_path=(base / provenance) if provenance else None,

@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .compare import TokenIndex, compare
 from .errors import (
     ConfigDigestMismatch,
     NoMatchInUnion,
@@ -55,7 +54,13 @@ from .masking import (
 )
 from .messages import MessageType, ProtocolMessage
 from .tokenization import MatchConfig
-from .union import UnionTable, assign_universal_indices, dedup_exact, dedup_noisy
+from .union import (
+    UnionTable,
+    assign_universal_indices,
+    dedup_exact,
+    dedup_noisy,
+    entry_locator,
+)
 
 
 class Phase(Enum):
@@ -333,7 +338,7 @@ class Party:
             concatenated.extend(self._finals[origin].items)
         if self.match_cfg.ordered:
             return dedup_exact(concatenated, self.group)
-        return dedup_noisy(concatenated, self.match_cfg, self.group, self.rng)
+        return dedup_noisy(concatenated, self.match_cfg, self.rng)
 
     def _union_exponent(self) -> int:
         return (self.exponents[2] * self.exponents[1]) % self.group.q
@@ -416,17 +421,7 @@ class Party:
 
     def _matching(self, transport) -> None:
         assert self.union_table is not None
-        entries = self.union_table.entries
-        if self.match_cfg.ordered:
-            index_of = {
-                encode_identifier(entry, self.group): idx
-                for idx, entry in enumerate(entries)
-            }
-            token_index = None
-        else:
-            index_of = None
-            token_index = TokenIndex(entries, self.match_cfg)
-
+        locate = entry_locator(self.union_table, self.match_cfg, self.group)
         rng = self.rng if self.mode == UNORDERED else None
         # One powers memo per exponent, each living only as long as its
         # pass: the opening sweep, then relays served and returns closed.
@@ -496,28 +491,16 @@ class Party:
                 final = encrypt_identifier(
                     ident, closing_exponent, self.group, self.mode, rng, closing_powers
                 )
-                self._store_match(result, relay_id, final, index_of, token_index)
+                index = locate(final)
+                if index is not None:
+                    result.local_to_universal[relay_id] = index
+                elif self.match_cfg.ordered:
+                    raise NoMatchInUnion(
+                        f"party {self.party_id}: record {relay_id} is missing from the "
+                        "union; parties disagree on group parameters or hashing"
+                    )
+                else:
+                    result.unmatched.append(relay_id)
                 to_return -= 1
         result.unmatched.sort()
         self.index_map = result
-
-    def _store_match(self, result, relay_id, final, index_of, token_index) -> None:
-        if self.match_cfg.ordered:
-            key = encode_identifier(final, self.group)
-            index = index_of.get(key)
-            if index is None:
-                raise NoMatchInUnion(
-                    f"party {self.party_id}: record {relay_id} is missing from the "
-                    "union; parties disagree on group parameters or hashing"
-                )
-            result.local_to_universal[relay_id] = index
-            return
-        assert self.union_table is not None
-        # The lowest confirmed index: what a first-match scan over the
-        # whole union picks, since the index returns every match.
-        entries = self.union_table.entries
-        for index in token_index.candidates(final, self.match_cfg):
-            if compare(final, entries[index], self.match_cfg).is_match:
-                result.local_to_universal[relay_id] = index
-                return
-        result.unmatched.append(relay_id)

@@ -17,6 +17,7 @@ from .datasets import (
 from .errors import ConfigError, ProtocolAbort
 from .evaluate import (
     EvaluationReport,
+    Link,
     build_report,
     exact_true_links,
     oracle_union_size,
@@ -37,20 +38,23 @@ class SessionOutcome:
     transcript: list[TranscriptEntry] | None = None
 
 
+def build_party(cfg: SessionConfig, party_id: int, hashed_records, group) -> Party:
+    return Party(
+        party_id=party_id,
+        party_count=cfg.party_count,
+        group=group,
+        match_cfg=cfg.match,
+        hashed_records=hashed_records,
+        rng=cfg.party_rng(party_id),
+        session_digest=cfg.digest(),
+        recv_timeout=cfg.recv_timeout,
+    )
+
+
 def build_parties(cfg: SessionConfig, hashed_per_party) -> list[Party]:
     group = cfg.group()
-    digest = cfg.digest()
     return [
-        Party(
-            party_id=k,
-            party_count=cfg.party_count,
-            group=group,
-            match_cfg=cfg.match,
-            hashed_records=hashed_per_party[k],
-            rng=cfg.party_rng(k),
-            session_digest=digest,
-            recv_timeout=cfg.recv_timeout,
-        )
+        build_party(cfg, k, hashed_per_party[k], group)
         for k in range(cfg.party_count)
     ]
 
@@ -201,18 +205,30 @@ def write_outputs(
     return csv_paths, report_path
 
 
-def evaluate_outcome(
-    cfg: SessionConfig, loaded: list[LoadedDataset], outcome: SessionOutcome
-) -> EvaluationReport:
+def plaintext_truth(
+    cfg: SessionConfig, loaded: list[LoadedDataset]
+) -> tuple[set[Link], int]:
+    """True links and the oracle union size, both from every party's plaintext.
+
+    Links come from the provenance map when the config names one (noisy
+    corpora), otherwise from exact identifier equality.
+    """
     if cfg.provenance_path is not None:
         true_links = provenance_true_links(load_provenance(cfg.provenance_path))
     else:
         true_links = exact_true_links([data.id_rows for data in loaded])
     group = cfg.group()
     hashed = [hash_dataset(data, cfg.match, group) for data in loaded]
+    return true_links, oracle_union_size(hashed)
+
+
+def evaluate_outcome(
+    cfg: SessionConfig, loaded: list[LoadedDataset], outcome: SessionOutcome
+) -> EvaluationReport:
+    true_links, n_oracle = plaintext_truth(cfg, loaded)
     return build_report(
         n_protocol=outcome.results[0].union_table.size,
-        n_oracle=oracle_union_size(hashed),
+        n_oracle=n_oracle,
         true_links=true_links,
         protocol_links=reported_links([r.index_map for r in outcome.results]),
         message_counts=outcome.message_counts,
@@ -237,17 +253,7 @@ def run_networked_party(
 
     group = cfg.group()
     loaded = load_dataset(cfg.datasets[party_id])
-    hashed = hash_dataset(loaded, cfg.match, group)
-    party = Party(
-        party_id=party_id,
-        party_count=cfg.party_count,
-        group=group,
-        match_cfg=cfg.match,
-        hashed_records=hashed,
-        rng=cfg.party_rng(party_id),
-        session_digest=cfg.digest(),
-        recv_timeout=cfg.recv_timeout,
-    )
+    party = build_party(cfg, party_id, hash_dataset(loaded, cfg.match, group), group)
     transport = TcpTransport(
         my_id=party_id,
         party_count=cfg.party_count,

@@ -13,7 +13,10 @@ is counted like any other send.
 
 Failures are fatal by design: protocol phases are not idempotent under
 the deterministic masking, so there is no retry or resume; callers abort
-the session and re-run.
+the session and re-run.  A TCP peer that closes its connection is noted,
+not fatal, since parties finish at different times; once every peer has
+closed, a ``recv`` raises ``PeerUnreachable`` at once instead of waiting
+out its timeout.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .messages import (
 )
 
 DEFAULT_RECV_TIMEOUT = 60.0
+_PEER_CLOSED = object()  # inbox item a TCP reader queues after a peer's last frame
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,7 @@ class TcpTransport:
         self._server: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
+        self._closed_peers: set[int] = set()
         self._accepting = False
         self._closed = False
 
@@ -255,6 +260,8 @@ class TcpTransport:
             while True:
                 header = _read_exact(conn, HEADER_SIZE)
                 if header is None:
+                    if sender is not None and not self._closed:
+                        self._inbox.put((sender, _PEER_CLOSED))
                     return
                 payload_len, msg_type, origin, hop = decode_header(header)
                 payload = _read_exact(conn, payload_len) if payload_len else b""
@@ -297,16 +304,28 @@ class TcpTransport:
         self.counters[message.msg_type] += 1
 
     def recv(self, timeout: float | None = None) -> tuple[int, ProtocolMessage]:
-        deadline = timeout if timeout is not None else self.recv_timeout
-        try:
-            sender, item = self._inbox.get(timeout=deadline)
-        except queue.Empty:
-            raise TransportFailure(
-                f"party {self.my_id}: no message within {deadline:.1f}s"
-            ) from None
-        if isinstance(item, Exception):
-            raise item
-        return sender, item
+        wait = timeout if timeout is not None else self.recv_timeout
+        deadline = time.monotonic() + wait
+        while True:
+            try:
+                sender, item = self._inbox.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+            except queue.Empty:
+                raise TransportFailure(
+                    f"party {self.my_id}: no message within {wait:.1f}s"
+                ) from None
+            if item is _PEER_CLOSED:
+                self._closed_peers.add(sender)
+                if len(self._closed_peers) == self.party_count - 1:
+                    raise PeerUnreachable(
+                        f"party {self.my_id}: every peer disconnected "
+                        f"(parties {sorted(self._closed_peers)})"
+                    )
+                continue
+            if isinstance(item, Exception):
+                raise item
+            return sender, item
 
     def message_counts(self) -> dict[str, int]:
         return count_messages(self.counters)

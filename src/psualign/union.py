@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .compare import TokenIndex, compare
+from .compare import TokenIndex
 from .groups import GroupParams
 from .masking import EncryptedIdentifier, encode_identifier
 from .tokenization import MatchConfig
@@ -66,16 +66,13 @@ def trim_to_floor(
 
 
 def dedup_noisy(
-    items: Iterable[EncryptedIdentifier],
-    cfg: MatchConfig,
-    group: GroupParams,
-    rng,
+    items: Iterable[EncryptedIdentifier], cfg: MatchConfig, rng
 ) -> list[EncryptedIdentifier]:
     """Merge near-duplicates under the threshold comparison.
 
     Scan in ascending index order: when a later item matches an earlier
     survivor, the later one is deleted.  A :class:`TokenIndex` over the
-    items yields each survivor's matches, and ``compare`` confirms them.
+    items yields exactly each survivor's matches.
     Survivors keep their full token lists; dropping the matched grams (or
     trimming a merged survivor) would push it below the match floor its
     own records need to find it again in the matching phase.  Entries that
@@ -93,9 +90,7 @@ def dedup_noisy(
         if not alive[i]:
             continue
         for j in index.candidates(scan[i], cfg):
-            if j <= i or not alive[j]:
-                continue
-            if compare(scan[i], scan[j], cfg).is_match:
+            if j > i and alive[j]:
                 alive[j] = False
                 absorbed_any[i] = True
     survivors = []
@@ -104,3 +99,28 @@ def dedup_noisy(
             continue
         survivors.append(item if absorbed_any[i] else trim_to_floor(item, cfg, rng))
     return survivors
+
+
+def entry_locator(
+    table: UnionTable, cfg: MatchConfig, group: GroupParams
+) -> Callable[[EncryptedIdentifier], int | None]:
+    """``ident -> universal index`` of the union entry it maps to, or None.
+
+    Ordered sessions look up the entry with the same serialization.
+    Unordered sessions take the lowest index that ``ident`` reaches at
+    the threshold, which is what a first-match scan over the whole union
+    picks: the :class:`TokenIndex` returns every such entry.
+    """
+    if cfg.ordered:
+        index_of = {
+            encode_identifier(entry, group): index
+            for index, entry in enumerate(table.entries)
+        }
+        return lambda ident: index_of.get(encode_identifier(ident, group))
+    token_index = TokenIndex(table.entries, cfg)
+
+    def locate(ident: EncryptedIdentifier) -> int | None:
+        reached = token_index.candidates(ident, cfg)
+        return reached[0] if reached else None
+
+    return locate

@@ -8,6 +8,7 @@ token overlap, and a plaintext union computed from hashed tuples.
 from __future__ import annotations
 
 import random
+import socket
 from fractions import Fraction
 
 from psualign import (
@@ -18,6 +19,15 @@ from psualign import (
     tokenize_record,
 )
 from psualign.config import SessionConfig
+
+
+def free_port() -> int:
+    """A localhost port that was free a moment ago."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -59,8 +69,6 @@ def session_config(
     match: MatchConfig,
     group: str = "p512",
     seed: int | None = 1,
-    bloom_bits: int = 1 << 16,
-    bloom_hashes: int = 4,
     recv_timeout: float = 30.0,
 ) -> SessionConfig:
     return SessionConfig(
@@ -70,8 +78,6 @@ def session_config(
         match=match,
         datasets=(),
         seed=seed,
-        bloom_bits=bloom_bits,
-        bloom_hashes=bloom_hashes,
         recv_timeout=recv_timeout,
     )
 

@@ -371,7 +371,6 @@ def test_criterion_08_backend_equivalence(tmp_path):
                 for path in csv_paths
             ),
             seed=88,
-            bloom_bits=1 << 16,
             recv_timeout=30,
             output_dir=tmp_path / out_name,
         )

@@ -1,16 +1,8 @@
 import json
-import socket
 import threading
 
+from helpers import free_port
 from psualign.cli import main
-
-
-def free_port():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
 
 
 def write_config(tmp_path, name="config.json", **overrides):

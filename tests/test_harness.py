@@ -68,7 +68,8 @@ def test_config_digest_changes_with_threshold(tmp_path):
 def test_config_digest_ignores_seed_and_paths(tmp_path):
     one = load_config(write_config(tmp_path, seed=1))
     two = load_config(write_config(tmp_path, seed=999))
-    assert one.digest() == two.digest()
+    leftover_bloom = load_config(write_config(tmp_path, bloom={"bits": 1000}))
+    assert one.digest() == two.digest() == leftover_bloom.digest()
 
 
 def test_config_rejects_variant_typos(tmp_path):
@@ -84,11 +85,6 @@ def test_config_rejects_party_count_mismatch(tmp_path):
 def test_config_rejects_production_with_seed(tmp_path):
     with pytest.raises(ConfigError, match="production"):
         load_config(write_config(tmp_path, production=True, seed=5))
-
-
-def test_config_rejects_bad_bloom(tmp_path):
-    with pytest.raises(ConfigError, match="bloom"):
-        load_config(write_config(tmp_path, bloom={"bits": 1000}))
 
 
 def test_config_rejects_id_column_arity(tmp_path):

@@ -15,14 +15,12 @@ from psualign import (
     EncryptedIdentifier,
     FeatureSpec,
     MatchConfig,
-    Party,
     compare,
     dedup_noisy,
     make_group_params,
 )
 from psualign.compare import TokenIndex
-from psualign.protocol import UniversalIndexMap
-from psualign.union import UnionTable, trim_to_floor
+from psualign.union import UnionTable, entry_locator, trim_to_floor
 
 G512 = make_group_params("p512")
 
@@ -136,7 +134,7 @@ def test_candidates_are_exactly_the_compare_matches(instance):
 @example(ZERO_GRAMS, 0)
 def test_dedup_noisy_keeps_the_brute_force_survivors(instance, seed):
     cfg, items = instance
-    got = dedup_noisy(items, cfg, G512, random.Random(seed))
+    got = dedup_noisy(items, cfg, random.Random(seed))
     assert got == brute_dedup(items, cfg, random.Random(seed))
 
 
@@ -145,18 +143,10 @@ def test_dedup_noisy_keeps_the_brute_force_survivors(instance, seed):
 @example(CHAIN, 3)
 @example(ASYMMETRIC, 1)
 @example(ZERO_GRAMS, 2)
-def test_store_match_picks_the_first_brute_force_match(instance, union_size):
+def test_entry_locator_picks_the_first_brute_force_match(instance, union_size):
     """Probes are the union's own entries and the items left out of it."""
     cfg, items = instance
     entries = items[:union_size]
-    party = Party(0, 2, G512, cfg, [], random.Random(0))
-    party.union_table = UnionTable(tuple(entries))
-    token_index = TokenIndex(entries, cfg)
-    result = UniversalIndexMap(0)
-    for relay_id, probe in enumerate(items):
-        party._store_match(result, relay_id, probe, None, token_index)
+    locate = entry_locator(UnionTable(tuple(entries)), cfg, G512)
     expected = [brute_first_match(probe, entries, cfg) for probe in items]
-    assert result.local_to_universal == {
-        relay_id: index for relay_id, index in enumerate(expected) if index is not None
-    }
-    assert result.unmatched == [relay_id for relay_id, index in enumerate(expected) if index is None]
+    assert [locate(probe) for probe in items] == expected

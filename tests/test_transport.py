@@ -1,17 +1,26 @@
 import random
+import re
 import socket
 import threading
+import time
+from fractions import Fraction
 
 import pytest
 
+from helpers import free_port
 from psualign import (
+    FeatureSpec,
     FramingError,
     HandshakeTimeout,
+    MatchConfig,
     MessageType,
     PeerUnreachable,
     ProtocolMessage,
     TransportFailure,
 )
+from psualign.config import DatasetSpec, SessionConfig
+from psualign.masking import encode_identifier
+from psualign.simulate import run_networked_party
 from psualign.transport import InProcessHub, TcpTransport
 
 
@@ -88,25 +97,31 @@ def test_inprocess_transcript_records_deliveries():
 # --- tcp --------------------------------------------------------------------
 
 
-def _pair_of_transports(recv_timeout=5.0):
-    a = TcpTransport(0, 2, ("127.0.0.1", 0), {}, recv_timeout=recv_timeout)
-    b = TcpTransport(1, 2, ("127.0.0.1", 0), {}, recv_timeout=recv_timeout)
-    a.listen()
-    b.listen()
-    a.peer_addrs = {1: b.listen_addr}
-    b.peer_addrs = {0: a.listen_addr}
-    a.establish(5)
-    b.establish(5)
+def _mesh(count, recv_timeout=5.0):
+    """Connected TCP transports for ``count`` parties, HELLOs exchanged."""
+    transports = [
+        TcpTransport(k, count, ("127.0.0.1", 0), {}, recv_timeout=recv_timeout)
+        for k in range(count)
+    ]
+    for t in transports:
+        t.listen()
+    for t in transports:
+        t.peer_addrs = {peer.my_id: peer.listen_addr for peer in transports if peer is not t}
+    for t in transports:
+        t.establish(5)
     # identify the outbound connections, as parties do in their handshake
-    a.send(1, msg(b"", MessageType.HELLO, origin=0, hop=0))
-    b.send(0, msg(b"", MessageType.HELLO, origin=1, hop=0))
-    assert a.recv()[1].msg_type is MessageType.HELLO
-    assert b.recv()[1].msg_type is MessageType.HELLO
-    return a, b
+    for t in transports:
+        for peer in transports:
+            if peer is not t:
+                t.send(peer.my_id, msg(b"", MessageType.HELLO, origin=t.my_id, hop=0))
+    for t in transports:
+        for _ in range(count - 1):
+            assert t.recv()[1].msg_type is MessageType.HELLO
+    return transports
 
 
 def test_tcp_roundtrip_one_megabyte():
-    a, b = _pair_of_transports()
+    a, b = _mesh(2)
     try:
         blob = random.Random(0).randbytes(1 << 20)
         a.send(1, msg(blob))
@@ -119,7 +134,7 @@ def test_tcp_roundtrip_one_megabyte():
 
 
 def test_tcp_preserves_order_per_pair():
-    a, b = _pair_of_transports()
+    a, b = _mesh(2)
     try:
         for i in range(200):
             a.send(1, msg(i.to_bytes(2, "big")))
@@ -131,7 +146,7 @@ def test_tcp_preserves_order_per_pair():
 
 
 def test_tcp_self_send_loopback():
-    a, b = _pair_of_transports()
+    a, b = _mesh(2)
     try:
         a.send(0, msg(b"self"))
         sender, received = a.recv()
@@ -161,6 +176,71 @@ def test_tcp_close_stops_the_listener():
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(addr, timeout=2).close()
     assert not any(thread.name == "psu-accept-7" for thread in threading.enumerate())
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_tcp_recv_fails_fast_once_every_peer_closed(count):
+    """A closed peer is noted; ``recv`` raises at once when every peer has closed."""
+    me, *peers = transports = _mesh(count, recv_timeout=30.0)
+    try:
+        for peer in peers:
+            peer.send(0, msg(b"last words", origin=peer.my_id))
+            peer.close()
+            # frames sent before the close arrive, and one closed peer is not fatal
+            assert me.recv()[1].payload == b"last words"
+        started = time.monotonic()
+        with pytest.raises(PeerUnreachable, match=re.escape(f"parties {list(range(1, count))}")):
+            me.recv()
+        assert time.monotonic() - started < 5.0
+    finally:
+        for t in transports:
+            t.close()
+
+
+@pytest.mark.parametrize("variant", ["ordered", "unordered"])
+def test_three_networked_parties_outlive_early_closers(tmp_path, variant):
+    """Parties close as they finish; the others still wait on live peers."""
+    names = [["ann lee", "bob ray"], ["ann lee", "cy moss"], ["dee fox", "ann lee", "bob ray"]]
+    datasets = []
+    for k, rows in enumerate(names):
+        path = tmp_path / f"party{k}.csv"
+        path.write_text("name\n" + "".join(f"{row}\n" for row in rows))
+        datasets.append(DatasetSpec(path, ("name",), listen=f"127.0.0.1:{free_port()}"))
+    cfg = SessionConfig(
+        party_count=3,
+        variant=variant,
+        group_source="p512",
+        match=MatchConfig(
+            features=(FeatureSpec("name", 12, 3),),
+            threshold=Fraction(7, 10),
+            ordered=variant == "ordered",
+        ),
+        datasets=tuple(datasets),
+        seed=5,
+        recv_timeout=20.0,
+    )
+    results = [None] * 3
+    errors = [None] * 3
+
+    def drive(k):
+        try:
+            results[k] = run_networked_party(cfg, k)[0]
+        except Exception as exc:  # reported by the assertion below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=drive, args=(k,)) for k in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [None] * 3
+    group = cfg.group()
+    tables = {tuple(encode_identifier(e, group) for e in r.union_table.entries) for r in results}
+    assert len(tables) == 1
+    assert results[0].union_table.size == 4
+    ann = {r.index_map.local_to_universal[row] for r, row in zip(results, (0, 0, 1))}
+    assert len(ann) == 1
 
 
 def test_tcp_establish_times_out_when_peer_missing():

@@ -94,7 +94,7 @@ def test_noisy_dedup_equivalent_pair_single_survivor():
     tokens = rand_tokens(rng)
     permuted = list(tokens)
     rng.shuffle(permuted)
-    out = dedup_noisy([ident(tokens), ident(permuted)], NOISY, G512, rng)
+    out = dedup_noisy([ident(tokens), ident(permuted)], NOISY, rng)
     assert len(out) == 1
     # merged survivors keep their full token list
     assert sorted(out[0].features[0]) == sorted(tokens)
@@ -110,7 +110,7 @@ def test_noisy_dedup_nontransitive_chain_scan_order():
     assert overlap_count(a, b) == 7
     assert overlap_count(b, c) == 7
     assert overlap_count(a, c) == 4
-    out = dedup_noisy([ident(a), ident(b), ident(c)], NOISY, G512, rng)
+    out = dedup_noisy([ident(a), ident(b), ident(c)], NOISY, rng)
     assert len(out) == 2
     assert sorted(out[0].features[0]) == sorted(a)
 
@@ -118,7 +118,7 @@ def test_noisy_dedup_nontransitive_chain_scan_order():
 def test_noisy_dedup_disjoint_items_trimmed_to_floor():
     rng = random.Random(6)
     items = [ident(rand_tokens(rng)) for _ in range(4)]
-    out = dedup_noisy(items, NOISY, G512, rng)
+    out = dedup_noisy(items, NOISY, rng)
     assert len(out) == 4
     floor = NOISY.match_floors()[0]
     for survivor, original in zip(out, items):
@@ -134,7 +134,7 @@ def test_noisy_dedup_survivors_are_pairwise_non_matching():
     items = [
         ident([shared[(i * 3 + j) % 60] for j in range(10)]) for i in range(12)
     ]
-    out = dedup_noisy(items, NOISY, G512, rng)
+    out = dedup_noisy(items, NOISY, rng)
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             assert not compare(out[i], out[j], NOISY).is_match
