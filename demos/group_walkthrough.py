@@ -8,6 +8,7 @@ the same value regardless of order.
 import random
 
 from psualign import (
+    EncryptedIdentifier,
     compose,
     hash_token,
     is_group_element,
@@ -16,7 +17,6 @@ from psualign import (
     project_to_qr,
     sample_exponent,
 )
-from psualign.hashing import HashedIdentifier
 
 group = make_group_params(23)
 print(f"group: p={group.p}, q={group.q} ({group.bit_length} bits)")
@@ -42,7 +42,7 @@ print(f"  (x^s1)^s2 = {mod_exp(mod_exp(x, s1, group), s2, group)}")
 print(f"  (x^s2)^s1 = {mod_exp(mod_exp(x, s2, group), s1, group)}")
 print(f"  x^(s1*s2 mod q) = {mod_exp(x, (s1 * s2) % group.q, group)}")
 
-ident = HashedIdentifier(((2, 3, 13),))
+ident = EncryptedIdentifier(((2, 3, 13),))
 forward = compose(ident, [s1, s2], group)
 backward = compose(ident, [s2, s1], group)
 print(f"\nidentifier (2, 3, 13) masked by both orders:")

@@ -44,13 +44,12 @@ from .groups import (
     project_to_qr,
     sample_exponent,
 )
-from .hashing import HashedIdentifier, hash_identifier, hash_token
+from .hashing import hash_identifier, hash_token
 from .masking import (
     ORDERED,
     UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
-    as_encrypted,
     compose,
     decode_identifier,
     decode_set,
@@ -93,7 +92,6 @@ __all__ = [
     "GroupParameterError",
     "GroupParams",
     "HandshakeTimeout",
-    "HashedIdentifier",
     "InProcessHub",
     "InProcessTransport",
     "MatchConfig",
@@ -124,7 +122,6 @@ __all__ = [
     "UNORDERED",
     "UnionTable",
     "UniversalIndexMap",
-    "as_encrypted",
     "assign_universal_indices",
     "bloom_encode",
     "bloom_prefilter",

@@ -9,7 +9,8 @@ from pathlib import Path
 from .config import DatasetSpec
 from .errors import DatasetError
 from .groups import GroupParams
-from .hashing import HashedIdentifier, hash_identifier
+from .hashing import hash_identifier
+from .masking import EncryptedIdentifier
 from .protocol import UniversalIndexMap
 from .tokenization import MatchConfig, tokenize_record
 
@@ -86,7 +87,7 @@ def load_dataset(spec: DatasetSpec) -> LoadedDataset:
 
 def hash_dataset(
     loaded: LoadedDataset, match_cfg: MatchConfig, group: GroupParams
-) -> list[HashedIdentifier]:
+) -> list[EncryptedIdentifier]:
     """Tokenize and hash every record's identifier fields, in row order."""
     return [
         hash_identifier(tokenize_record(fields, match_cfg), group)

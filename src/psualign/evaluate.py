@@ -10,7 +10,7 @@ test context can run this; it needs every party's plaintext.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .protocol import UniversalIndexMap
@@ -33,19 +33,7 @@ class EvaluationReport:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "n_protocol": self.n_protocol,
-            "n_oracle": self.n_oracle,
-            "e1_false_negatives": self.e1_false_negatives,
-            "e2_false_positives": self.e2_false_positives,
-            "matched_pairs": self.matched_pairs,
-            "true_pairs": self.true_pairs,
-            "reported_pairs": self.reported_pairs,
-            "precision": self.precision,
-            "recall": self.recall,
-            "message_counts": dict(self.message_counts),
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, document: dict) -> "EvaluationReport":
@@ -94,11 +82,7 @@ def reported_links(index_maps: list[UniversalIndexMap]) -> set[Link]:
 
 def oracle_union_size(hashed_per_party) -> int:
     """Plaintext-side union cardinality over tokenized-hashed identifiers."""
-    distinct = set()
-    for hashed in hashed_per_party:
-        for ident in hashed:
-            distinct.add(ident.features)
-    return len(distinct)
+    return len({ident for hashed in hashed_per_party for ident in hashed})
 
 
 def build_report(

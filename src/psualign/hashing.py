@@ -1,19 +1,17 @@
-"""SHA3-based mapping of n-gram tokens onto the quadratic-residue subgroup."""
+"""SHA3-based mapping of n-gram tokens onto the quadratic-residue subgroup.
+
+A hashed identifier is an :class:`~psualign.masking.EncryptedIdentifier`
+with zero masking layers, the value type every masking pass takes and
+returns.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .groups import GroupParams, project_to_qr
+from .masking import EncryptedIdentifier
 from .tokenization import TokenizedIdentifier
-
-
-@dataclass(frozen=True)
-class HashedIdentifier:
-    """Per-feature tuples of group elements; same shape as the token source."""
-
-    features: tuple[tuple[int, ...], ...]
 
 
 def hash_token(token: str, group: GroupParams) -> int:
@@ -27,9 +25,11 @@ def hash_token(token: str, group: GroupParams) -> int:
     return project_to_qr(int.from_bytes(digest, "big"), group)
 
 
-def hash_identifier(tokens: TokenizedIdentifier, group: GroupParams) -> HashedIdentifier:
+def hash_identifier(
+    tokens: TokenizedIdentifier, group: GroupParams
+) -> EncryptedIdentifier:
     """Hash every token, preserving the feature/token shape."""
-    return HashedIdentifier(
+    return EncryptedIdentifier(
         tuple(
             tuple(hash_token(token, group) for token in feature)
             for feature in tokens.features

@@ -1,9 +1,11 @@
 """Commutative masking of identifiers and identifier sets.
 
-Masking raises every token to a secret exponent modulo p.  It is used as
-a deterministic commutative layer, not as randomized encryption: layers
-applied by different parties commute, and equal inputs stay equal, which
-is exactly what union-by-equality needs.
+Masking raises every token to a secret exponent through
+``groups.mod_exp``.  It is used as a deterministic commutative layer, not
+as randomized encryption: layers applied by different parties commute,
+and equal inputs stay equal, which is exactly what union-by-equality
+needs.  Hashed and masked identifiers are one value type,
+:class:`EncryptedIdentifier`, so that test is plain value equality.
 
 Two modes exist.  "ordered" keeps token positions fixed so identifiers
 stay comparable tokenwise.  "unordered" additionally draws a fresh
@@ -25,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import GroupParams, powmod
-from .hashing import HashedIdentifier
+from .groups import GroupParams, mod_exp
 
 ORDERED = "ordered"
 UNORDERED = "unordered"
@@ -35,15 +36,14 @@ MODES = (ORDERED, UNORDERED)
 
 @dataclass(frozen=True)
 class EncryptedIdentifier:
-    """Masked identifier: per-feature tuples of group elements.
+    """Per-feature tuples of group elements, hashed and masked alike.
 
-    ``layer_count`` tracks how many exponentiations were applied; it is
-    local bookkeeping for catching phase bugs and is never serialized,
-    so the wire carries no metadata about encryption depth.
+    A hashed identifier is one with zero masking layers.  The value is
+    its elements and nothing else, so two identifiers are equal exactly
+    when they serialize to the same bytes.
     """
 
     features: tuple[tuple[int, ...], ...]
-    layer_count: int = 0
 
 
 @dataclass
@@ -59,17 +59,8 @@ class EncryptedSet:
     provenance: int = -1
 
 
-def as_encrypted(ident: HashedIdentifier) -> EncryptedIdentifier:
-    """View a hashed identifier as a zero-layer encrypted one."""
-    return EncryptedIdentifier(ident.features, 0)
-
-
-def _layers(ident) -> int:
-    return getattr(ident, "layer_count", 0)
-
-
 def encrypt_identifier(
-    ident,
+    ident: EncryptedIdentifier,
     exponent: int,
     group: GroupParams,
     mode: str = ORDERED,
@@ -93,12 +84,12 @@ def encrypt_identifier(
     for feature in ident.features:
         for value in feature:
             if value not in powers:
-                powers[value] = powmod(value, exponent, group.p)
+                powers[value] = mod_exp(value, exponent, group)
         powered = [powers[value] for value in feature]
         if mode == UNORDERED:
             rng.shuffle(powered)
         masked.append(tuple(powered))
-    return EncryptedIdentifier(tuple(masked), _layers(ident) + 1)
+    return EncryptedIdentifier(tuple(masked))
 
 
 def encrypt_set(
@@ -125,16 +116,17 @@ def encrypt_set(
     return EncryptedSet(items, enc_set.provenance)
 
 
-def compose(ident, exponents, group: GroupParams) -> EncryptedIdentifier:
+def compose(
+    ident: EncryptedIdentifier, exponents, group: GroupParams
+) -> EncryptedIdentifier:
     """Apply a list of exponents in order; equals one pass with their product.
 
     An empty list is the identity.  Test utility for the commutativity
     property, not a protocol message.
     """
-    current = ident if isinstance(ident, EncryptedIdentifier) else as_encrypted(ident)
     for exponent in exponents:
-        current = encrypt_identifier(current, exponent, group, ORDERED)
-    return current
+        ident = encrypt_identifier(ident, exponent, group, ORDERED)
+    return ident
 
 
 # --- serialization --------------------------------------------------------
@@ -144,7 +136,6 @@ def compose(ident, exponents, group: GroupParams) -> EncryptedIdentifier:
 #               count followed by that many fixed-width big-endian group
 #               elements (width = GroupParams.element_width);
 #   set:        u32 big-endian item count, then the items back to back.
-# layer_count is deliberately absent.
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
@@ -186,7 +177,7 @@ def decode_identifier(
             )
         )
         offset = end
-    return EncryptedIdentifier(tuple(features), 0), offset
+    return EncryptedIdentifier(tuple(features)), offset
 
 
 def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:

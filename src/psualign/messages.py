@@ -8,6 +8,10 @@ Frame layout (all integers big-endian):
     offset 7  u16  hop counter
     offset 9  payload bytes
 
+A payload may be at most ``MAX_PAYLOAD`` bytes (256 MiB), far above any
+session's largest frame; a header declaring more is rejected before any
+payload byte is buffered.
+
 Example: a TOKEN_RELAY from party 1 at hop 0 with payload ``0xdead``
 frames as ``00 00 00 02 04 00 01 00 00 de ad``.
 """
@@ -22,7 +26,7 @@ from .errors import FramingError
 
 _HEADER = struct.Struct(">IBHH")
 HEADER_SIZE = _HEADER.size
-MAX_PAYLOAD = (1 << 32) - 1
+MAX_PAYLOAD = 1 << 28
 MAX_PARTY_ID = (1 << 16) - 1
 
 
@@ -52,7 +56,7 @@ def encode_frame(message: ProtocolMessage) -> bytes:
     if not 0 <= message.hop <= MAX_PARTY_ID:
         raise FramingError(f"hop {message.hop} outside u16 range")
     if len(message.payload) > MAX_PAYLOAD:
-        raise FramingError("payload exceeds u32 length prefix")
+        raise FramingError(f"payload exceeds the {MAX_PAYLOAD}-byte frame cap")
     header = _HEADER.pack(
         len(message.payload), int(message.msg_type), message.origin, message.hop
     )
@@ -68,6 +72,10 @@ def decode_header(header: bytes) -> tuple[int, MessageType, int, int]:
         msg_type = MessageType(raw_type)
     except ValueError:
         raise FramingError(f"unknown message type {raw_type}") from None
+    if payload_len > MAX_PAYLOAD:
+        raise FramingError(
+            f"declared payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte frame cap"
+        )
     return payload_len, msg_type, origin, hop
 
 

@@ -38,13 +38,11 @@ from .errors import (
     TransportFailure,
 )
 from .groups import GroupParams, sample_exponent
-from .hashing import HashedIdentifier
 from .masking import (
     ORDERED,
     UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
-    as_encrypted,
     decode_identifier,
     decode_set,
     encode_identifier,
@@ -125,7 +123,7 @@ class Party:
         party_count: int,
         group: GroupParams,
         match_cfg: MatchConfig,
-        hashed_records: list[HashedIdentifier],
+        hashed_records: list[EncryptedIdentifier],
         rng,
         session_digest: bytes = b"",
         recv_timeout: float | None = None,
@@ -279,9 +277,7 @@ class Party:
     # -- phase 2: first masking round -------------------------------------------
 
     def _round_one(self, transport) -> None:
-        own = EncryptedSet(
-            [as_encrypted(h) for h in self.hashed_records], self.party_id
-        )
+        own = EncryptedSet(self.hashed_records, self.party_id)
         masked = encrypt_set(own, self.exponents[0], self.group, self.mode, self.rng)
         self._send(
             transport,
@@ -337,7 +333,7 @@ class Party:
         for origin in range(self.party_count):
             concatenated.extend(self._finals[origin].items)
         if self.match_cfg.ordered:
-            return dedup_exact(concatenated, self.group)
+            return dedup_exact(concatenated)
         return dedup_noisy(concatenated, self.match_cfg, self.rng)
 
     def _union_exponent(self) -> int:
@@ -421,14 +417,14 @@ class Party:
 
     def _matching(self, transport) -> None:
         assert self.union_table is not None
-        locate = entry_locator(self.union_table, self.match_cfg, self.group)
+        locate = entry_locator(self.union_table, self.match_cfg)
         rng = self.rng if self.mode == UNORDERED else None
         # One powers memo per exponent, each living only as long as its
         # pass: the opening sweep, then relays served and returns closed.
         opening: dict[int, int] = {}
         for relay_id, record in enumerate(self.hashed_records):
             opened = encrypt_identifier(
-                as_encrypted(record), self.exponents[1], self.group, self.mode, rng, opening
+                record, self.exponents[1], self.group, self.mode, rng, opening
             )
             self._send(
                 transport,

@@ -44,6 +44,7 @@ from .messages import (
 )
 
 DEFAULT_RECV_TIMEOUT = 60.0
+_RECV_CHUNK = 1 << 20  # most bytes one socket read asks for
 _PEER_CLOSED = object()  # inbox item a TCP reader queues after a peer's last frame
 
 
@@ -149,7 +150,7 @@ def _read_exact(sock: socket.socket, count: int) -> bytes | None:
     """Read exactly ``count`` bytes; None on clean EOF at a frame boundary."""
     chunks = bytearray()
     while len(chunks) < count:
-        block = sock.recv(count - len(chunks))
+        block = sock.recv(min(count - len(chunks), _RECV_CHUNK))
         if not block:
             if chunks:
                 raise FramingError("connection closed mid-frame")
@@ -186,9 +187,10 @@ class TcpTransport:
         self._out_locks: dict[int, threading.Lock] = {}
         self._server: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
+        # accepted connection -> its reader; guarded by _lock, like _closed
+        self._inbound: dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
         self._closed_peers: set[int] = set()
-        self._accepting = False
         self._closed = False
 
     # -- connection setup --------------------------------------------------
@@ -202,13 +204,11 @@ class TcpTransport:
         server.listen(self.party_count)
         self._server = server
         self.listen_addr = server.getsockname()
-        self._accepting = True
         acceptor = threading.Thread(
             target=self._accept_loop, name=f"psu-accept-{self.my_id}", daemon=True
         )
         acceptor.start()
         self._acceptor = acceptor
-        self._threads.append(acceptor)
 
     def establish(self, timeout: float | None = None) -> None:
         """Listen and connect to every peer, retrying until the deadline."""
@@ -239,7 +239,7 @@ class TcpTransport:
 
     def _accept_loop(self) -> None:
         assert self._server is not None
-        while self._accepting:
+        while True:
             try:
                 conn, _ = self._server.accept()
             except OSError:
@@ -251,8 +251,12 @@ class TcpTransport:
                 name=f"psu-reader-{self.my_id}",
                 daemon=True,
             )
-            reader.start()
-            self._threads.append(reader)
+            with self._lock:
+                if self._closed:
+                    conn.close()
+                    return
+                self._inbound[conn] = reader
+                reader.start()
 
     def _reader_loop(self, conn: socket.socket) -> None:
         sender: int | None = None
@@ -279,6 +283,8 @@ class TcpTransport:
             if not self._closed:
                 self._inbox.put((-1, exc))
         finally:
+            with self._lock:
+                self._inbound.pop(conn, None)
             try:
                 conn.close()
             except OSError:
@@ -331,8 +337,14 @@ class TcpTransport:
         return count_messages(self.counters)
 
     def close(self) -> None:
-        self._closed = True
-        self._accepting = False
+        """Stop the listener and tear down every connection, both directions.
+
+        Accepted connections are shut down, which wakes their readers;
+        each reader closes its own socket and is joined.
+        """
+        with self._lock:
+            self._closed = True
+            inbound = list(self._inbound.items())
         if self._server is not None:
             # close() alone does not wake a thread blocked in accept();
             # shutdown() does, and the acceptor then returns.
@@ -355,3 +367,9 @@ class TcpTransport:
                 sock.close()
             except OSError:
                 pass
+        for conn, reader in inbound:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            reader.join(timeout=1.0)

@@ -35,21 +35,12 @@ def assign_universal_indices(
     return UnionTable(tuple(ordered))
 
 
-def dedup_exact(
-    items: Iterable[EncryptedIdentifier], group: GroupParams
-) -> list[EncryptedIdentifier]:
+def dedup_exact(items: Iterable[EncryptedIdentifier]) -> list[EncryptedIdentifier]:
     """Drop exact duplicates: equal featurewise and tokenwise, position-sensitive.
 
     The first occurrence in scan order is kept.
     """
-    seen: set[bytes] = set()
-    survivors = []
-    for item in items:
-        key = encode_identifier(item, group)
-        if key not in seen:
-            seen.add(key)
-            survivors.append(item)
-    return survivors
+    return list(dict.fromkeys(items))
 
 
 def trim_to_floor(
@@ -62,7 +53,7 @@ def trim_to_floor(
             keep = sorted(rng.sample(range(len(feature)), floor))
             feature = tuple(feature[i] for i in keep)
         trimmed.append(feature)
-    return EncryptedIdentifier(tuple(trimmed), item.layer_count)
+    return EncryptedIdentifier(tuple(trimmed))
 
 
 def dedup_noisy(
@@ -102,21 +93,17 @@ def dedup_noisy(
 
 
 def entry_locator(
-    table: UnionTable, cfg: MatchConfig, group: GroupParams
+    table: UnionTable, cfg: MatchConfig
 ) -> Callable[[EncryptedIdentifier], int | None]:
     """``ident -> universal index`` of the union entry it maps to, or None.
 
-    Ordered sessions look up the entry with the same serialization.
+    Ordered sessions look up the entry equal to ``ident``.
     Unordered sessions take the lowest index that ``ident`` reaches at
     the threshold, which is what a first-match scan over the whole union
     picks: the :class:`TokenIndex` returns every such entry.
     """
     if cfg.ordered:
-        index_of = {
-            encode_identifier(entry, group): index
-            for index, entry in enumerate(table.entries)
-        }
-        return lambda ident: index_of.get(encode_identifier(ident, group))
+        return {entry: index for index, entry in enumerate(table.entries)}.get
     token_index = TokenIndex(table.entries, cfg)
 
     def locate(ident: EncryptedIdentifier) -> int | None:

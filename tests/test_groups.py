@@ -1,5 +1,7 @@
+import ast
 import random
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,3 +264,17 @@ def test_powmod_falls_back_on_even_and_negative_arguments(backend):
     assert powmod(3, P512 // 2, even) == pow(3, P512 // 2, even)
     assert powmod(-5, P512 // 2, P512) == pow(-5, P512 // 2, P512)
     assert powmod(3, -(P512 // 2), P512) == pow(3, -(P512 // 2), P512)
+
+
+def test_only_groups_imports_powmod():
+    """Every other module exponentiates through ``mod_exp``, the group seam."""
+    offenders = []
+    for path in sorted(Path(groups.__file__).parent.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "powmod" for alias in node.names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

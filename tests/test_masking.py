@@ -22,11 +22,11 @@ from psualign import (
     encode_set,
     encrypt_identifier,
     encrypt_set,
+    groups,
     make_group_params,
     masking,
     protocol,
 )
-from psualign.hashing import HashedIdentifier
 from psualign.masking import MODES
 from psualign.simulate import run_local_session
 
@@ -79,13 +79,6 @@ def test_unordered_requires_rng():
         encrypt_identifier(ident([2]), 1, G23, UNORDERED)
 
 
-def test_layer_count_increments():
-    x = HashedIdentifier(((2, 3),))
-    once = encrypt_identifier(x, 5, G23)
-    twice = encrypt_identifier(once, 7, G23)
-    assert (once.layer_count, twice.layer_count) == (1, 2)
-
-
 def test_encrypt_set_singleton():
     rng = random.Random(1)
     s = EncryptedSet([ident([2, 3])], provenance=0)
@@ -129,19 +122,19 @@ def test_unordered_commutation_as_feature_multisets():
 
 
 def test_compose_empty_is_identity():
-    x = HashedIdentifier(((2, 3),))
+    x = EncryptedIdentifier(((2, 3),))
     assert compose(x, [], G23).features == x.features
 
 
 def test_compose_two_exponents():
-    x = HashedIdentifier(((2,),))
+    x = EncryptedIdentifier(((2,),))
     # 5*7 = 35 = 2 mod 11, and 2^2 = 4
     assert compose(x, [5, 7], G23).features == ((4,),)
 
 
 def test_compose_order_invariant():
     rng = random.Random(5)
-    x = HashedIdentifier(((2, 8, 13),))
+    x = EncryptedIdentifier(((2, 8, 13),))
     exps = [rng.randrange(1, G23.q) for _ in range(4)]
     baseline = compose(x, exps, G23)
     shuffled = list(exps)
@@ -178,13 +171,6 @@ def test_identifier_codec_roundtrip():
     back, end = decode_identifier(raw, G23)
     assert end == len(raw)
     assert back.features == x.features
-
-
-def test_identifier_codec_drops_layer_count():
-    x = EncryptedIdentifier(((2, 3),), layer_count=5)
-    raw = encode_identifier(x, G23)
-    back, _ = decode_identifier(raw, G23)
-    assert back.layer_count == 0
 
 
 def test_set_codec_roundtrip_512():
@@ -226,7 +212,7 @@ def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=
         if mode == UNORDERED:
             rng.shuffle(powered)
         masked.append(tuple(powered))
-    return EncryptedIdentifier(tuple(masked), getattr(ident, "layer_count", 0) + 1)
+    return EncryptedIdentifier(tuple(masked))
 
 
 def reference_set(enc_set, exponent, group, mode, rng):
@@ -236,12 +222,12 @@ def reference_set(enc_set, exponent, group, mode, rng):
 
 
 class CountingPowmod:
-    """Stands in for ``masking.powmod`` and records every call."""
+    """Stands in for ``groups.powmod`` and records every call."""
 
     def __init__(self):
         self.calls = []
         self.lock = threading.Lock()
-        self.inner = masking.powmod
+        self.inner = groups.powmod
 
     def __call__(self, base, exponent, modulus):
         with self.lock:
@@ -281,7 +267,7 @@ def test_encrypt_set_raises_each_distinct_base_once(instance):
     group, items, exponent, mode, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
-    with mock.patch.object(masking, "powmod", counting):
+    with mock.patch.object(groups, "powmod", counting):
         got = encrypt_set(EncryptedSet(list(items), 3), exponent, group, mode, rng)
     expected = reference_set(EncryptedSet(list(items), 3), exponent, group, mode, ref_rng)
     assert got == expected
@@ -297,7 +283,7 @@ def test_encrypt_identifier_memo_spans_the_calls_it_is_passed_to(instance):
     group, items, exponent, mode, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
-    with mock.patch.object(masking, "powmod", counting):
+    with mock.patch.object(groups, "powmod", counting):
         alone = [encrypt_identifier(i, exponent, group, mode, rng) for i in items]
         alone_calls = counting.bases()
         counting.calls.clear()
@@ -335,7 +321,7 @@ def test_session_raises_no_base_twice_per_party_and_exponent(match):
     hashed = [hash_rows(rows, match, G512) for rows in raw]
 
     counting = CountingPowmod()
-    with mock.patch.object(masking, "powmod", counting):
+    with mock.patch.object(groups, "powmod", counting):
         outcome = run_local_session(cfg, hashed)
     raised = Counter(counting.calls)
     assert raised and max(raised.values()) == 1

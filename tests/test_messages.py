@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psualign import FramingError, MessageType, ProtocolMessage, decode_frame, encode_frame
-from psualign.messages import HEADER_SIZE, decode_header
+from psualign.messages import HEADER_SIZE, MAX_PAYLOAD, decode_header
 
 
 def test_frame_layout_hex_example():
@@ -60,3 +60,12 @@ def test_rejects_out_of_range_ids():
 def test_decode_header_requires_exact_width():
     with pytest.raises(FramingError):
         decode_header(b"\x00" * (HEADER_SIZE - 1))
+
+
+def test_decode_header_caps_the_declared_payload():
+    at_cap = MAX_PAYLOAD.to_bytes(4, "big") + bytes([MessageType.SET_TRANSFER, 0, 1, 0, 1])
+    assert decode_header(at_cap) == (MAX_PAYLOAD, MessageType.SET_TRANSFER, 1, 1)
+    over = (MAX_PAYLOAD + 1).to_bytes(4, "big") + at_cap[4:]
+    with pytest.raises(FramingError, match="frame cap"):
+        decode_header(over)
+    assert MAX_PAYLOAD == 1 << 28

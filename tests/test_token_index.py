@@ -147,6 +147,6 @@ def test_entry_locator_picks_the_first_brute_force_match(instance, union_size):
     """Probes are the union's own entries and the items left out of it."""
     cfg, items = instance
     entries = items[:union_size]
-    locate = entry_locator(UnionTable(tuple(entries)), cfg, G512)
+    locate = entry_locator(UnionTable(tuple(entries)), cfg)
     expected = [brute_first_match(probe, entries, cfg) for probe in items]
     assert [locate(probe) for probe in items] == expected

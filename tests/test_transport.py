@@ -20,6 +20,7 @@ from psualign import (
 )
 from psualign.config import DatasetSpec, SessionConfig
 from psualign.masking import encode_identifier
+from psualign.messages import MAX_PAYLOAD, encode_frame
 from psualign.simulate import run_networked_party
 from psualign.transport import InProcessHub, TcpTransport
 
@@ -178,6 +179,27 @@ def test_tcp_close_stops_the_listener():
     assert not any(thread.name == "psu-accept-7" for thread in threading.enumerate())
 
 
+def test_tcp_close_ends_the_readers_of_accepted_connections():
+    """``close`` shuts the inbound connections too, with the peer still open."""
+    before = set(threading.enumerate())
+    a, b = _mesh(2)
+    try:
+        a.close()
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            left = [
+                thread
+                for thread in set(threading.enumerate()) - before
+                if thread.name == "psu-reader-0"
+            ]
+            if not left:
+                break
+            time.sleep(0.02)
+        assert left == []
+    finally:
+        b.close()
+
+
 @pytest.mark.parametrize("count", [2, 3])
 def test_tcp_recv_fails_fast_once_every_peer_closed(count):
     """A closed peer is noted; ``recv`` raises at once when every peer has closed."""
@@ -262,8 +284,6 @@ def test_tcp_rejects_non_hello_first_frame():
     server.listen()
     try:
         raw_client = socket.create_connection(server.listen_addr, timeout=2)
-        from psualign.messages import encode_frame
-
         raw_client.sendall(encode_frame(msg(b"sneaky")))
         with pytest.raises(FramingError):
             server.recv()
@@ -280,6 +300,24 @@ def test_tcp_garbage_frame_surfaces_as_framing_error():
         raw_client.sendall(b"\x00\x00\x00\x01\xfa\x00\x00\x00\x00\x00")
         with pytest.raises(FramingError):
             server.recv()
+        raw_client.close()
+    finally:
+        server.close()
+
+
+def test_tcp_frame_above_the_cap_is_rejected_before_its_payload():
+    """A header declaring one byte over the cap fails the read at once."""
+    server = TcpTransport(0, 2, ("127.0.0.1", 0), {}, recv_timeout=10)
+    server.listen()
+    try:
+        raw_client = socket.create_connection(server.listen_addr, timeout=2)
+        raw_client.sendall(encode_frame(msg(b"", MessageType.HELLO, origin=1, hop=0)))
+        raw_client.sendall((MAX_PAYLOAD + 1).to_bytes(4, "big") + bytes([1, 0, 1, 0, 1]))
+        assert server.recv()[1].msg_type is MessageType.HELLO
+        started = time.monotonic()
+        with pytest.raises(FramingError, match="frame cap"):
+            server.recv()
+        assert time.monotonic() - started < 5.0
         raw_client.close()
     finally:
         server.close()

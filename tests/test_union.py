@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from psualign import (
     EncryptedIdentifier,
     FeatureSpec,
@@ -11,7 +14,7 @@ from psualign import (
     encode_identifier,
     make_group_params,
 )
-from psualign.union import trim_to_floor
+from psualign.union import entry_locator, trim_to_floor
 
 from helpers import overlap_count
 
@@ -20,6 +23,7 @@ G512 = make_group_params("p512")
 NOISY = MatchConfig(
     features=(FeatureSpec("name", 12, 3),), threshold=Fraction(7, 10), ordered=False
 )
+EXACT = MatchConfig(features=(FeatureSpec("name", 12, 3),), ordered=True)
 
 
 def ident(tokens):
@@ -35,30 +39,61 @@ def rand_tokens(rng, count=10):
 
 def test_dedup_exact_merges_identical():
     a, b, c = ident([2, 3]), ident([2, 3]), ident([4, 5])
-    assert dedup_exact([a, b, c], G512) == [a, c]
+    assert dedup_exact([a, b, c]) == [a, c]
 
 
 def test_dedup_exact_is_position_sensitive():
-    assert len(dedup_exact([ident([2, 3]), ident([3, 2])], G512)) == 2
+    assert len(dedup_exact([ident([2, 3]), ident([3, 2])])) == 2
 
 
 def test_dedup_exact_disjoint_sets_add_up():
     rng = random.Random(0)
     items = [ident(rand_tokens(rng, 2)) for _ in range(5)]
-    assert len(dedup_exact(items, G512)) == 5
+    assert len(dedup_exact(items)) == 5
 
 
 def test_dedup_exact_idempotent():
     rng = random.Random(1)
     items = [ident(rand_tokens(rng, 2)) for _ in range(4)]
-    once = dedup_exact(items * 2, G512)
+    once = dedup_exact(items * 2)
     assert once == items
 
 
 def test_dedup_exact_keeps_first_occurrence():
     a1, a2 = ident([2, 3]), ident([2, 3])
-    out = dedup_exact([a1, a2], G512)
+    out = dedup_exact([a1, a2])
     assert out[0] is a1
+
+
+@st.composite
+def repeating_items(draw):
+    """Identifiers over a small value pool, so values repeat within and across items."""
+    pool = draw(st.lists(st.integers(1, G512.p - 1), min_size=1, max_size=4))
+    width = draw(st.integers(1, 3))
+    feature = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    features = st.lists(feature, min_size=width, max_size=width).map(tuple)
+    return draw(st.lists(features.map(EncryptedIdentifier), max_size=12))
+
+
+def key(item):
+    return encode_identifier(item, G512)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_items(), st.integers(0, 12))
+def test_value_equality_agrees_with_the_byte_encoding(items, union_size):
+    """``dedup_exact`` and the ordered locator against byte-keyed references."""
+    first_by_key = {}
+    for item in items:
+        first_by_key.setdefault(key(item), item)
+    survivors = dedup_exact(items)
+    assert [key(s) for s in survivors] == list(first_by_key)
+    assert all(s is first_by_key[key(s)] for s in survivors)
+
+    table = assign_universal_indices(dedup_exact(items[:union_size]), G512)
+    index_of = {key(entry): index for index, entry in enumerate(table.entries)}
+    locate = entry_locator(table, EXACT)
+    assert [locate(probe) for probe in items] == [index_of.get(key(probe)) for probe in items]
 
 
 # --- universal index assignment ---------------------------------------------
