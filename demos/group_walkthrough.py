@@ -7,40 +7,31 @@ the same value regardless of order.
 
 import random
 
-from psualign import (
-    EncryptedIdentifier,
-    compose,
-    hash_token,
-    is_group_element,
-    make_group_params,
-    mod_exp,
-    project_to_qr,
-    sample_exponent,
-)
+from psualign import EncryptedIdentifier, compose, hash_token, make_group_params
 
 group = make_group_params(23)
-print(f"group: p={group.p}, q={group.q} ({group.bit_length} bits)")
+print(f"group: p={group.p}, q={group.q} ({group.p.bit_length()} bits)")
 
 qr = sorted({(y * y) % group.p for y in range(1, group.p)})
 print(f"quadratic residues mod 23: {qr}")
 
 print("\nprojection of small hash values:")
 for t in [0, 5, 22, 123456]:
-    element = project_to_qr(t, group)
-    print(f"  t={t:>6} -> {element:>2}  (membership: {is_group_element(element, group)})")
+    element = group.hash_to_element(t)
+    print(f"  t={t:>6} -> {element:>2}  (membership: {group.contains(element)})")
 
 token = "jos"
 element = hash_token(token, group)
 print(f"\nsha3('{token}') projects to {element}")
 
 rng = random.Random(7)
-s1 = sample_exponent(group, rng)
-s2 = sample_exponent(group, rng)
+s1 = group.sample_exponent(rng)
+s2 = group.sample_exponent(rng)
 x = 2
 print(f"\ncommutativity with x={x}, s1={s1}, s2={s2}:")
-print(f"  (x^s1)^s2 = {mod_exp(mod_exp(x, s1, group), s2, group)}")
-print(f"  (x^s2)^s1 = {mod_exp(mod_exp(x, s2, group), s1, group)}")
-print(f"  x^(s1*s2 mod q) = {mod_exp(x, (s1 * s2) % group.q, group)}")
+print(f"  (x^s1)^s2 = {group.exp(group.exp(x, s1), s2)}")
+print(f"  (x^s2)^s1 = {group.exp(group.exp(x, s2), s1)}")
+print(f"  x^(s1*s2 mod q) = {group.exp(x, (s1 * s2) % group.q)}")
 
 ident = EncryptedIdentifier(((2, 3, 13),))
 forward = compose(ident, [s1, s2], group)

@@ -34,16 +34,7 @@ from .errors import (
     TransportFailure,
 )
 from .evaluate import EvaluationReport, build_report
-from .groups import (
-    GroupParams,
-    PRESETS,
-    is_group_element,
-    is_probable_prime,
-    make_group_params,
-    mod_exp,
-    project_to_qr,
-    sample_exponent,
-)
+from .groups import GroupParams, PRESETS, is_probable_prime, make_group_params
 from .hashing import hash_identifier, hash_token
 from .masking import (
     ORDERED,
@@ -141,16 +132,12 @@ __all__ = [
     "fold_text",
     "hash_identifier",
     "hash_token",
-    "is_group_element",
     "is_probable_prime",
     "load_config",
     "make_group_params",
-    "mod_exp",
     "ngrams",
     "normalize_field",
-    "project_to_qr",
     "run_local_session",
     "run_tcp_session",
-    "sample_exponent",
     "tokenize_record",
 ]

@@ -157,13 +157,13 @@ def _cmd_params(args) -> int:
     if args.check is not None:
         value = int(args.check, 0)
         group = make_group_params(value)
-        print(f"valid safe prime: {group.bit_length} bits, q has "
+        print(f"valid safe prime: {group.p.bit_length()} bits, q has "
               f"{group.q.bit_length()} bits")
         return 0
     names = [args.preset] if args.preset else sorted(PRESETS)
     for name in names:
         group = make_group_params(name)
-        print(f"{name}: {group.bit_length}-bit safe prime")
+        print(f"{name}: {group.p.bit_length()}-bit safe prime")
         print(f"  p = {group.p:#x}")
         print(f"  q = {group.q:#x}")
     return 0

@@ -5,6 +5,11 @@ modulo a safe prime p.  It is cyclic of prime order q = (p - 1) / 2, so
 every exponent in [1, q - 1] acts as a bijection on it; that bijectivity
 is what makes the layered masking invertible-by-composition and keeps
 set cardinalities stable across encryption rounds.
+
+:class:`GroupParams` is the group: exponentiation (``exp``), hashing into
+the group (``hash_to_element``), exponent sampling (``sample_exponent``),
+membership (``contains``) and the element codec are its methods, so the
+rest of the package imports no arithmetic from here.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
 # BN_mod_exp_mont_consttime through ctypes: the secret masking exponents
 # are then raised by a constant-time routine, and ctypes drops the GIL
 # for the call, so party threads exponentiate in parallel.  Everything
-# else -- public small exponents such as project_to_qr's square, the toy
+# else -- public small exponents such as hash_to_element's square, the toy
 # moduli, even or non-positive arguments, or a missing library -- uses
 # built-in ``pow``.  Both paths return identical integers.
 
@@ -38,7 +43,7 @@ _BN_FLG_CONSTTIME = 0x04
 
 # Exponents or moduli of at most this many bits stay on ``pow``.  Up to
 # about 64-bit moduli a libcrypto call's fixed cost (~10 us) exceeds
-# ``pow``'s; exponents this short are public (project_to_qr's square),
+# ``pow``'s; exponents this short are public (hash_to_element's square),
 # while secret exponents are drawn uniformly from [1, q - 1].
 _POW_MAX_BITS = 64
 
@@ -225,20 +230,24 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Validated safe-prime modulus with its subgroup order.
+    """QR(Z_p*) for a validated safe prime ``p``, with every group operation.
 
+    The subgroup order ``q`` and the element width follow from ``p``.
     Elements serialize as fixed-width big-endian byte strings of
     ``element_width`` bytes (leading zero bytes included); that encoding
     is normative for the wire format and for Bloom-filter hashing.
     """
 
     p: int
-    q: int
-    bit_length: int
+
+    @property
+    def q(self) -> int:
+        """Prime order of the subgroup, (p - 1) / 2."""
+        return (self.p - 1) // 2
 
     @property
     def element_width(self) -> int:
-        return (self.bit_length + 7) // 8
+        return (self.p.bit_length() + 7) // 8
 
     def encode_element(self, value: int) -> bytes:
         return value.to_bytes(self.element_width, "big")
@@ -253,68 +262,67 @@ class GroupParams:
             raise ValueError("element outside [1, p)")
         return value
 
+    def exp(self, value: int, exponent: int) -> int:
+        """Raise a subgroup element to a secret exponent modulo p."""
+        return powmod(value, exponent, self.p)
 
+    def sample_exponent(self, rng) -> int:
+        """Draw a uniform secret exponent from [1, q - 1].
+
+        Zero is excluded: exponent 0 collapses every element to 1 and the
+        masking stops being a bijection.
+        """
+        if self.q < 3:
+            raise RngFailure(f"subgroup order {self.q} leaves no nonzero exponents")
+        try:
+            return rng.randrange(1, self.q)
+        except RngFailure:
+            raise
+        except Exception as exc:  # rng implementations may fail arbitrarily
+            raise RngFailure(f"randomness source failed: {exc}") from exc
+
+    def hash_to_element(self, value: int) -> int:
+        """Map a non-negative integer (a hash output) into the QR subgroup.
+
+        Shift-then-square: ((value mod (p-1)) + 1)^2 mod p.  The +1 removes
+        the residue class that would square to zero; squaring lands in the
+        quadratic residues.  Deterministic, so all parties agree.
+        """
+        if value < 0:
+            raise ValueError("hash values must be non-negative")
+        shifted = (value % (self.p - 1)) + 1
+        return powmod(shifted, 2, self.p)
+
+    def contains(self, value: int) -> bool:
+        """Euler criterion membership test for the order-q subgroup."""
+        return 1 <= value < self.p and powmod(value, self.q, self.p) == 1
+
+
+@functools.lru_cache(maxsize=16)
 def make_group_params(source: int | str) -> GroupParams:
     """Build GroupParams from a preset name or an explicit modulus.
 
     Preset moduli are pre-validated constants; explicit values go through
     probabilistic safe-prime validation (Miller-Rabin on p and (p-1)/2).
+    Results are memoized, so a process validates a modulus once: the
+    modulus is public and GroupParams is an immutable value of it.  A
+    rejected modulus raises on every call, since errors are not cached.
     """
     if isinstance(source, str):
         try:
-            p = PRESETS[source]
+            return GroupParams(PRESETS[source])
         except KeyError:
             known = ", ".join(sorted(PRESETS))
             raise GroupParameterError(
                 f"unknown group preset {source!r} (known: {known})"
             ) from None
-        return GroupParams(p=p, q=(p - 1) // 2, bit_length=p.bit_length())
 
     p = int(source)
     if p < MIN_MODULUS:
         raise TooSmallPrimeError(f"modulus {p} is below the minimum {MIN_MODULUS}")
     if not is_probable_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
-    q = (p - 1) // 2
-    if not is_probable_prime(q):
-        raise NotSafePrimeError(f"{p} is prime but (p-1)/2 = {q} is not")
-    return GroupParams(p=p, q=q, bit_length=p.bit_length())
-
-
-def mod_exp(value: int, exponent: int, group: GroupParams) -> int:
-    """Raise a subgroup element to a secret exponent modulo p."""
-    return powmod(value, exponent, group.p)
-
-
-def sample_exponent(group: GroupParams, rng) -> int:
-    """Draw a uniform secret exponent from [1, q - 1].
-
-    Zero is excluded: exponent 0 collapses every element to 1 and the
-    masking stops being a bijection.
-    """
-    if group.q < 3:
-        raise RngFailure(f"subgroup order {group.q} leaves no nonzero exponents")
-    try:
-        return rng.randrange(1, group.q)
-    except RngFailure:
-        raise
-    except Exception as exc:  # rng implementations may fail arbitrarily
-        raise RngFailure(f"randomness source failed: {exc}") from exc
-
-
-def project_to_qr(value: int, group: GroupParams) -> int:
-    """Map a non-negative integer (a hash output) into the QR subgroup.
-
-    Shift-then-square: ((value mod (p-1)) + 1)^2 mod p.  The +1 removes
-    the residue class that would square to zero; squaring lands in the
-    quadratic residues.  Deterministic, so all parties agree.
-    """
-    if value < 0:
-        raise ValueError("hash values must be non-negative")
-    shifted = (value % (group.p - 1)) + 1
-    return powmod(shifted, 2, group.p)
-
-
-def is_group_element(value: int, group: GroupParams) -> bool:
-    """Euler criterion membership test for the order-q subgroup."""
-    return 1 <= value < group.p and powmod(value, group.q, group.p) == 1
+    group = GroupParams(p)
+    if not is_probable_prime(group.q):
+        raise NotSafePrimeError(f"{p} is prime but (p-1)/2 = {group.q} is not")
+    return group

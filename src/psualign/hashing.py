@@ -1,5 +1,6 @@
 """SHA3-based mapping of n-gram tokens onto the quadratic-residue subgroup.
 
+A token's digest enters the group through ``GroupParams.hash_to_element``.
 A hashed identifier is an :class:`~psualign.masking.EncryptedIdentifier`
 with zero masking layers, the value type every masking pass takes and
 returns.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .groups import GroupParams, project_to_qr
+from .groups import GroupParams
 from .masking import EncryptedIdentifier
 from .tokenization import TokenizedIdentifier
 
@@ -22,7 +23,7 @@ def hash_token(token: str, group: GroupParams) -> int:
     disjoint element sets and the union degenerates.
     """
     digest = hashlib.sha3_256(token.encode("utf-8")).digest()
-    return project_to_qr(int.from_bytes(digest, "big"), group)
+    return group.hash_to_element(int.from_bytes(digest, "big"))
 
 
 def hash_identifier(

@@ -1,7 +1,7 @@
 """Commutative masking of identifiers and identifier sets.
 
 Masking raises every token to a secret exponent through
-``groups.mod_exp``.  It is used as a deterministic commutative layer, not
+``GroupParams.exp``.  It is used as a deterministic commutative layer, not
 as randomized encryption: layers applied by different parties commute,
 and equal inputs stay equal, which is exactly what union-by-equality
 needs.  Hashed and masked identifiers are one value type,
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import GroupParams, mod_exp
+from .groups import GroupParams
 
 ORDERED = "ordered"
 UNORDERED = "unordered"
@@ -50,13 +50,11 @@ class EncryptedIdentifier:
 class EncryptedSet:
     """A party's worth of masked identifiers.
 
-    ``provenance`` is the origin party id, used only for routing and
-    bookkeeping; item order carries no meaning once the set has been
-    through a shuffled masking pass.
+    Item order carries no meaning once the set has been through a
+    shuffled masking pass.
     """
 
     items: list[EncryptedIdentifier] = field(default_factory=list)
-    provenance: int = -1
 
 
 def encrypt_identifier(
@@ -84,7 +82,7 @@ def encrypt_identifier(
     for feature in ident.features:
         for value in feature:
             if value not in powers:
-                powers[value] = mod_exp(value, exponent, group)
+                powers[value] = group.exp(value, exponent)
         powered = [powers[value] for value in feature]
         if mode == UNORDERED:
             rng.shuffle(powered)
@@ -113,7 +111,7 @@ def encrypt_set(
         for item in enc_set.items
     ]
     rng.shuffle(items)
-    return EncryptedSet(items, enc_set.provenance)
+    return EncryptedSet(items)
 
 
 def compose(
@@ -187,7 +185,7 @@ def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
     return bytes(out)
 
 
-def decode_set(raw: bytes, group: GroupParams, provenance: int = -1) -> EncryptedSet:
+def decode_set(raw: bytes, group: GroupParams) -> EncryptedSet:
     if len(raw) < 4:
         raise ValueError("truncated set: missing item count")
     count = int.from_bytes(raw[:4], "big")
@@ -198,4 +196,4 @@ def decode_set(raw: bytes, group: GroupParams, provenance: int = -1) -> Encrypte
         items.append(item)
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after set payload")
-    return EncryptedSet(items, provenance)
+    return EncryptedSet(items)

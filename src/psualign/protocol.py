@@ -37,7 +37,7 @@ from .errors import (
     ProtocolAbort,
     TransportFailure,
 )
-from .groups import GroupParams, sample_exponent
+from .groups import GroupParams
 from .masking import (
     ORDERED,
     UNORDERED,
@@ -145,9 +145,9 @@ class Party:
         # [0] masks circulating sets, [1] opens matching relays, [1]*[2]
         # masks the union; drawn up front so seeded runs are reproducible.
         self.exponents = (
-            sample_exponent(group, rng),
-            sample_exponent(group, rng),
-            sample_exponent(group, rng),
+            group.sample_exponent(rng),
+            group.sample_exponent(rng),
+            group.sample_exponent(rng),
         )
         self.phase = Phase.HANDSHAKE
         self.peer_sizes: dict[int, int] = {party_id: len(self.hashed_records)}
@@ -199,9 +199,9 @@ class Party:
                 f"cannot accept {msg.msg_type.name}"
             )
 
-    def _decode_set(self, payload: bytes, provenance: int) -> EncryptedSet:
+    def _decode_set(self, payload: bytes) -> EncryptedSet:
         try:
-            decoded = decode_set(payload, self.group, provenance)
+            decoded = decode_set(payload, self.group)
         except ValueError as exc:
             raise TransportFailure(f"undecodable set payload: {exc}") from exc
         for ident in decoded.items:
@@ -277,7 +277,7 @@ class Party:
     # -- phase 2: first masking round -------------------------------------------
 
     def _round_one(self, transport) -> None:
-        own = EncryptedSet(self.hashed_records, self.party_id)
+        own = EncryptedSet(self.hashed_records)
         masked = encrypt_set(own, self.exponents[0], self.group, self.mode, self.rng)
         self._send(
             transport,
@@ -296,7 +296,7 @@ class Party:
                     raise PhaseViolation("fully masked set delivered to a passive party")
                 if msg.origin in self._finals:
                     raise PhaseViolation(f"second final set for origin {msg.origin}")
-                self._finals[msg.origin] = self._decode_set(msg.payload, msg.origin)
+                self._finals[msg.origin] = self._decode_set(msg.payload)
             elif 1 <= msg.hop < self.party_count:
                 expected_holder = (msg.origin + msg.hop) % self.party_count
                 if expected_holder != self.party_id:
@@ -304,7 +304,7 @@ class Party:
                         f"set for origin {msg.origin} at hop {msg.hop} "
                         f"reached party {self.party_id}, expected {expected_holder}"
                     )
-                incoming = self._decode_set(msg.payload, msg.origin)
+                incoming = self._decode_set(msg.payload)
                 self.peer_sizes[msg.origin] = len(incoming.items)
                 outgoing = encrypt_set(
                     incoming, self.exponents[0], self.group, self.mode, self.rng
@@ -341,7 +341,7 @@ class Party:
 
     def _round_two(self, transport) -> None:
         if self.is_active:
-            provisional = EncryptedSet(self._provisional_union(), self.party_id)
+            provisional = EncryptedSet(self._provisional_union())
             masked = encrypt_set(
                 provisional, self._union_exponent(), self.group, self.mode, self.rng
             )
@@ -356,7 +356,7 @@ class Party:
                     f"union at hop {msg.hop} reached party {self.party_id}, "
                     f"expected {expected_holder}"
                 )
-            incoming = self._decode_set(msg.payload, -1)
+            incoming = self._decode_set(msg.payload)
             masked = encrypt_set(
                 incoming, self._union_exponent(), self.group, self.mode, self.rng
             )
@@ -401,7 +401,7 @@ class Party:
         )
         if msg.origin != 0 or msg.hop != self.party_count:
             raise PhaseViolation("union broadcast from an unexpected source")
-        entries = self._decode_set(msg.payload, -1)
+        entries = self._decode_set(msg.payload)
         self.union_table = assign_universal_indices(entries.items, self.group)
         self.phase = Phase.MATCHING
 

@@ -27,7 +27,7 @@ from .evaluate import (
 )
 from .corpus import load_provenance
 from .protocol import Party, PartyResult
-from .transport import InProcessHub, TcpTransport, TranscriptEntry
+from .transport import InProcessHub, TcpTransport, TranscriptEntry, total_message_counts
 
 
 @dataclass
@@ -111,7 +111,7 @@ def run_local_session(
     wall = time.monotonic() - started
     return SessionOutcome(
         results=results,
-        message_counts=hub.message_counts(),
+        message_counts=total_message_counts(transports),
         wall_time=wall,
         transcript=hub.transcript if record_transcript else None,
     )
@@ -153,11 +153,7 @@ def run_tcp_session(
         for transport in transports:
             transport.close()
     wall = time.monotonic() - started
-    counts: dict[str, int] = {}
-    for transport in transports:
-        for name, value in transport.message_counts().items():
-            counts[name] = counts.get(name, 0) + value
-    return SessionOutcome(results=results, message_counts=counts, wall_time=wall)
+    return SessionOutcome(results, total_message_counts(transports), wall)
 
 
 # -- harness pipelines ------------------------------------------------------

@@ -62,8 +62,16 @@ def count_messages(counter: Counter) -> dict[str, int]:
     return {t.name: counter.get(t, 0) for t in MessageType}
 
 
+def total_message_counts(transports) -> dict[str, int]:
+    """Sends by message-type name, summed over a session's endpoints."""
+    total: Counter = Counter()
+    for transport in transports:
+        total.update(transport.message_counts())
+    return dict(total)
+
+
 class InProcessHub:
-    """Shared state for one simulated session: queues, counters, transcript.
+    """Shared state for one simulated session: queues and transcript.
 
     ``max_delay`` > 0 makes every send sleep a random amount first, which
     jitters cross-pair interleaving while preserving per-pair order (the
@@ -87,7 +95,6 @@ class InProcessHub:
         self.delay_rng = delay_rng
         self.queues = [queue.Queue() for _ in range(party_count)]
         self.transcript: list[TranscriptEntry] = []
-        self.counters = Counter()
         self._lock = threading.Lock()
 
     def transport(self, party_id: int) -> "InProcessTransport":
@@ -101,15 +108,10 @@ class InProcessHub:
         # Round-trip through the frame codec so the in-process backend
         # carries exactly the bytes TCP would.
         decoded = decode_frame(encode_frame(message))
-        with self._lock:
-            self.counters[message.msg_type] += 1
-            if self.record_transcript:
+        if self.record_transcript:
+            with self._lock:
                 self.transcript.append(TranscriptEntry(sender, receiver, decoded))
         self.queues[receiver].put((sender, decoded))
-
-    def message_counts(self) -> dict[str, int]:
-        with self._lock:
-            return count_messages(self.counters)
 
 
 class InProcessTransport:
@@ -187,7 +189,8 @@ class TcpTransport:
         self._out_locks: dict[int, threading.Lock] = {}
         self._server: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
-        # accepted connection -> its reader; guarded by _lock, like _closed
+        # accepted connection -> its reader, kept until close() joins it;
+        # guarded by _lock, like _closed
         self._inbound: dict[socket.socket, threading.Thread] = {}
         self._lock = threading.Lock()
         self._closed_peers: set[int] = set()
@@ -283,8 +286,6 @@ class TcpTransport:
             if not self._closed:
                 self._inbox.put((-1, exc))
         finally:
-            with self._lock:
-                self._inbound.pop(conn, None)
             try:
                 conn.close()
             except OSError:
@@ -340,7 +341,8 @@ class TcpTransport:
         """Stop the listener and tear down every connection, both directions.
 
         Accepted connections are shut down, which wakes their readers;
-        each reader closes its own socket and is joined.
+        each reader closes its own socket and is joined, also one that
+        had already ended (its socket then refuses the shutdown).
         """
         with self._lock:
             self._closed = True

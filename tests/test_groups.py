@@ -13,17 +13,18 @@ from psualign import (
     NotSafePrimeError,
     RngFailure,
     TooSmallPrimeError,
-    is_group_element,
     is_probable_prime,
     make_group_params,
-    mod_exp,
-    project_to_qr,
-    sample_exponent,
 )
 from psualign import groups
 from psualign.groups import P512, P2048, PRESETS, powmod
 
-from helpers import quadratic_residues, trial_division_is_prime
+from helpers import (
+    SINGLE_FEATURE_NOISY,
+    quadratic_residues,
+    session_config,
+    trial_division_is_prime,
+)
 
 
 G23 = make_group_params(23)
@@ -32,13 +33,13 @@ G512 = make_group_params("p512")
 
 def test_make_group_params_p23():
     assert trial_division_is_prime(23) and trial_division_is_prime(11)
-    assert (G23.p, G23.q, G23.bit_length) == (23, 11, 5)
+    assert (G23.p, G23.q) == (23, 11)
 
 
 def test_make_group_params_p7():
     assert trial_division_is_prime(7) and trial_division_is_prime(3)
     group = make_group_params(7)
-    assert (group.p, group.q, group.bit_length) == (7, 3, 3)
+    assert (group.p, group.q) == (7, 3)
 
 
 def test_make_group_params_rejects_non_safe_prime():
@@ -56,6 +57,24 @@ def test_make_group_params_rejects_composite():
 def test_make_group_params_rejects_tiny():
     with pytest.raises(TooSmallPrimeError):
         make_group_params(5)
+
+
+def test_explicit_modulus_is_validated_once(monkeypatch):
+    """Repeated ``cfg.group()`` calls on one modulus run Miller-Rabin once."""
+    calls = []
+    real = groups.is_probable_prime
+
+    def counting(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(groups, "is_probable_prime", counting)
+    make_group_params.cache_clear()
+    cfg = session_config(2, SINGLE_FEATURE_NOISY, group=f"hex:{P512:x}")
+    first = cfg.group()
+    assert calls == [P512, (P512 - 1) // 2]
+    assert cfg.group() is first
+    assert calls == [P512, (P512 - 1) // 2]
 
 
 def test_unknown_preset():
@@ -78,44 +97,44 @@ def test_miller_rabin_agrees_with_trial_division():
 
 
 def test_mod_exp_examples():
-    assert mod_exp(2, 5, G23) == 9  # 32 mod 23
+    assert G23.exp(2, 5) == 9  # 32 mod 23
     for x in quadratic_residues(23):
-        assert mod_exp(x, 1, G23) == x
-    assert mod_exp(1, 7, G23) == 1
+        assert G23.exp(x, 1) == x
+    assert G23.exp(1, 7) == 1
 
 
 def test_project_to_qr_examples():
     qr = quadratic_residues(23)
     assert qr == {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}
-    assert project_to_qr(5, G23) == 13
+    assert G23.hash_to_element(5) == 13
     assert 13 in qr and pow(13, 11, 23) == 1
-    assert project_to_qr(0, G23) == 1
-    assert project_to_qr(22, G23) == 1
+    assert G23.hash_to_element(0) == 1
+    assert G23.hash_to_element(22) == 1
 
 
 def test_project_to_qr_always_lands_in_qr():
     qr = quadratic_residues(23)
     for t in range(200):
-        assert project_to_qr(t, G23) in qr
+        assert G23.hash_to_element(t) in qr
 
 
 def test_project_rejects_negative():
     with pytest.raises(ValueError):
-        project_to_qr(-1, G23)
+        G23.hash_to_element(-1)
 
 
 def test_sample_exponent_range_and_determinism():
     rng = random.Random(99)
-    draws = [sample_exponent(G23, rng) for _ in range(500)]
+    draws = [G23.sample_exponent(rng) for _ in range(500)]
     assert all(1 <= s <= 10 for s in draws)
     rng2 = random.Random(99)
-    assert draws == [sample_exponent(G23, rng2) for _ in range(500)]
+    assert draws == [G23.sample_exponent(rng2) for _ in range(500)]
 
 
 def test_sample_exponent_tiny_group():
     g7 = make_group_params(7)
     rng = random.Random(3)
-    draws = {sample_exponent(g7, rng) for _ in range(50)}
+    draws = {g7.sample_exponent(rng) for _ in range(50)}
     assert draws == {1, 2}
 
 
@@ -124,7 +143,7 @@ def test_sample_exponent_uniform_chi_square():
     counts = [0] * 10
     n = 10_000
     for _ in range(n):
-        counts[sample_exponent(G23, rng) - 1] += 1
+        counts[G23.sample_exponent(rng) - 1] += 1
     expected = n / 10
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     # df = 9; 27.88 is the 99.9th percentile. Seeded, so deterministic.
@@ -137,7 +156,7 @@ def test_sample_exponent_wraps_rng_errors():
             raise OSError("entropy pool exhausted")
 
     with pytest.raises(RngFailure):
-        sample_exponent(G23, Broken())
+        G23.sample_exponent(Broken())
 
 
 @settings(max_examples=80, deadline=None)
@@ -147,26 +166,26 @@ def test_sample_exponent_wraps_rng_errors():
     s2=st.integers(min_value=1, max_value=10),
 )
 def test_commutativity_p23(t, s1, s2):
-    x = project_to_qr(t, G23)
-    one_way = mod_exp(mod_exp(x, s1, G23), s2, G23)
-    other_way = mod_exp(mod_exp(x, s2, G23), s1, G23)
-    direct = mod_exp(x, (s1 * s2) % G23.q, G23)
+    x = G23.hash_to_element(t)
+    one_way = G23.exp(G23.exp(x, s1), s2)
+    other_way = G23.exp(G23.exp(x, s2), s1)
+    direct = G23.exp(x, (s1 * s2) % G23.q)
     assert one_way == other_way == direct
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.integers(min_value=0, max_value=2**256), s=st.integers(min_value=1))
 def test_closure_under_exponentiation(t, s):
-    x = project_to_qr(t, G512)
-    y = mod_exp(x, 1 + s % (G512.q - 1), G512)
-    assert is_group_element(y, G512)
+    x = G512.hash_to_element(t)
+    y = G512.exp(x, 1 + s % (G512.q - 1))
+    assert G512.contains(y)
 
 
 def test_bijectivity_small_scale():
     qr = quadratic_residues(23)
     assert len(qr) == 11
     for s in range(1, 11):
-        image = {mod_exp(x, s, G23) for x in qr}
+        image = {G23.exp(x, s) for x in qr}
         assert image == qr, f"exponent {s} is not a permutation"
 
 
@@ -174,7 +193,7 @@ def test_element_codec_fixed_width():
     assert G23.element_width == 1
     assert G512.element_width == 64
     assert G23.encode_element(9) == b"\x09"
-    value = project_to_qr(12345, G512)
+    value = G512.hash_to_element(12345)
     raw = G512.encode_element(value)
     assert len(raw) == 64
     assert G512.decode_element(raw) == value
@@ -241,11 +260,11 @@ def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch):
     monkeypatch.setattr(lib, "powmod", spy)
     g7 = make_group_params("p7")
     for group in (G23, g7):
-        mod_exp(2, group.q - 1, group)
-    project_to_qr(12345, G512)
+        group.exp(2, group.q - 1)
+    G512.hash_to_element(12345)
     assert calls == []
-    exponent = sample_exponent(G512, random.Random(5))
-    assert mod_exp(4, exponent, G512) == pow(4, exponent, P512)
+    exponent = G512.sample_exponent(random.Random(5))
+    assert G512.exp(4, exponent) == pow(4, exponent, P512)
     assert calls == [P512]
 
 
@@ -267,14 +286,28 @@ def test_powmod_falls_back_on_even_and_negative_arguments(backend):
 
 
 def test_only_groups_imports_powmod():
-    """Every other module exponentiates through ``mod_exp``, the group seam."""
+    """Every other module reaches group arithmetic through ``GroupParams``.
+
+    Outside ``groups.py`` no module imports ``powmod``, and none imports a
+    name from ``groups`` beyond the group object, its constructor, the
+    presets and the primality test.
+    """
+    allowed = {
+        "GroupParams",
+        "make_group_params",
+        "PRESETS",
+        "DEFAULT_PRESET",
+        "is_probable_prime",
+    }
     offenders = []
     for path in sorted(Path(groups.__file__).parent.glob("*.py")):
         if path.name == "groups.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and any(
-                alias.name == "powmod" for alias in node.names
-            ):
-                offenders.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            from_groups = node.module in ("groups", "psualign.groups")
+            for alias in node.names:
+                if alias.name == "powmod" or (from_groups and alias.name not in allowed):
+                    offenders.append(f"{path.name}:{node.lineno}:{alias.name}")
     assert offenders == []

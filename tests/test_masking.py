@@ -81,11 +81,10 @@ def test_unordered_requires_rng():
 
 def test_encrypt_set_singleton():
     rng = random.Random(1)
-    s = EncryptedSet([ident([2, 3])], provenance=0)
+    s = EncryptedSet([ident([2, 3])])
     out = encrypt_set(s, 1, G23, ORDERED, rng)
     assert len(out.items) == 1
     assert out.items[0].features == ((2, 3),)
-    assert out.provenance == 0
 
 
 def test_encrypt_set_identity_is_item_permutation():
@@ -180,9 +179,8 @@ def test_set_codec_roundtrip_512():
         for _ in range(4)
     ]
     raw = encode_set(EncryptedSet(items), G512)
-    back = decode_set(raw, G512, provenance=2)
+    back = decode_set(raw, G512)
     assert [i.features for i in back.items] == [i.features for i in items]
-    assert back.provenance == 2
 
 
 def test_set_codec_rejects_trailing_bytes():
@@ -218,7 +216,7 @@ def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=
 def reference_set(enc_set, exponent, group, mode, rng):
     items = [reference_identifier(i, exponent, group, mode, rng) for i in enc_set.items]
     rng.shuffle(items)
-    return EncryptedSet(items, enc_set.provenance)
+    return EncryptedSet(items)
 
 
 class CountingPowmod:
@@ -268,8 +266,8 @@ def test_encrypt_set_raises_each_distinct_base_once(instance):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
     with mock.patch.object(groups, "powmod", counting):
-        got = encrypt_set(EncryptedSet(list(items), 3), exponent, group, mode, rng)
-    expected = reference_set(EncryptedSet(list(items), 3), exponent, group, mode, ref_rng)
+        got = encrypt_set(EncryptedSet(list(items)), exponent, group, mode, rng)
+    expected = reference_set(EncryptedSet(list(items)), exponent, group, mode, ref_rng)
     assert got == expected
     assert rng.getstate() == ref_rng.getstate()
     assert sorted(counting.bases()) == sorted(distinct_bases(items))

@@ -193,7 +193,7 @@ def _plant_in_relay(payload, group):
 
 
 def _plant_in_union(payload, group):
-    union = decode_set(payload, group, -1)
+    union = decode_set(payload, group)
     union.items[0] = _with_extra_feature(union.items[0])
     return encode_set(union, group)
 

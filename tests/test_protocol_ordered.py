@@ -15,7 +15,7 @@ from psualign import (
 )
 from psualign import groups
 from psualign.simulate import build_parties, run_local_session, run_session
-from psualign.transport import InProcessHub
+from psualign.transport import InProcessHub, total_message_counts
 
 from helpers import (
     TWO_FEATURES,
@@ -221,10 +221,11 @@ def test_digest_mismatch_aborts_before_any_identifier_flows():
     parties = build_parties(cfg, hashed)
     parties[0].session_digest = b"something else"
     hub = InProcessHub(2, recv_timeout=5)
+    transports = [hub.transport(0), hub.transport(1)]
     with pytest.raises(ConfigDigestMismatch):
-        run_session(parties, [hub.transport(0), hub.transport(1)])
+        run_session(parties, transports)
     # nothing beyond session setup was transmitted
-    counts = hub.message_counts()
+    counts = total_message_counts(transports)
     assert counts["SET_TRANSFER"] == 0
     assert counts["TOKEN_RELAY"] == 0
 

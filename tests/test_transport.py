@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import free_port
 from psualign import (
@@ -47,7 +49,7 @@ def test_inprocess_self_send_is_delivered_and_counted():
     t.send(0, msg(b"me"))
     sender, received = t.recv()
     assert sender == 0 and received.payload == b"me"
-    assert hub.message_counts()["SET_TRANSFER"] == 1
+    assert t.message_counts()["SET_TRANSFER"] == 1
 
 
 def test_inprocess_order_per_pair():
@@ -73,16 +75,15 @@ def test_inprocess_recv_timeout():
 
 def test_inprocess_counters_by_type():
     hub = InProcessHub(2, recv_timeout=2)
-    assert set(hub.message_counts().values()) == {0}  # nothing ran yet
     t = hub.transport(0)
+    assert set(t.message_counts().values()) == {0}  # nothing ran yet
     t.send(1, msg(b"", MessageType.SET_TRANSFER))
     t.send(1, msg(b"", MessageType.SET_TRANSFER))
     t.send(1, msg(b"", MessageType.TOKEN_RELAY, hop=0))
-    counts = hub.message_counts()
+    counts = t.message_counts()
     assert counts["SET_TRANSFER"] == 2
     assert counts["TOKEN_RELAY"] == 1
     assert counts["ABORT"] == 0
-    assert t.message_counts()["SET_TRANSFER"] == 2
 
 
 def test_inprocess_transcript_records_deliveries():
@@ -198,6 +199,75 @@ def test_tcp_close_ends_the_readers_of_accepted_connections():
         assert left == []
     finally:
         b.close()
+
+
+def _new_transport_threads(before):
+    return [
+        thread.name
+        for thread in set(threading.enumerate()) - before
+        if thread.name.startswith(("psu-reader-", "psu-accept-"))
+    ]
+
+
+def _serve_one_stream(stream):
+    """Feed ``stream`` to a fresh listener and ``recv`` until it raises.
+
+    Returns the error ``recv`` raised and how long after the client closed.
+    """
+    server = TcpTransport(0, 2, ("127.0.0.1", 0), {}, recv_timeout=10)
+    server.listen()
+    try:
+        client = socket.create_connection(server.listen_addr, timeout=2)
+        try:
+            client.sendall(stream)
+        except OSError:
+            pass  # the reader may reject the stream and close before the end
+        finally:
+            client.close()
+        started = time.monotonic()
+        while True:
+            try:
+                server.recv(5.0)
+            except TransportFailure as exc:
+                return exc, time.monotonic() - started
+    finally:
+        server.close()
+
+
+HELLO_FRAME = encode_frame(msg(b"digest", MessageType.HELLO, origin=1, hop=0))
+RELAY_FRAME = encode_frame(msg(b"\x00\x07relay", MessageType.TOKEN_RELAY, origin=1, hop=0))
+
+
+def test_tcp_close_joins_a_reader_that_already_ended():
+    """A reader that finished before ``close`` is still joined by it."""
+    before = set(threading.enumerate())
+    for _ in range(100):
+        error, _ = _serve_one_stream(HELLO_FRAME)
+        assert isinstance(error, PeerUnreachable)
+        assert _new_transport_threads(before) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stream=st.one_of(
+        st.binary(min_size=1),
+        st.integers(1, len(HELLO_FRAME + RELAY_FRAME)).map(
+            lambda n: (HELLO_FRAME + RELAY_FRAME)[:n]
+        ),
+        st.binary().map(lambda tail: HELLO_FRAME + tail),
+    )
+)
+def test_tcp_listener_survives_hostile_streams(stream):
+    """Whatever a peer writes, ``recv`` fails fast and ``close`` leaves no thread.
+
+    The empty stream is left out: a connection that closes before its
+    first byte never names a sender, so its reader drops it by design.
+    """
+    before = set(threading.enumerate())
+    error, elapsed = _serve_one_stream(stream)
+    assert isinstance(error, (FramingError, PeerUnreachable)), error
+    assert elapsed < 2.0
+    assert _new_transport_threads(before) == []
 
 
 @pytest.mark.parametrize("count", [2, 3])
