@@ -16,7 +16,11 @@ A session runs five phases in fixed order:
    gathering the remaining exponents, and looked up in the union on
    return.
 
-Messages that do not belong to the current phase raise PhaseViolation.
+Messages that do not belong to the current phase, messages from a party
+id outside ``[0, P)`` and token returns for a record that is not pending
+raise PhaseViolation.  A received identifier whose feature count or
+per-feature token count the session cannot produce raises
+TransportFailure.  Receive deadlines belong to the transport.
 Two interleavings are legal and buffered: a SET_TRANSFER arriving while
 a slower peer is still handshaking, and a TOKEN_RELAY / TOKEN_RETURN
 arriving while the union broadcast is still in flight; both stem from
@@ -90,7 +94,6 @@ class PartyResult:
     party_id: int
     index_map: UniversalIndexMap
     union_table: UnionTable
-    exponents: tuple[int, int, int]
     peer_sizes: dict[int, int]
     wall_time: float
 
@@ -126,7 +129,6 @@ class Party:
         hashed_records: list[EncryptedIdentifier],
         rng,
         session_digest: bytes = b"",
-        recv_timeout: float | None = None,
     ):
         if party_count < 2:
             raise ValueError("the protocol needs at least two parties")
@@ -139,8 +141,14 @@ class Party:
         self.hashed_records = list(hashed_records)
         self.rng = rng
         self.session_digest = session_digest
-        self.recv_timeout = recv_timeout
         self.mode = ORDERED if match_cfg.ordered else UNORDERED
+        # (least, most) tokens per feature: sets and relays carry every
+        # gram; union entries of unordered sessions may be trimmed to the
+        # match floor.
+        grams = [spec.gram_count for spec in match_cfg.features]
+        self._item_shape = tuple((g, g) for g in grams)
+        floors = grams if match_cfg.ordered else match_cfg.match_floors()
+        self._entry_shape = tuple(zip(floors, grams))
         # Three per-party secret exponents, consumed by different passes:
         # [0] masks circulating sets, [1] opens matching relays, [1]*[2]
         # masks the union; drawn up front so seeded runs are reproducible.
@@ -178,14 +186,20 @@ class Party:
 
         Types in ``buffer`` are legal early arrivals from peers one phase
         ahead; they are parked and replayed once the phase advances.
-        Anything else is a phase violation.  ABORT always raises.
+        Anything else is a phase violation, as is any message from a party
+        id outside ``[0, P)``.  ABORT always raises.
         """
         for index, (sender, msg) in enumerate(self._deferred):
             if msg.msg_type in expected:
                 del self._deferred[index]
                 return sender, msg
         while True:
-            sender, msg = transport.recv(self.recv_timeout)
+            sender, msg = transport.recv()
+            if not 0 <= msg.origin < self.party_count:
+                raise PhaseViolation(
+                    f"party {self.party_id} in phase {self.phase.value} got "
+                    f"{msg.msg_type.name} from unknown party {msg.origin}"
+                )
             if msg.msg_type is MessageType.ABORT:
                 reason = msg.payload.decode("utf-8", "replace")
                 raise ProtocolAbort(f"party {msg.origin} aborted: {reason}")
@@ -199,21 +213,32 @@ class Party:
                 f"cannot accept {msg.msg_type.name}"
             )
 
-    def _decode_set(self, payload: bytes) -> EncryptedSet:
+    def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
         try:
             decoded = decode_set(payload, self.group)
         except ValueError as exc:
             raise TransportFailure(f"undecodable set payload: {exc}") from exc
         for ident in decoded.items:
-            self._check_shape(ident)
+            self._check_shape(ident, shape)
         return decoded
 
-    def _check_shape(self, ident: EncryptedIdentifier) -> None:
-        if len(ident.features) != self.match_cfg.d_match:
+    def _check_shape(self, ident: EncryptedIdentifier, shape) -> None:
+        """Reject an identifier that does not fit ``shape``.
+
+        ``shape`` holds one (least, most) token bound per feature.
+        """
+        if len(ident.features) != len(shape):
             raise TransportFailure(
                 f"received an identifier with {len(ident.features)} features, "
-                f"the session expects {self.match_cfg.d_match}"
+                f"the session expects {len(shape)}"
             )
+        for position, (feature, (least, most)) in enumerate(zip(ident.features, shape)):
+            if not least <= len(feature) <= most:
+                expected = most if least == most else f"{least} to {most}"
+                raise TransportFailure(
+                    f"received an identifier with {len(feature)} tokens in feature "
+                    f"{position}, the session expects {expected}"
+                )
 
     def _abort(self, transport, reason: str) -> None:
         payload = reason.encode("utf-8")[:200]
@@ -247,7 +272,6 @@ class Party:
             party_id=self.party_id,
             index_map=self.index_map,
             union_table=self.union_table,
-            exponents=self.exponents,
             peer_sizes=dict(self.peer_sizes),
             wall_time=time.monotonic() - started,
         )
@@ -255,7 +279,7 @@ class Party:
     # -- phase 1: handshake ----------------------------------------------------
 
     def _handshake(self, transport) -> None:
-        transport.establish(self.recv_timeout)
+        transport.establish()
         hello = ProtocolMessage(MessageType.HELLO, self.party_id, 0, self.session_digest)
         for peer in range(self.party_count):
             if peer != self.party_id:
@@ -296,7 +320,7 @@ class Party:
                     raise PhaseViolation("fully masked set delivered to a passive party")
                 if msg.origin in self._finals:
                     raise PhaseViolation(f"second final set for origin {msg.origin}")
-                self._finals[msg.origin] = self._decode_set(msg.payload)
+                self._finals[msg.origin] = self._decode_set(msg.payload, self._item_shape)
             elif 1 <= msg.hop < self.party_count:
                 expected_holder = (msg.origin + msg.hop) % self.party_count
                 if expected_holder != self.party_id:
@@ -304,7 +328,7 @@ class Party:
                         f"set for origin {msg.origin} at hop {msg.hop} "
                         f"reached party {self.party_id}, expected {expected_holder}"
                     )
-                incoming = self._decode_set(msg.payload)
+                incoming = self._decode_set(msg.payload, self._item_shape)
                 self.peer_sizes[msg.origin] = len(incoming.items)
                 outgoing = encrypt_set(
                     incoming, self.exponents[0], self.group, self.mode, self.rng
@@ -356,7 +380,7 @@ class Party:
                     f"union at hop {msg.hop} reached party {self.party_id}, "
                     f"expected {expected_holder}"
                 )
-            incoming = self._decode_set(msg.payload)
+            incoming = self._decode_set(msg.payload, self._entry_shape)
             masked = encrypt_set(
                 incoming, self._union_exponent(), self.group, self.mode, self.rng
             )
@@ -401,7 +425,7 @@ class Party:
         )
         if msg.origin != 0 or msg.hop != self.party_count:
             raise PhaseViolation("union broadcast from an unexpected source")
-        entries = self._decode_set(msg.payload)
+        entries = self._decode_set(msg.payload, self._entry_shape)
         self.union_table = assign_universal_indices(entries.items, self.group)
         self.phase = Phase.MATCHING
 
@@ -441,9 +465,9 @@ class Party:
         to_serve = sum(
             size for peer, size in self.peer_sizes.items() if peer != self.party_id
         )
-        to_return = len(self.hashed_records)
+        pending = set(range(len(self.hashed_records)))
         result = UniversalIndexMap(self.party_id)
-        while to_serve > 0 or to_return > 0:
+        while to_serve > 0 or pending:
             _, msg = self._recv(
                 transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
@@ -451,7 +475,7 @@ class Party:
                 relay_id, ident = _decode_relay(msg.payload, self.group)
             except ValueError as exc:
                 raise TransportFailure(f"undecodable relay payload: {exc}") from exc
-            self._check_shape(ident)
+            self._check_shape(ident, self._item_shape)
             if msg.msg_type is MessageType.TOKEN_RELAY:
                 if to_serve <= 0:
                     raise PhaseViolation("more relays than peer records")
@@ -478,12 +502,17 @@ class Party:
                 )
                 to_serve -= 1
             else:
-                if msg.origin != self.party_id or to_return <= 0:
+                if msg.origin != self.party_id:
                     raise PhaseViolation("token return for a foreign origin")
                 if msg.hop != self.party_count - 1:
                     raise PhaseViolation(
                         f"token return after {msg.hop} hops, expected {self.party_count - 1}"
                     )
+                if relay_id not in pending:
+                    raise PhaseViolation(
+                        f"token return for record {relay_id}, which is not pending"
+                    )
+                pending.remove(relay_id)
                 final = encrypt_identifier(
                     ident, closing_exponent, self.group, self.mode, rng, closing_powers
                 )
@@ -497,6 +526,5 @@ class Party:
                     )
                 else:
                     result.unmatched.append(relay_id)
-                to_return -= 1
         result.unmatched.sort()
         self.index_map = result

@@ -1,4 +1,10 @@
-"""Session orchestration: local in-process runs and networked single-party runs."""
+"""Session orchestration: local in-process runs and networked single-party runs.
+
+Every session is parties from :func:`build_parties`, one transport per
+party, and :func:`run_session`.  ``run_local_session`` and
+``run_tcp_session`` differ only in the transports they build; each
+transport carries the config's receive deadline.
+"""
 
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from .evaluate import (
 )
 from .corpus import load_provenance
 from .protocol import Party, PartyResult
-from .transport import InProcessHub, TcpTransport, TranscriptEntry, total_message_counts
+from .transport import InProcessHub, TcpTransport, total_message_counts
 
 
 @dataclass
@@ -35,7 +41,6 @@ class SessionOutcome:
     results: list[PartyResult]
     message_counts: dict[str, int]
     wall_time: float
-    transcript: list[TranscriptEntry] | None = None
 
 
 def build_party(cfg: SessionConfig, party_id: int, hashed_records, group) -> Party:
@@ -47,7 +52,6 @@ def build_party(cfg: SessionConfig, party_id: int, hashed_records, group) -> Par
         hashed_records=hashed_records,
         rng=cfg.party_rng(party_id),
         session_digest=cfg.digest(),
-        recv_timeout=cfg.recv_timeout,
     )
 
 
@@ -89,63 +93,9 @@ def run_session(parties: list[Party], transports) -> list[PartyResult]:
     return results  # type: ignore[return-value]
 
 
-def run_local_session(
-    cfg: SessionConfig,
-    hashed_per_party,
-    record_transcript: bool = False,
-    max_delay: float = 0.0,
-    delay_rng=None,
-) -> SessionOutcome:
-    """Execute all parties of a session over in-process channels."""
-    hub = InProcessHub(
-        cfg.party_count,
-        recv_timeout=cfg.recv_timeout,
-        record_transcript=record_transcript,
-        max_delay=max_delay,
-        delay_rng=delay_rng,
-    )
+def _run_over(cfg: SessionConfig, hashed_per_party, transports) -> SessionOutcome:
+    """Run a session over ready transports, close them, and count the sends."""
     parties = build_parties(cfg, hashed_per_party)
-    transports = [hub.transport(k) for k in range(cfg.party_count)]
-    started = time.monotonic()
-    results = run_session(parties, transports)
-    wall = time.monotonic() - started
-    return SessionOutcome(
-        results=results,
-        message_counts=total_message_counts(transports),
-        wall_time=wall,
-        transcript=hub.transcript if record_transcript else None,
-    )
-
-
-def run_tcp_session(
-    cfg: SessionConfig, hashed_per_party, addresses: list[tuple[str, int]] | None = None
-) -> SessionOutcome:
-    """Execute all parties over localhost TCP; used by the equivalence checks.
-
-    Port 0 entries (or no addresses at all) bind ephemeral ports; peers are
-    wired to the resolved addresses before the parties start.
-    """
-    if addresses is None:
-        addresses = [("127.0.0.1", 0)] * cfg.party_count
-    parties = build_parties(cfg, hashed_per_party)
-    transports = [
-        TcpTransport(
-            my_id=k,
-            party_count=cfg.party_count,
-            listen_addr=addresses[k],
-            peer_addrs={},
-            recv_timeout=cfg.recv_timeout,
-        )
-        for k in range(cfg.party_count)
-    ]
-    for transport in transports:
-        transport.listen()  # resolves ephemeral ports
-    for k, transport in enumerate(transports):
-        transport.peer_addrs = {
-            peer: transports[peer].listen_addr
-            for peer in range(cfg.party_count)
-            if peer != k
-        }
     started = time.monotonic()
     try:
         results = run_session(parties, transports)
@@ -154,6 +104,33 @@ def run_tcp_session(
             transport.close()
     wall = time.monotonic() - started
     return SessionOutcome(results, total_message_counts(transports), wall)
+
+
+def run_local_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
+    """Execute all parties of a session over in-process channels."""
+    hub = InProcessHub(cfg.party_count, recv_timeout=cfg.recv_timeout)
+    transports = [hub.transport(k) for k in range(cfg.party_count)]
+    return _run_over(cfg, hashed_per_party, transports)
+
+
+def run_tcp_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
+    """Execute all parties over localhost TCP on ephemeral ports.
+
+    Every party listens first; peers are then wired to the resolved
+    addresses before the parties start.
+    """
+    count = cfg.party_count
+    transports = [
+        TcpTransport(k, count, ("127.0.0.1", 0), {}, recv_timeout=cfg.recv_timeout)
+        for k in range(count)
+    ]
+    for transport in transports:
+        transport.listen()
+    for k, transport in enumerate(transports):
+        transport.peer_addrs = {
+            peer: transports[peer].listen_addr for peer in range(count) if peer != k
+        }
+    return _run_over(cfg, hashed_per_party, transports)
 
 
 # -- harness pipelines ------------------------------------------------------

@@ -11,6 +11,10 @@ first frame on every connection must be a HELLO, which also identifies
 the sender.  A party sending to itself is a legal loopback delivery and
 is counted like any other send.
 
+Each transport owns its receive deadline, a required constructor
+argument: ``recv`` with no argument waits at most that long, and over
+TCP ``establish`` with no argument spends at most that long connecting.
+
 Failures are fatal by design: protocol phases are not idempotent under
 the deterministic masking, so there is no retry or resume; callers abort
 the session and re-run.  A TCP peer that closes its connection is noted,
@@ -26,7 +30,6 @@ import socket
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     FramingError,
@@ -43,18 +46,8 @@ from .messages import (
     encode_frame,
 )
 
-DEFAULT_RECV_TIMEOUT = 60.0
 _RECV_CHUNK = 1 << 20  # most bytes one socket read asks for
 _PEER_CLOSED = object()  # inbox item a TCP reader queues after a peer's last frame
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """One delivered message, as recorded by the in-process hub."""
-
-    sender: int
-    receiver: int
-    message: ProtocolMessage
 
 
 def count_messages(counter: Counter) -> dict[str, int]:
@@ -71,31 +64,14 @@ def total_message_counts(transports) -> dict[str, int]:
 
 
 class InProcessHub:
-    """Shared state for one simulated session: queues and transcript.
+    """Shared state for one simulated session: one inbox queue per party."""
 
-    ``max_delay`` > 0 makes every send sleep a random amount first, which
-    jitters cross-pair interleaving while preserving per-pair order (the
-    sender blocks, so its own sends stay sequential).
-    """
-
-    def __init__(
-        self,
-        party_count: int,
-        recv_timeout: float = DEFAULT_RECV_TIMEOUT,
-        record_transcript: bool = False,
-        max_delay: float = 0.0,
-        delay_rng=None,
-    ):
+    def __init__(self, party_count: int, recv_timeout: float):
         if party_count < 1:
             raise ValueError("party_count must be positive")
         self.party_count = party_count
         self.recv_timeout = recv_timeout
-        self.record_transcript = record_transcript
-        self.max_delay = max_delay
-        self.delay_rng = delay_rng
         self.queues = [queue.Queue() for _ in range(party_count)]
-        self.transcript: list[TranscriptEntry] = []
-        self._lock = threading.Lock()
 
     def transport(self, party_id: int) -> "InProcessTransport":
         return InProcessTransport(self, party_id)
@@ -103,15 +79,9 @@ class InProcessHub:
     def deliver(self, sender: int, receiver: int, message: ProtocolMessage) -> None:
         if not 0 <= receiver < self.party_count:
             raise PeerUnreachable(f"no party with id {receiver}")
-        if self.max_delay > 0 and self.delay_rng is not None:
-            time.sleep(self.delay_rng.uniform(0, self.max_delay))
         # Round-trip through the frame codec so the in-process backend
         # carries exactly the bytes TCP would.
-        decoded = decode_frame(encode_frame(message))
-        if self.record_transcript:
-            with self._lock:
-                self.transcript.append(TranscriptEntry(sender, receiver, decoded))
-        self.queues[receiver].put((sender, decoded))
+        self.queues[receiver].put((sender, decode_frame(encode_frame(message))))
 
 
 class InProcessTransport:
@@ -176,7 +146,7 @@ class TcpTransport:
         party_count: int,
         listen_addr: tuple[str, int],
         peer_addrs: dict[int, tuple[str, int]],
-        recv_timeout: float = DEFAULT_RECV_TIMEOUT,
+        recv_timeout: float,
     ):
         self.my_id = my_id
         self.party_count = party_count
@@ -214,9 +184,14 @@ class TcpTransport:
         self._acceptor = acceptor
 
     def establish(self, timeout: float | None = None) -> None:
-        """Listen and connect to every peer, retrying until the deadline."""
+        """Listen and connect to every peer, retrying until the deadline.
+
+        The deadline is ``timeout`` seconds, by default the receive timeout.
+        """
         self.listen()
-        deadline = time.monotonic() + (timeout if timeout is not None else 10.0)
+        deadline = time.monotonic() + (
+            timeout if timeout is not None else self.recv_timeout
+        )
         for peer in range(self.party_count):
             if peer == self.my_id:
                 continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import socket
+import time
 from fractions import Fraction
 
 from psualign import (
@@ -19,6 +20,8 @@ from psualign import (
     tokenize_record,
 )
 from psualign.config import SessionConfig
+from psualign.simulate import build_parties, run_session
+from psualign.transport import InProcessHub
 
 
 def free_port() -> int:
@@ -126,3 +129,41 @@ def plaintext_equal_pairs(raw_per_party):
                 if members[a][0] != members[b][0]:
                     pairs.append((members[a], members[b]))
     return pairs
+
+
+class TapTransport:
+    """A hub endpoint that keeps every message its party sends.
+
+    ``max_delay`` > 0 makes every send sleep a random amount first, which
+    jitters cross-pair interleaving while preserving per-pair order (the
+    sender blocks, so its own sends stay sequential).
+    """
+
+    def __init__(self, inner, max_delay: float = 0.0, delay_rng=None):
+        self.inner = inner
+        self.max_delay = max_delay
+        self.delay_rng = delay_rng
+        self.sent = []
+
+    def establish(self, timeout=None) -> None:
+        self.inner.establish(timeout)
+
+    def send(self, to, message) -> None:
+        if self.max_delay > 0:
+            time.sleep(self.delay_rng.uniform(0, self.max_delay))
+        self.inner.send(to, message)
+        self.sent.append(message)
+
+    def recv(self, timeout=None):
+        return self.inner.recv(timeout)
+
+
+def run_tapped(cfg: SessionConfig, hashed_per_party, **tap):
+    """An in-process session over :class:`TapTransport` endpoints.
+
+    Returns ``(parties, results, taps)``; ``tap`` goes to every endpoint.
+    """
+    hub = InProcessHub(cfg.party_count, recv_timeout=cfg.recv_timeout)
+    parties = build_parties(cfg, hashed_per_party)
+    taps = [TapTransport(hub.transport(k), **tap) for k in range(cfg.party_count)]
+    return parties, run_session(parties, taps), taps

@@ -11,6 +11,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import pytest
+
 from psualign import (
     EncryptedIdentifier,
     FeatureSpec,
@@ -40,6 +42,7 @@ from helpers import (
     overlap_count,
     plaintext_equal_pairs,
     random_instance,
+    run_tapped,
     session_config,
 )
 
@@ -54,10 +57,9 @@ PAYLOAD_TYPES_SET = (
 PAYLOAD_TYPES_RELAY = (MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN)
 
 
-def _transcript_elements(transcript, group):
+def _transcript_elements(messages, group):
     """Every group element carried by any protocol payload of a run."""
-    for entry in transcript:
-        message = entry.message
+    for message in messages:
         if message.msg_type in PAYLOAD_TYPES_SET:
             for item in decode_set(message.payload, group).items:
                 for feature in item.features:
@@ -87,16 +89,16 @@ def ordered_acceptance_runs() -> OrderedRuns:
         raw = random_instance(rng, party_count, max_rows=max_rows)
         cfg = session_config(party_count, TWO_FEATURES, seed=seed)
         hashed = [hash_rows(rows, TWO_FEATURES, G512) for rows in raw]
-        outcome = run_local_session(cfg, hashed, record_transcript=True)
+        _, results, taps = run_tapped(cfg, hashed)
 
         # criterion 1: union size equals the brute-force oracle
-        assert outcome.results[0].union_table.size == hashed_union_oracle(hashed), seed
+        assert results[0].union_table.size == hashed_union_oracle(hashed), seed
         # ... and every plaintext-equal cross-party pair shares an index
         for (p1, i1), (p2, i2) in plaintext_equal_pairs(raw):
-            phi1 = outcome.results[p1].index_map.local_to_universal
-            phi2 = outcome.results[p2].index_map.local_to_universal
+            phi1 = results[p1].index_map.local_to_universal
+            phi2 = results[p2].index_map.local_to_universal
             assert phi1[i1] == phi2[i2], (seed, (p1, i1), (p2, i2))
-        for party_id, result in enumerate(outcome.results):
+        for party_id, result in enumerate(results):
             assert len(result.index_map.local_to_universal) == len(raw[party_id])
 
         # criterion 9: transmitted payloads never contain plaintext hashes
@@ -107,7 +109,8 @@ def ordered_acceptance_runs() -> OrderedRuns:
             for feature in ident.features
             for value in feature
         }
-        for value in _transcript_elements(outcome.transcript, G512):
+        sent = (message for tap in taps for message in tap.sent)
+        for value in _transcript_elements(sent, G512):
             if value in plaintext:
                 leaks += 1
     return OrderedRuns(
@@ -145,10 +148,10 @@ def test_criterion_03_union_exponent_product_white_box():
         raw = random_instance(rng, party_count, max_rows=8)
         cfg = session_config(party_count, TWO_FEATURES, seed=31 + party_count)
         hashed = [hash_rows(rows, TWO_FEATURES, G512) for rows in raw]
-        outcome = run_local_session(cfg, hashed)
+        parties, results, _ = run_tapped(cfg, hashed)
         total = 1
-        for result in outcome.results:
-            for exponent in result.exponents:
+        for party in parties:
+            for exponent in party.exponents:
                 total = (total * exponent) % G512.q
         expected = {
             encode_identifier(compose(ident, [total], G512), G512)
@@ -157,7 +160,7 @@ def test_criterion_03_union_exponent_product_white_box():
         }
         actual = {
             encode_identifier(entry, G512)
-            for entry in outcome.results[0].union_table.entries
+            for entry in results[0].union_table.entries
         }
         assert actual == expected, party_count
     print("ACCEPTANCE 3 PASS - every union entry is hash^(prod of exponents), P in {2,3,4}")
@@ -346,8 +349,11 @@ def test_criterion_07_bloom_properties():
     print("ACCEPTANCE 7 PASS - filters order-insensitive (1000 cases); prefilter sound on all corpus pairs")
 
 
-def test_criterion_08_backend_equivalence(tmp_path):
-    corpus = generate_corpus([20, 20], overlap=0.4, typo_rate=0.0, seed=801)
+@pytest.mark.parametrize("variant", ["ordered", "unordered"])
+def test_criterion_08_backend_equivalence(tmp_path, variant):
+    ordered = variant == "ordered"
+    typo_rate, threshold = (0.0, Fraction(1)) if ordered else (0.3, Fraction(7, 10))
+    corpus = generate_corpus([20, 20], overlap=0.4, typo_rate=typo_rate, seed=801)
     corpus_dir = tmp_path / "corpus"
     from psualign.corpus import write_corpus
     from psualign.config import DatasetSpec
@@ -357,12 +363,12 @@ def test_criterion_08_backend_equivalence(tmp_path):
     def config_for(out_name):
         return SessionConfig(
             party_count=2,
-            variant="ordered",
+            variant=variant,
             group_source="p512",
             match=MatchConfig(
                 features=(FeatureSpec("name", 12, 3),),
-                threshold=Fraction(1),
-                ordered=True,
+                threshold=threshold,
+                ordered=ordered,
             ),
             datasets=tuple(
                 DatasetSpec(csv_path=path, id_columns=("name",))
@@ -380,7 +386,7 @@ def test_criterion_08_backend_equivalence(tmp_path):
     write_outputs(cfg_local, loaded, local)
 
     cfg_tcp = config_for("tcp")
-    tcp = run_tcp_session(cfg_tcp, hashed, [("127.0.0.1", 0), ("127.0.0.1", 0)])
+    tcp = run_tcp_session(cfg_tcp, hashed)
     write_outputs(cfg_tcp, loaded, tcp)
 
     for k in range(2):

@@ -19,16 +19,22 @@ from psualign.protocol import _decode_relay, _encode_relay
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub
 
-from helpers import SINGLE_FEATURE_NOISY, hash_rows, overlap_count, session_config
+from helpers import (
+    SINGLE_FEATURE_NOISY,
+    hash_rows,
+    overlap_count,
+    run_tapped,
+    session_config,
+)
 
 G512 = make_group_params("p512")
 
 
-def run_noisy(raw_per_party, match=SINGLE_FEATURE_NOISY, seed=1, **kwargs):
+def run_noisy(raw_per_party, match=SINGLE_FEATURE_NOISY, seed=1):
     cfg = session_config(len(raw_per_party), match, seed=seed)
     group = cfg.group()
     hashed = [hash_rows(rows, match, group) for rows in raw_per_party]
-    outcome = run_local_session(cfg, hashed, **kwargs)
+    outcome = run_local_session(cfg, hashed)
     return cfg, hashed, outcome
 
 
@@ -135,12 +141,12 @@ def test_four_party_run_is_stable_under_delivery_jitter():
         [("third person",), ("mary kettler",)],
         [("fourth human",)],
     ]
-    _, _, plain = run_noisy(raw, seed=6)
-    _, _, jittered = run_noisy(
-        raw, seed=6, max_delay=0.004, delay_rng=random.Random(99)
+    cfg, hashed, plain = run_noisy(raw, seed=6)
+    _, jittered, _ = run_tapped(
+        cfg, hashed, max_delay=0.004, delay_rng=random.Random(99)
     )
-    assert plain.results[0].union_table == jittered.results[0].union_table
-    for a, b in zip(plain.results, jittered.results):
+    assert plain.results[0].union_table == jittered[0].union_table
+    for a, b in zip(plain.results, jittered):
         assert a.index_map.local_to_universal == b.index_map.local_to_universal
         assert a.index_map.unmatched == b.index_map.unmatched
 
@@ -187,27 +193,58 @@ def _with_extra_feature(ident):
     return EncryptedIdentifier(ident.features + ident.features[:1])
 
 
-def _plant_in_relay(payload, group):
+def _with_a_token_dropped(ident):
+    return EncryptedIdentifier((ident.features[0][:-1],) + ident.features[1:])
+
+
+def _with_a_token_added(ident):
+    first = ident.features[0]
+    return EncryptedIdentifier((first + first[:1],) + ident.features[1:])
+
+
+def _plant_in_relay(payload, group, change):
     relay_id, ident = _decode_relay(payload, group)
-    return _encode_relay(relay_id, _with_extra_feature(ident), group)
+    return _encode_relay(relay_id, change(ident), group)
 
 
-def _plant_in_union(payload, group):
+def _plant_in_union(payload, group, change):
     union = decode_set(payload, group)
-    union.items[0] = _with_extra_feature(union.items[0])
+    union.items[0] = change(union.items[0])
     return encode_set(union, group)
 
 
 @pytest.mark.parametrize(
-    "msg_type, plant",
+    "msg_type, plant, change, error",
     [
-        (MessageType.TOKEN_RELAY, _plant_in_relay),
-        (MessageType.UID_BROADCAST, _plant_in_union),
+        (
+            MessageType.TOKEN_RELAY,
+            _plant_in_relay,
+            _with_extra_feature,
+            "2 features, the session expects 1",
+        ),
+        (
+            MessageType.UID_BROADCAST,
+            _plant_in_union,
+            _with_extra_feature,
+            "2 features, the session expects 1",
+        ),
+        (
+            MessageType.TOKEN_RELAY,
+            _plant_in_relay,
+            _with_a_token_dropped,
+            "9 tokens in feature 0, the session expects 10",
+        ),
+        (
+            MessageType.UID_BROADCAST,
+            _plant_in_union,
+            _with_a_token_added,
+            "11 tokens in feature 0, the session expects 7 to 10",
+        ),
     ],
-    ids=["relay", "union"],
+    ids=["relay", "union", "relay-token-dropped", "union-token-added"],
 )
-def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant):
-    """A decoded identifier with the wrong feature count fails the session.
+def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant, change, error):
+    """A decoded identifier with the wrong feature or token count fails the session.
 
     Matching would otherwise find no candidate for it and report it as
     unmatched, as if it were a record that met no union entry.
@@ -216,7 +253,7 @@ def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant):
     class PlantingParty(Party):
         def _send(self, transport, to, sent_type, origin, hop, payload):
             if sent_type is msg_type:
-                payload = plant(payload, self.group)
+                payload = plant(payload, self.group, change)
             super()._send(transport, to, sent_type, origin, hop, payload)
 
     cfg = session_config(2, SINGLE_FEATURE_NOISY, seed=3, recv_timeout=5)
@@ -234,8 +271,7 @@ def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant):
         hashed_records=hashed[0],
         rng=cfg.party_rng(0),
         session_digest=cfg.digest(),
-        recv_timeout=5,
     )
     hub = InProcessHub(2, recv_timeout=5)
-    with pytest.raises(TransportFailure, match="2 features, the session expects 1"):
+    with pytest.raises(TransportFailure, match=error):
         run_session(parties, [hub.transport(0), hub.transport(1)])

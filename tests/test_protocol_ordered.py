@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,17 +24,18 @@ from helpers import (
     hashed_union_oracle,
     plaintext_equal_pairs,
     random_instance,
+    run_tapped,
     session_config,
 )
 
 G512 = make_group_params("p512")
 
 
-def run_ordered(raw_per_party, seed=1, group="p512", **kwargs):
+def run_ordered(raw_per_party, seed=1, group="p512"):
     cfg = session_config(len(raw_per_party), TWO_FEATURES, group=group, seed=seed)
     group_params = cfg.group()
     hashed = [hash_rows(rows, TWO_FEATURES, group_params) for rows in raw_per_party]
-    outcome = run_local_session(cfg, hashed, **kwargs)
+    outcome = run_local_session(cfg, hashed)
     return cfg, hashed, outcome
 
 
@@ -52,11 +54,13 @@ def test_white_box_exponent_product():
         [("alice", "rome"), ("bob", "oslo")],
         [("carol", "bern"), ("alice", "rome")],
     ]
-    cfg, hashed, outcome = run_ordered(raw, seed=5)
+    cfg = session_config(len(raw), TWO_FEATURES, seed=5)
+    hashed = [hash_rows(rows, TWO_FEATURES, G512) for rows in raw]
+    parties, results, _ = run_tapped(cfg, hashed)
     q = G512.q
     total = 1
-    for result in outcome.results:
-        for exponent in result.exponents:
+    for party in parties:
+        for exponent in party.exponents:
             total = (total * exponent) % q
     expected = {
         encode_identifier(compose(ident, [total], G512), G512)
@@ -65,7 +69,7 @@ def test_white_box_exponent_product():
     }
     actual = {
         encode_identifier(entry, G512)
-        for entry in outcome.results[0].union_table.entries
+        for entry in results[0].union_table.entries
     }
     assert actual == expected
 
@@ -188,12 +192,12 @@ def test_injectivity_for_distinct_records():
 
 def test_randomized_delivery_delays_do_not_change_results():
     raw = [[("a", "x"), ("b", "y")], [("b", "y"), ("c", "z")]]
-    _, _, slow = run_ordered(
-        raw, seed=9, max_delay=0.003, delay_rng=random.Random(123)
-    )
+    cfg = session_config(len(raw), TWO_FEATURES, seed=9)
+    hashed = [hash_rows(rows, TWO_FEATURES, G512) for rows in raw]
+    _, slow, _ = run_tapped(cfg, hashed, max_delay=0.003, delay_rng=random.Random(123))
     _, _, fast = run_ordered(raw, seed=9)
-    assert slow.results[0].union_table == fast.results[0].union_table
-    for a, b in zip(slow.results, fast.results):
+    assert slow[0].union_table == fast.results[0].union_table
+    for a, b in zip(slow, fast.results):
         assert a.index_map.local_to_universal == b.index_map.local_to_universal
 
 
@@ -250,7 +254,6 @@ def test_no_match_in_union_is_fatal():
         hashed_records=hashed[0],
         rng=cfg.party_rng(0),
         session_digest=cfg.digest(),
-        recv_timeout=5,
     )
     parties[0] = broken
     hub = InProcessHub(2, recv_timeout=5)
@@ -270,7 +273,6 @@ def test_out_of_phase_message_raises():
         hashed_records=[],
         rng=cfg.party_rng(1),
         session_digest=cfg.digest(),
-        recv_timeout=1,
     )
     from psualign.messages import MessageType, ProtocolMessage
 
@@ -296,7 +298,6 @@ def test_recv_replays_buffered_early_arrivals_in_order():
         hashed_records=[],
         rng=cfg.party_rng(1),
         session_digest=cfg.digest(),
-        recv_timeout=2,
     )
     transport = hub.transport(1)
     sender = hub.transport(0)
@@ -327,7 +328,6 @@ def test_abort_propagates_to_peers():
         hashed_records=[],
         rng=cfg.party_rng(1),
         session_digest=cfg.digest(),
-        recv_timeout=2,
     )
     from psualign.messages import MessageType, ProtocolMessage
 
@@ -335,3 +335,63 @@ def test_abort_propagates_to_peers():
     intruder.send(1, ProtocolMessage(MessageType.ABORT, 0, 0, b"boom"))
     with pytest.raises(ProtocolAbort, match="boom"):
         party.run(hub.transport(1))
+
+
+def test_message_from_an_unknown_party_id_is_rejected_at_once():
+    """A HELLO from party 7 of 3 must not stand in for party 2's greeting."""
+    from psualign.messages import MessageType, ProtocolMessage
+    from psualign.protocol import Phase
+
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    hub = InProcessHub(3, recv_timeout=2)
+    party = Party(
+        party_id=1,
+        party_count=3,
+        group=cfg.group(),
+        match_cfg=cfg.match,
+        hashed_records=[],
+        rng=cfg.party_rng(1),
+        session_digest=cfg.digest(),
+    )
+    intruder = hub.transport(0)
+    for origin in (0, 7):
+        intruder.send(1, ProtocolMessage(MessageType.HELLO, origin, 0, cfg.digest()))
+    started = time.monotonic()
+    with pytest.raises(PhaseViolation, match="unknown party 7"):
+        party.run(hub.transport(1))
+    assert time.monotonic() - started < 1.0
+    assert party.phase is Phase.HANDSHAKE
+
+
+@pytest.mark.parametrize(
+    "renumbered", [7, 0], ids=["out-of-range-record", "repeated-record"]
+)
+def test_token_return_for_a_record_not_pending_is_rejected(renumbered):
+    """Party 0 gives every return it sends back to party 1 one relay id."""
+    from psualign.messages import MessageType
+
+    class RenumberingParty(Party):
+        def _send(self, transport, to, msg_type, origin, hop, payload):
+            if msg_type is MessageType.TOKEN_RETURN:
+                payload = renumbered.to_bytes(4, "big") + payload[4:]
+            super()._send(transport, to, msg_type, origin, hop, payload)
+
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    group = cfg.group()
+    hashed = [
+        hash_rows([("al", "ro")], TWO_FEATURES, group),
+        hash_rows([("bo", "pa"), ("al", "ro")], TWO_FEATURES, group),
+    ]
+    parties = build_parties(cfg, hashed)
+    parties[0] = RenumberingParty(
+        party_id=0,
+        party_count=2,
+        group=group,
+        match_cfg=cfg.match,
+        hashed_records=hashed[0],
+        rng=cfg.party_rng(0),
+        session_digest=cfg.digest(),
+    )
+    hub = InProcessHub(2, recv_timeout=5)
+    with pytest.raises(PhaseViolation, match="not pending"):
+        run_session(parties, [hub.transport(0), hub.transport(1)])

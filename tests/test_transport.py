@@ -86,16 +86,6 @@ def test_inprocess_counters_by_type():
     assert counts["ABORT"] == 0
 
 
-def test_inprocess_transcript_records_deliveries():
-    hub = InProcessHub(2, recv_timeout=2, record_transcript=True)
-    hub.transport(0).send(1, msg(b"x"))
-    hub.transport(1).recv()
-    assert len(hub.transcript) == 1
-    entry = hub.transcript[0]
-    assert (entry.sender, entry.receiver) == (0, 1)
-    assert entry.message.payload == b"x"
-
-
 # --- tcp --------------------------------------------------------------------
 
 
@@ -345,6 +335,21 @@ def test_tcp_establish_times_out_when_peer_missing():
     try:
         with pytest.raises(HandshakeTimeout):
             t.establish(0.4)
+    finally:
+        t.close()
+
+
+def test_tcp_establish_without_argument_waits_at_most_the_receive_timeout():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead_addr = probe.getsockname()
+    probe.close()
+    t = TcpTransport(0, 2, ("127.0.0.1", 0), {1: dead_addr}, recv_timeout=0.5)
+    try:
+        started = time.monotonic()
+        with pytest.raises(HandshakeTimeout):
+            t.establish()
+        assert time.monotonic() - started < 2.0
     finally:
         t.close()
 
