@@ -103,11 +103,13 @@ def _cmd_evaluate(args) -> int:
         for index in index_map.local_to_universal.values()
     }
     previous_counts: dict = {}
+    previous_bytes: dict = {}
     wall_time = 0.0
     report_path = out_dir / "report.json"
     if report_path.exists():
         previous = read_report(report_path)
         previous_counts = previous.message_counts
+        previous_bytes = previous.message_bytes
         wall_time = previous.wall_time
         n_protocol = previous.n_protocol
     else:
@@ -119,6 +121,7 @@ def _cmd_evaluate(args) -> int:
         true_links=true_links,
         protocol_links=reported_links(index_maps),
         message_counts=previous_counts,
+        message_bytes=previous_bytes,
         wall_time=wall_time,
     )
     eval_path = out_dir / "evaluation.json"

@@ -2,8 +2,9 @@
 
 The same file drives local simulation and networked runs.  Fields that
 every party must agree on (party count, variant, group, match shapes)
-feed the session digest exchanged during the handshake; a mismatch
-aborts before any identifier data flows.  Unknown keys are ignored.
+feed the session digest exchanged during the handshake, together with
+the set payload layout's version; a mismatch aborts before any
+identifier data flows.  Unknown keys are ignored.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .groups import DEFAULT_PRESET, GroupParams, make_group_params
+from .masking import SET_LAYOUT_VERSION
 from .tokenization import FeatureSpec, MatchConfig
 
 VARIANTS = ("ordered", "unordered")
@@ -53,8 +55,13 @@ class SessionConfig:
         return make_group_params(self.group_source)
 
     def digest(self) -> bytes:
-        """Hash of the fields every party must agree on."""
+        """Hash of the fields every party must agree on, and of the set layout.
+
+        Peers on different set layouts then fail at the handshake with a
+        digest mismatch, not on their first undecodable set.
+        """
         shared = {
+            "set_layout": SET_LAYOUT_VERSION,
             "party_count": self.party_count,
             "variant": self.variant,
             "group": self.group_source,

@@ -30,6 +30,7 @@ class EvaluationReport:
     precision: float
     recall: float
     message_counts: dict = field(default_factory=dict)
+    message_bytes: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
@@ -91,6 +92,7 @@ def build_report(
     true_links: set[Link],
     protocol_links: set[Link],
     message_counts: dict | None = None,
+    message_bytes: dict | None = None,
     wall_time: float = 0.0,
 ) -> EvaluationReport:
     matched = len(true_links & protocol_links)
@@ -107,6 +109,7 @@ def build_report(
         precision=(matched / reported) if reported else 1.0,
         recall=(matched / true_count) if true_count else 1.0,
         message_counts=dict(message_counts or {}),
+        message_bytes=dict(message_bytes or {}),
         wall_time=wall_time,
     )
 

@@ -252,6 +252,11 @@ class GroupParams:
     def encode_element(self, value: int) -> bytes:
         return value.to_bytes(self.element_width, "big")
 
+    def encode_elements(self, values) -> bytes:
+        """The elements back to back, as :meth:`encode_element` writes each."""
+        width = self.element_width
+        return b"".join([value.to_bytes(width, "big") for value in values])
+
     def decode_element(self, raw: bytes) -> int:
         if len(raw) != self.element_width:
             raise ValueError(
@@ -261,6 +266,18 @@ class GroupParams:
         if not 1 <= value < self.p:
             raise ValueError("element outside [1, p)")
         return value
+
+    def decode_elements(self, raw: bytes) -> list[int]:
+        """Split ``raw`` into elements, checked like :meth:`decode_element`."""
+        width = self.element_width
+        if len(raw) % width:
+            raise ValueError(f"{len(raw)} bytes are not a whole number of elements")
+        values = [
+            int.from_bytes(raw[pos : pos + width], "big") for pos in range(0, len(raw), width)
+        ]
+        if values and not (1 <= min(values) and max(values) < self.p):
+            raise ValueError("element outside [1, p)")
+        return values
 
     def exp(self, value: int, exponent: int) -> int:
         """Raise a subgroup element to a secret exponent modulo p."""

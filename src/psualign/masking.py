@@ -25,6 +25,7 @@ exponent outlives the pass that made it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from .groups import GroupParams
@@ -129,11 +130,25 @@ def compose(
 
 # --- serialization --------------------------------------------------------
 #
-# Normative layout (consumed by the wire format and Bloom hashing):
+# Normative layout (consumed by the wire format; Bloom hashing consumes
+# only the element encoding):
+#   element:    fixed-width big-endian bytes (width = GroupParams.element_width);
 #   identifier: u8 feature count, then per feature a u16 big-endian token
-#               count followed by that many fixed-width big-endian group
-#               elements (width = GroupParams.element_width);
-#   set:        u32 big-endian item count, then the items back to back.
+#               count followed by that many elements;
+#   set:        u32 big-endian item count | u32 big-endian table size D |
+#               D distinct elements in first-occurrence order | the items,
+#               each a u8 feature count, then per feature a u16 token
+#               count followed by that many big-endian table indices of
+#               1 byte when D <= 256, 2 when D <= 65,536, else 4.
+#
+# Every table entry is used and entries appear in the order the items
+# first refer to them, so a set has exactly one encoding.  The table
+# shows which tokens are equal, which deterministic masking shows anyway,
+# and its order follows the (shuffled) item order.
+
+# Part of the session digest, so peers on different set layouts fail at
+# the handshake instead of on their first set; bump it with the layout.
+SET_LAYOUT_VERSION = 2
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
@@ -178,22 +193,84 @@ def decode_identifier(
     return EncryptedIdentifier(tuple(features)), offset
 
 
+def _index_format(table_size: int) -> tuple[str, int]:
+    """The ``struct`` code and byte width of one table index."""
+    if table_size <= 1 << 8:
+        return "B", 1
+    if table_size <= 1 << 16:
+        return "H", 2
+    return "I", 4
+
+
 def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
-    out = bytearray(len(enc_set.items).to_bytes(4, "big"))
+    distinct = dict.fromkeys(
+        [value for item in enc_set.items for feature in item.features for value in feature]
+    )
+    index_of = dict(zip(distinct, range(len(distinct)))).__getitem__
+    code, _ = _index_format(len(distinct))
+    out = bytearray(struct.pack(">II", len(enc_set.items), len(distinct)))
+    out += group.encode_elements(distinct)
     for item in enc_set.items:
-        out += encode_identifier(item, group)
+        if len(item.features) > 0xFF:
+            raise ValueError("more than 255 features cannot be serialized")
+        out.append(len(item.features))
+        for feature in item.features:
+            if len(feature) > 0xFFFF:
+                raise ValueError("more than 65535 tokens per feature cannot be serialized")
+            out += struct.pack(
+                f">H{len(feature)}{code}", len(feature), *map(index_of, feature)
+            )
     return bytes(out)
 
 
 def decode_set(raw: bytes, group: GroupParams) -> EncryptedSet:
-    if len(raw) < 4:
-        raise ValueError("truncated set: missing item count")
-    count = int.from_bytes(raw[:4], "big")
-    offset = 4
+    """Parse a set payload, accepting only its one canonical encoding.
+
+    Raises ``ValueError`` on any malformed input, before allocating the
+    table if its declared size does not fit the payload.
+    """
+    if len(raw) < 8:
+        raise ValueError("truncated set: missing item count or table size")
+    count, table_size = struct.unpack_from(">II", raw)
+    offset = 8 + table_size * group.element_width
+    if offset > len(raw):
+        raise ValueError(f"set table of {table_size} elements runs past the payload")
+    table = group.decode_elements(raw[8:offset])
+    if len(set(table)) != table_size:
+        raise ValueError("set table repeats an element")
+    element = table.__getitem__
+    code, index_width = _index_format(table_size)
+    used: list[int] = []  # every index, in payload order
     items = []
     for _ in range(count):
-        item, offset = decode_identifier(raw, group, offset)
-        items.append(item)
+        if offset >= len(raw):
+            raise ValueError("truncated set: missing feature count")
+        feature_count = raw[offset]
+        offset += 1
+        features = []
+        for _ in range(feature_count):
+            if offset + 2 > len(raw):
+                raise ValueError("truncated set: missing token count")
+            token_count = int.from_bytes(raw[offset : offset + 2], "big")
+            offset += 2
+            end = offset + token_count * index_width
+            if end > len(raw):
+                raise ValueError("truncated set: missing token indices")
+            indices = struct.unpack_from(f">{token_count}{code}", raw, offset)
+            if indices and max(indices) >= table_size:
+                raise ValueError(
+                    f"set index {max(indices)} outside a table of {table_size}"
+                )
+            used += indices
+            features.append(tuple(map(element, indices)))
+            offset = end
+        items.append(EncryptedIdentifier(tuple(features)))
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after set payload")
+    first_uses = list(dict.fromkeys(used))
+    if first_uses != list(range(len(first_uses))):
+        raise ValueError("a set index skips ahead of first-occurrence order")
+    if len(first_uses) != table_size:
+        unused = table_size - len(first_uses)
+        raise ValueError(f"{unused} set table elements are never used")
     return EncryptedSet(items)

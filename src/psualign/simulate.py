@@ -33,13 +33,19 @@ from .evaluate import (
 )
 from .corpus import load_provenance
 from .protocol import Party, PartyResult
-from .transport import InProcessHub, TcpTransport, total_message_counts
+from .transport import (
+    InProcessHub,
+    TcpTransport,
+    total_message_bytes,
+    total_message_counts,
+)
 
 
 @dataclass
 class SessionOutcome:
     results: list[PartyResult]
     message_counts: dict[str, int]
+    message_bytes: dict[str, int]
     wall_time: float
 
 
@@ -94,7 +100,7 @@ def run_session(parties: list[Party], transports) -> list[PartyResult]:
 
 
 def _run_over(cfg: SessionConfig, hashed_per_party, transports) -> SessionOutcome:
-    """Run a session over ready transports, close them, and count the sends."""
+    """Run a session over ready transports, close them, and count the sends and bytes."""
     parties = build_parties(cfg, hashed_per_party)
     started = time.monotonic()
     try:
@@ -103,7 +109,9 @@ def _run_over(cfg: SessionConfig, hashed_per_party, transports) -> SessionOutcom
         for transport in transports:
             transport.close()
     wall = time.monotonic() - started
-    return SessionOutcome(results, total_message_counts(transports), wall)
+    return SessionOutcome(
+        results, total_message_counts(transports), total_message_bytes(transports), wall
+    )
 
 
 def run_local_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
@@ -205,6 +213,7 @@ def evaluate_outcome(
         true_links=true_links,
         protocol_links=reported_links([r.index_map for r in outcome.results]),
         message_counts=outcome.message_counts,
+        message_bytes=outcome.message_bytes,
         wall_time=outcome.wall_time,
     )
 

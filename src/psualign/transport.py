@@ -4,12 +4,13 @@ Both backends expose the same contract: ``establish`` brings up the
 endpoints (a no-op in process, listen-plus-connect over TCP), ``send``
 delivers exactly once and in order per directed (sender, receiver) pair,
 ``recv`` yields one ``(sender, message)`` at a time as a strictly
-serialized stream, and a per-transport counter records sends by message
-type for the accounting assertions.  The config-digest handshake itself
-is a protocol phase (HELLO frames) on top of this layer; over TCP the
-first frame on every connection must be a HELLO, which also identifies
-the sender.  A party sending to itself is a legal loopback delivery and
-is counted like any other send.
+serialized stream, and per-transport counters record sends and their
+frame bytes (header plus payload) by message type for the accounting
+assertions.  The config-digest handshake itself is a protocol phase
+(HELLO frames) on top of this layer; over TCP the first frame on every
+connection must be a HELLO, which also identifies the sender.  A party
+sending to itself is a legal loopback delivery and is counted, frames
+and bytes, like any other send.
 
 Each transport owns its receive deadline, a required constructor
 argument: ``recv`` with no argument waits at most that long, and over
@@ -55,12 +56,21 @@ def count_messages(counter: Counter) -> dict[str, int]:
     return {t.name: counter.get(t, 0) for t in MessageType}
 
 
+def _summed(snapshots) -> dict[str, int]:
+    total: Counter = Counter()
+    for snapshot in snapshots:
+        total.update(snapshot)
+    return dict(total)
+
+
 def total_message_counts(transports) -> dict[str, int]:
     """Sends by message-type name, summed over a session's endpoints."""
-    total: Counter = Counter()
-    for transport in transports:
-        total.update(transport.message_counts())
-    return dict(total)
+    return _summed(transport.message_counts() for transport in transports)
+
+
+def total_message_bytes(transports) -> dict[str, int]:
+    """Frame bytes sent by message-type name, summed over a session's endpoints."""
+    return _summed(transport.message_bytes() for transport in transports)
 
 
 class InProcessHub:
@@ -94,6 +104,7 @@ class InProcessTransport:
         self.my_id = party_id
         self.party_count = hub.party_count
         self.counters = Counter()
+        self.byte_counters = Counter()
 
     def establish(self, timeout: float | None = None) -> None:
         """No connection setup needed in process."""
@@ -101,6 +112,7 @@ class InProcessTransport:
     def send(self, to: int, message: ProtocolMessage) -> None:
         self.hub.deliver(self.my_id, to, message)
         self.counters[message.msg_type] += 1
+        self.byte_counters[message.msg_type] += HEADER_SIZE + len(message.payload)
 
     def recv(self, timeout: float | None = None) -> tuple[int, ProtocolMessage]:
         deadline = timeout if timeout is not None else self.hub.recv_timeout
@@ -113,6 +125,9 @@ class InProcessTransport:
 
     def message_counts(self) -> dict[str, int]:
         return count_messages(self.counters)
+
+    def message_bytes(self) -> dict[str, int]:
+        return count_messages(self.byte_counters)
 
     def close(self) -> None:
         pass
@@ -154,6 +169,7 @@ class TcpTransport:
         self.peer_addrs = dict(peer_addrs)
         self.recv_timeout = recv_timeout
         self.counters = Counter()
+        self.byte_counters = Counter()
         self._inbox: queue.Queue = queue.Queue()
         self._out_socks: dict[int, socket.socket] = {}
         self._out_locks: dict[int, threading.Lock] = {}
@@ -284,6 +300,7 @@ class TcpTransport:
             except OSError as exc:
                 raise TransportFailure(f"send to party {to} failed: {exc}") from exc
         self.counters[message.msg_type] += 1
+        self.byte_counters[message.msg_type] += len(frame)
 
     def recv(self, timeout: float | None = None) -> tuple[int, ProtocolMessage]:
         wait = timeout if timeout is not None else self.recv_timeout
@@ -311,6 +328,9 @@ class TcpTransport:
 
     def message_counts(self) -> dict[str, int]:
         return count_messages(self.counters)
+
+    def message_bytes(self) -> dict[str, int]:
+        return count_messages(self.byte_counters)
 
     def close(self) -> None:
         """Stop the listener and tear down every connection, both directions.

@@ -2,8 +2,8 @@
 
 The harness in ``bench/`` has its own suite; this module keeps the names
 and call shapes it relies on under the main suite too.  It imports
-``bench/tracing.py`` and ``bench/workloads.py`` without installing the
-tracer or writing anything.
+``bench/checks.py``, ``bench/tracing.py`` and ``bench/workloads.py``
+without installing the tracer or writing anything.
 """
 
 import dataclasses
@@ -13,11 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from psualign import EncryptedIdentifier, MessageType, decode_set, encode_set
 from psualign.transport import TcpTransport
+
+from helpers import SINGLE_FEATURE_NOISY, hash_rows, run_tapped, session_config
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 sys.path.insert(0, BENCH)
 try:
+    import checks
     import tracing
     import workloads
 finally:
@@ -57,3 +61,33 @@ def test_small_session_runs_through_the_harness(name):
         index_map = result.index_map
         assert len(index_map.local_to_universal) + len(index_map.unmatched) == 5
     assert all(sum(w.bytes.values()) > 0 for w in session.wrapped)
+
+
+@pytest.mark.parametrize("name", ["noisy-names-p512", "exact-ids-p512-tcp"])
+def test_harness_byte_counts_agree_with_the_transports(name):
+    """The bench counts bytes itself; the package's counters must agree."""
+    workload = small(name)
+    prepared = workloads.prepare(workload, workload.corpus(1), 1000)
+    session = workloads.run_prepared(prepared)
+    for wrapped in session.wrapped:
+        counted = {t.name: wrapped.bytes.get(t, 0) for t in MessageType}
+        assert counted == wrapped.inner.message_bytes()
+
+
+def test_leak_check_reads_the_set_layout():
+    """0 plaintext tokens on the wire, then exactly the 1 planted in a set."""
+    cfg = session_config(2, SINGLE_FEATURE_NOISY, seed=5)
+    group = cfg.group()
+    rows = [[("anna novak",), ("bob smith",)], [("anna novok",), ("carl jones",)]]
+    hashed = [hash_rows(party_rows, SINGLE_FEATURE_NOISY, group) for party_rows in rows]
+    _, _, taps = run_tapped(cfg, hashed)
+    frames = [(m.msg_type, m.payload) for tap in taps for m in tap.sent]
+    assert checks.plaintext_leaks(frames, hashed, group) == 0
+
+    at = next(k for k, (t, _) in enumerate(frames) if t is MessageType.SET_TRANSFER)
+    enc_set = decode_set(frames[at][1], group)
+    first = enc_set.items[0].features
+    planted = ((hashed[0][0].features[0][0],) + first[0][1:],) + first[1:]
+    enc_set.items[0] = EncryptedIdentifier(planted)
+    frames[at] = (MessageType.SET_TRANSFER, encode_set(enc_set, group))
+    assert checks.plaintext_leaks(frames, hashed, group) == 1

@@ -75,6 +75,34 @@ def test_simulate_spec_example_shared_one_of_three(tmp_path):
     assert shared0 == shared1 != ""
 
 
+def test_report_counts_the_bytes_of_every_set_message(tmp_path):
+    """Each dataset crosses P set transfers; each carries one element table.
+
+    Ordered masking keeps equal grams equal and distinct grams distinct,
+    so a transfer's table holds the party's distinct plaintext grams.
+    """
+    rows = [["alpha one", "beta two", "alpha one"], ["delta four", "epsilon five"]]
+    for k, names in enumerate(rows):
+        lines = "".join(f"{name}\n" for name in names)
+        (tmp_path / f"party{k}.csv").write_text("name\n" + lines)
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+
+    def set_frame(names):
+        padded = [name.lower()[:12].ljust(12) for name in names]
+        distinct = {text[i : i + 3] for text in padded for i in range(10)}
+        # header, item count, table size, 64-byte elements, per item one
+        # feature count and one token count, one 1-byte index per token
+        return 9 + 4 + 4 + 64 * len(distinct) + 3 * len(names) + 10 * len(names)
+
+    assert report["message_bytes"]["SET_TRANSFER"] == 2 * sum(map(set_frame, rows))
+    assert report["message_bytes"]["HELLO"] == 2 * (9 + 32)
+    assert main(["evaluate", "--config", str(config)]) == 0
+    evaluation = json.loads((tmp_path / "out" / "evaluation.json").read_text())
+    assert evaluation["message_bytes"] == report["message_bytes"]
+
+
 def test_noisy_simulate_with_provenance(tmp_path):
     assert (
         main(

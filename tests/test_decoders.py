@@ -60,6 +60,17 @@ def set_inputs(draw):
 
 
 @st.composite
+def pooled_set_inputs(draw):
+    """Damaged encodings of sets that repeat tokens, so indices get hit too."""
+    group = draw(st.sampled_from(GROUPS))
+    pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=4))
+    feature = st.lists(st.sampled_from(pool), max_size=6)
+    items = draw(st.lists(st.lists(feature, max_size=2), max_size=4))
+    enc_set = EncryptedSet([EncryptedIdentifier(tuple(map(tuple, f))) for f in items])
+    return group, draw(damaged(encode_set(enc_set, group)))
+
+
+@st.composite
 def relay_inputs(draw):
     group = draw(st.sampled_from(GROUPS))
     relay_id = draw(st.integers(0, (1 << 32) - 1))
@@ -97,6 +108,18 @@ def test_decode_frame_fails_only_with_named_errors(raw):
 def test_decode_set_fails_only_with_named_errors(instance):
     group, raw = instance
     decodes_or_names_its_error(decode_set, raw, group)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(set_inputs(), pooled_set_inputs()))
+def test_an_accepted_set_payload_is_the_one_encoding_of_its_set(instance):
+    """The set codec is canonical: whatever decodes re-encodes to the same bytes."""
+    group, raw = instance
+    try:
+        decoded = decode_set(raw, group)
+    except NAMED:
+        return
+    assert encode_set(decoded, group) == raw
 
 
 @settings(max_examples=500, deadline=None)

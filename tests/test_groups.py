@@ -204,6 +204,31 @@ def test_element_codec_fixed_width():
             G512.decode_element(outside.to_bytes(G512.element_width, "big"))
 
 
+@st.composite
+def element_lists(draw):
+    group = draw(st.sampled_from([G23, G512]))
+    return group, draw(st.lists(st.integers(1, group.p - 1), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_lists())
+def test_bulk_element_codec_matches_one_element_at_a_time(instance):
+    group, values = instance
+    raw = group.encode_elements(values)
+    assert raw == b"".join(group.encode_element(v) for v in values)
+    assert group.decode_elements(raw) == values
+
+
+def test_bulk_element_decoder_rejects_what_the_single_one_rejects():
+    good = G512.encode_elements([2, 3])
+    with pytest.raises(ValueError, match="whole number"):
+        G512.decode_elements(good[:-1])
+    for outside in (0, G512.p):
+        with pytest.raises(ValueError, match="outside"):
+            G512.decode_elements(good + outside.to_bytes(G512.element_width, "big"))
+    assert G512.decode_elements(b"") == []
+
+
 # --- powmod against built-in pow -----------------------------------------
 
 

@@ -1,10 +1,11 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from psualign import ConfigError, DatasetError, load_config
+from psualign import ConfigError, DatasetError, config, load_config
 from psualign.config import parse_endpoint
 from psualign.corpus import generate_corpus, load_provenance, write_corpus
 from psualign.datasets import (
@@ -18,6 +19,7 @@ from psualign.evaluate import (
     provenance_true_links,
     reported_links,
 )
+from psualign.masking import SET_LAYOUT_VERSION
 from psualign.protocol import UniversalIndexMap
 
 
@@ -70,6 +72,16 @@ def test_config_digest_ignores_seed_and_paths(tmp_path):
     two = load_config(write_config(tmp_path, seed=999))
     leftover_bloom = load_config(write_config(tmp_path, bloom={"bits": 1000}))
     assert one.digest() == two.digest() == leftover_bloom.digest()
+
+
+def test_config_digest_covers_the_set_layout(tmp_path):
+    """Peers on different set layouts disagree at HELLO, not on their first set."""
+    cfg = load_config(write_config(tmp_path))
+    current = cfg.digest()
+    with mock.patch.object(config, "SET_LAYOUT_VERSION", SET_LAYOUT_VERSION + 1):
+        other = cfg.digest()
+    assert len(current) == len(other) == 32
+    assert current != other
 
 
 def test_config_rejects_variant_typos(tmp_path):

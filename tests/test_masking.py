@@ -195,6 +195,104 @@ def test_identifier_codec_rejects_truncation():
         decode_identifier(raw[:-1], G23)
 
 
+def set_layout(group, table, items, index_width=1) -> bytes:
+    """A set payload written out by hand: ``items`` hold table indices."""
+    out = len(items).to_bytes(4, "big") + len(table).to_bytes(4, "big")
+    out += b"".join(group.encode_element(value) for value in table)
+    for item in items:
+        out += bytes([len(item)])
+        for feature in item:
+            out += len(feature).to_bytes(2, "big")
+            out += b"".join(index.to_bytes(index_width, "big") for index in feature)
+    return out
+
+
+def set_length(enc_set, group, index_width) -> int:
+    """``8 + D*w + sum over items of (1 + 2F) + T*i``."""
+    features = [f for item in enc_set.items for f in item.features]
+    distinct = {value for feature in features for value in feature}
+    tokens = sum(len(feature) for feature in features)
+    return (
+        8
+        + len(distinct) * group.element_width
+        + sum(1 + 2 * len(item.features) for item in enc_set.items)
+        + tokens * index_width
+    )
+
+
+def test_set_codec_writes_each_distinct_element_once():
+    enc_set = EncryptedSet([ident([2, 3, 2]), ident([3, 4])])
+    raw = encode_set(enc_set, G23)
+    # u32 items, u32 table size, table (1-byte elements), then per item
+    # u8 feature count and per feature u16 token count plus 1-byte indices
+    assert raw == bytes([0, 0, 0, 2, 0, 0, 0, 3, 2, 3, 4, 1, 0, 3, 0, 1, 0, 1, 0, 2, 1, 2])
+    assert raw == set_layout(G23, [2, 3, 4], [[[0, 1, 0]], [[1, 2]]])
+    assert decode_set(raw, G23) == enc_set
+
+
+def test_decoded_set_shares_one_int_per_distinct_element():
+    value = G512.p - 2
+    raw = encode_set(EncryptedSet([ident([value, value]), ident([value])]), G512)
+    back = decode_set(raw, G512)
+    objects = {id(v) for item in back.items for f in item.features for v in f}
+    assert len(objects) == 1
+
+
+@st.composite
+def pooled_sets(draw):
+    """Sets whose tokens come from a small pool, so D is much smaller than T."""
+    group = draw(st.sampled_from([G23, G512]))
+    pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=5))
+    feature = st.lists(st.sampled_from(pool), max_size=8)
+    items = draw(st.lists(st.lists(feature, max_size=3), max_size=8))
+    return group, EncryptedSet([ident(*features) for features in items])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_sets())
+def test_set_codec_roundtrip_on_repeated_tokens(instance):
+    group, enc_set = instance
+    raw = encode_set(enc_set, group)
+    assert decode_set(raw, group) == enc_set
+    assert len(raw) == set_length(enc_set, group, 1)
+
+
+@pytest.mark.parametrize(
+    "distinct, index_width",
+    [(256, 1), (257, 2), (65_536, 2), (65_537, 4)],
+)
+def test_set_index_width_follows_the_table_size(distinct, index_width):
+    values = list(range(1, distinct + 1))
+    # a feature holds at most 65,535 tokens; each item's second repeats one
+    enc_set = EncryptedSet(
+        [ident(values[at : at + 4096], values[at : at + 1]) for at in range(0, distinct, 4096)]
+    )
+    raw = encode_set(enc_set, G512)
+    assert len(raw) == set_length(enc_set, G512, index_width)
+    assert decode_set(raw, G512) == enc_set
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (set_layout(G23, [2, 2], [[[0, 1]]]), "repeats an element"),
+        (set_layout(G23, [2, 3], [[[0, 0]]]), "never used"),
+        (set_layout(G23, [2], [[[0, 1]]]), "outside a table"),
+        (set_layout(G23, [2, 3], [[[1, 0]]]), "skips ahead"),
+        (set_layout(G23, [2, 3], [[[0, 1]]])[:9], "runs past the payload"),
+        (bytes([0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF]), "runs past the payload"),
+        (set_layout(G23, [2, 3], [[[0, 1]]]) + b"\x00", "trailing bytes"),
+    ],
+    ids=[
+        "repeated", "unused", "index-past-table", "skips-ahead",
+        "table-cut", "table-huge", "trailing",
+    ],
+)
+def test_set_codec_rejects_non_canonical_payloads(raw, reason):
+    with pytest.raises(ValueError, match=reason):
+        decode_set(raw, G23)
+
+
 # --- one exponentiation per distinct base per pass -------------------------
 
 

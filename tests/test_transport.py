@@ -22,7 +22,7 @@ from psualign import (
 )
 from psualign.config import DatasetSpec, SessionConfig
 from psualign.masking import encode_identifier
-from psualign.messages import MAX_PAYLOAD, encode_frame
+from psualign.messages import HEADER_SIZE, MAX_PAYLOAD, encode_frame
 from psualign.simulate import run_networked_party
 from psualign.transport import InProcessHub, TcpTransport
 
@@ -86,6 +86,19 @@ def test_inprocess_counters_by_type():
     assert counts["ABORT"] == 0
 
 
+def test_inprocess_bytes_by_type_are_header_plus_payload():
+    hub = InProcessHub(2, recv_timeout=2)
+    t = hub.transport(0)
+    assert set(t.message_bytes().values()) == {0}
+    t.send(1, msg(b"abc", MessageType.SET_TRANSFER))
+    t.send(0, msg(b"loop", MessageType.SET_TRANSFER))  # loopback counts too
+    t.send(1, msg(b"", MessageType.TOKEN_RELAY, hop=0))
+    sizes = t.message_bytes()
+    assert sizes["SET_TRANSFER"] == 2 * HEADER_SIZE + 7
+    assert sizes["TOKEN_RELAY"] == HEADER_SIZE
+    assert sizes["ABORT"] == 0
+
+
 # --- tcp --------------------------------------------------------------------
 
 
@@ -143,6 +156,25 @@ def test_tcp_self_send_loopback():
         a.send(0, msg(b"self"))
         sender, received = a.recv()
         assert sender == 0 and received.payload == b"self"
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_counts_frame_bytes_like_the_in_process_backend():
+    a, b = _mesh(2)
+    hub = InProcessHub(2, recv_timeout=2)
+    local = hub.transport(0)
+    try:
+        for t in (a, local):
+            t.send(1, msg(b"x" * 100))
+            t.send(0, msg(b"self"))
+        b.recv()
+        a.recv()
+        # _mesh sent one HELLO from each endpoint first
+        assert a.message_bytes()["HELLO"] == HEADER_SIZE
+        assert a.message_bytes()["SET_TRANSFER"] == local.message_bytes()["SET_TRANSFER"]
+        assert a.message_bytes()["SET_TRANSFER"] == 2 * HEADER_SIZE + 104
     finally:
         a.close()
         b.close()
