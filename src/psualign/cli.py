@@ -59,7 +59,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run_party(args) -> int:
     cfg = load_config(args.config)
-    result, loaded, counts = run_networked_party(cfg, args.party_id, args.listen)
+    result, loaded, counts, sizes = run_networked_party(cfg, args.party_id, args.listen)
     out_dir = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"aligned_party{args.party_id}.csv"
@@ -75,6 +75,7 @@ def _cmd_run_party(args) -> int:
         "matched": len(result.index_map.local_to_universal),
         "unmatched": len(result.index_map.unmatched),
         "sent_messages": counts,
+        "sent_bytes": sizes,
         "wall_time": result.wall_time,
     }
     summary_path = out_dir / f"run_party{args.party_id}.json"

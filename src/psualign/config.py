@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .groups import DEFAULT_PRESET, GroupParams, make_group_params
-from .masking import SET_LAYOUT_VERSION
+from .masking import WIRE_LAYOUT_VERSION
 from .tokenization import FeatureSpec, MatchConfig
 
 VARIANTS = ("ordered", "unordered")
@@ -55,13 +55,13 @@ class SessionConfig:
         return make_group_params(self.group_source)
 
     def digest(self) -> bytes:
-        """Hash of the fields every party must agree on, and of the set layout.
+        """Hash of the fields every party must agree on, and of the wire layout.
 
-        Peers on different set layouts then fail at the handshake with a
-        digest mismatch, not on their first undecodable set.
+        Peers on different set or relay layouts then fail at the handshake
+        with a digest mismatch, not on their first undecodable payload.
         """
         shared = {
-            "set_layout": SET_LAYOUT_VERSION,
+            "wire_layout": WIRE_LAYOUT_VERSION,
             "party_count": self.party_count,
             "variant": self.variant,
             "group": self.group_source,

@@ -139,16 +139,20 @@ def compose(
 #               D distinct elements in first-occurrence order | the items,
 #               each a u8 feature count, then per feature a u16 token
 #               count followed by that many big-endian table indices of
-#               1 byte when D <= 256, 2 when D <= 65,536, else 4.
+#               1 byte when D <= 256, 2 when D <= 65,536, else 4;
+#   relay:      u32 big-endian first relay id | one identifier holding the
+#               features of up to floor(255 / F) consecutive records of F
+#               features each (``protocol._encode_relay``).
 #
 # Every table entry is used and entries appear in the order the items
 # first refer to them, so a set has exactly one encoding.  The table
 # shows which tokens are equal, which deterministic masking shows anyway,
 # and its order follows the (shuffled) item order.
 
-# Part of the session digest, so peers on different set layouts fail at
-# the handshake instead of on their first set; bump it with the layout.
-SET_LAYOUT_VERSION = 2
+# Part of the session digest, so peers on different set or relay layouts
+# fail at the handshake instead of on their first payload; bump it with
+# either layout.
+WIRE_LAYOUT_VERSION = 3
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:

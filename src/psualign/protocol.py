@@ -12,12 +12,16 @@ A session runs five phases in fixed order:
    (party 0) broadcasts the finished union.
 4. index derivation -- every party sorts the broadcast entries by their
    canonical serialization; position = universal index.
-5. private matching -- every record is relayed once around the ring,
-   gathering the remaining exponents, and looked up in the union on
-   return.
+5. private matching -- each party relays its records around the ring in
+   batches of B = floor(255 / F) consecutive records, F being the feature
+   count: one TOKEN_RELAY frame per batch per hop, one TOKEN_RETURN per
+   batch.  Each batch gathers the remaining exponents, and every record
+   in it is looked up in the union on return.  Batching reveals nothing
+   new: relay ids travel in the clear anyway, and the batch bounds depend
+   only on N_k and F, which every peer learns in round one.
 
 Messages that do not belong to the current phase, messages from a party
-id outside ``[0, P)`` and token returns for a record that is not pending
+id outside ``[0, P)`` and token returns for a batch that is not pending
 raise PhaseViolation.  A received identifier whose feature count or
 per-feature token count the session cannot produce raises
 TransportFailure.  Receive deadlines belong to the transport.
@@ -98,18 +102,45 @@ class PartyResult:
     wall_time: float
 
 
-def _encode_relay(relay_id: int, ident: EncryptedIdentifier, group: GroupParams) -> bytes:
-    return relay_id.to_bytes(4, "big") + encode_identifier(ident, group)
+def relay_batch_size(feature_count: int) -> int:
+    """Records per relay frame.
+
+    A batch travels as one identifier, whose u8 feature count holds at
+    most 255 features.
+    """
+    return 0xFF // feature_count
 
 
-def _decode_relay(payload: bytes, group: GroupParams) -> tuple[int, EncryptedIdentifier]:
+def _encode_relay(
+    first_id: int, records: list[EncryptedIdentifier], group: GroupParams
+) -> bytes:
+    """``u32 first relay id | one identifier holding every record's features``."""
+    batch = EncryptedIdentifier(tuple(f for record in records for f in record.features))
+    return first_id.to_bytes(4, "big") + encode_identifier(batch, group)
+
+
+def _decode_relay(
+    payload: bytes, group: GroupParams, feature_count: int
+) -> tuple[int, list[EncryptedIdentifier]]:
+    """The first relay id and the records of one relay batch."""
     if len(payload) < 4:
         raise ValueError("relay payload shorter than its id")
-    relay_id = int.from_bytes(payload[:4], "big")
-    ident, end = decode_identifier(payload, group, 4)
+    first_id = int.from_bytes(payload[:4], "big")
+    batch, end = decode_identifier(payload, group, 4)
     if end != len(payload):
         raise ValueError("trailing bytes after relay payload")
-    return relay_id, ident
+    features = batch.features
+    if not features:
+        raise ValueError("relay batch holds no record")
+    if len(features) % feature_count:
+        raise ValueError(
+            f"relay batch of {len(features)} features does not split into "
+            f"records of {feature_count}"
+        )
+    return first_id, [
+        EncryptedIdentifier(features[at : at + feature_count])
+        for at in range(0, len(features), feature_count)
+    ]
 
 
 class Party:
@@ -443,21 +474,29 @@ class Party:
         assert self.union_table is not None
         locate = entry_locator(self.union_table, self.match_cfg)
         rng = self.rng if self.mode == UNORDERED else None
+        feature_count = len(self.match_cfg.features)
+        per_frame = relay_batch_size(feature_count)
+        # Each batch's first relay id -> its record count, until it returns.
+        pending: dict[int, int] = {}
         # One powers memo per exponent, each living only as long as its
         # pass: the opening sweep, then relays served and returns closed.
         opening: dict[int, int] = {}
-        for relay_id, record in enumerate(self.hashed_records):
-            opened = encrypt_identifier(
-                record, self.exponents[1], self.group, self.mode, rng, opening
-            )
+        for first in range(0, len(self.hashed_records), per_frame):
+            opened = [
+                encrypt_identifier(
+                    record, self.exponents[1], self.group, self.mode, rng, opening
+                )
+                for record in self.hashed_records[first : first + per_frame]
+            ]
             self._send(
                 transport,
                 self.next_id,
                 MessageType.TOKEN_RELAY,
                 origin=self.party_id,
                 hop=0,
-                payload=_encode_relay(relay_id, opened, self.group),
+                payload=_encode_relay(first, opened, self.group),
             )
+            pending[first] = len(opened)
         del opening
 
         relay_exponent, relay_powers = self._relay_exponent(), {}
@@ -465,19 +504,19 @@ class Party:
         to_serve = sum(
             size for peer, size in self.peer_sizes.items() if peer != self.party_id
         )
-        pending = set(range(len(self.hashed_records)))
         result = UniversalIndexMap(self.party_id)
         while to_serve > 0 or pending:
             _, msg = self._recv(
                 transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
             try:
-                relay_id, ident = _decode_relay(msg.payload, self.group)
+                first, batch = _decode_relay(msg.payload, self.group, feature_count)
             except ValueError as exc:
                 raise TransportFailure(f"undecodable relay payload: {exc}") from exc
-            self._check_shape(ident, self._item_shape)
+            for ident in batch:
+                self._check_shape(ident, self._item_shape)
             if msg.msg_type is MessageType.TOKEN_RELAY:
-                if to_serve <= 0:
+                if len(batch) > to_serve:
                     raise PhaseViolation("more relays than peer records")
                 if not 0 <= msg.hop <= self.party_count - 2:
                     raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
@@ -487,9 +526,12 @@ class Party:
                         f"relay from origin {msg.origin} at hop {msg.hop} "
                         f"reached party {self.party_id}"
                     )
-                masked = encrypt_identifier(
-                    ident, relay_exponent, self.group, self.mode, rng, relay_powers
-                )
+                masked = [
+                    encrypt_identifier(
+                        ident, relay_exponent, self.group, self.mode, rng, relay_powers
+                    )
+                    for ident in batch
+                ]
                 next_hop = msg.hop + 1
                 done = next_hop == self.party_count - 1
                 self._send(
@@ -498,9 +540,9 @@ class Party:
                     MessageType.TOKEN_RETURN if done else MessageType.TOKEN_RELAY,
                     origin=msg.origin,
                     hop=next_hop,
-                    payload=_encode_relay(relay_id, masked, self.group),
+                    payload=_encode_relay(first, masked, self.group),
                 )
-                to_serve -= 1
+                to_serve -= len(batch)
             else:
                 if msg.origin != self.party_id:
                     raise PhaseViolation("token return for a foreign origin")
@@ -508,23 +550,25 @@ class Party:
                     raise PhaseViolation(
                         f"token return after {msg.hop} hops, expected {self.party_count - 1}"
                     )
-                if relay_id not in pending:
+                if pending.get(first) != len(batch):
                     raise PhaseViolation(
-                        f"token return for record {relay_id}, which is not pending"
+                        f"token return for records {first} to {first + len(batch) - 1}, "
+                        "which are not pending"
                     )
-                pending.remove(relay_id)
-                final = encrypt_identifier(
-                    ident, closing_exponent, self.group, self.mode, rng, closing_powers
-                )
-                index = locate(final)
-                if index is not None:
-                    result.local_to_universal[relay_id] = index
-                elif self.match_cfg.ordered:
-                    raise NoMatchInUnion(
-                        f"party {self.party_id}: record {relay_id} is missing from the "
-                        "union; parties disagree on group parameters or hashing"
+                del pending[first]
+                for relay_id, ident in enumerate(batch, first):
+                    final = encrypt_identifier(
+                        ident, closing_exponent, self.group, self.mode, rng, closing_powers
                     )
-                else:
-                    result.unmatched.append(relay_id)
+                    index = locate(final)
+                    if index is not None:
+                        result.local_to_universal[relay_id] = index
+                    elif self.match_cfg.ordered:
+                        raise NoMatchInUnion(
+                            f"party {self.party_id}: record {relay_id} is missing from the "
+                            "union; parties disagree on group parameters or hashing"
+                        )
+                    else:
+                        result.unmatched.append(relay_id)
         result.unmatched.sort()
         self.index_map = result

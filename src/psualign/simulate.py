@@ -220,8 +220,12 @@ def evaluate_outcome(
 
 def run_networked_party(
     cfg: SessionConfig, party_id: int, listen_override: str | None = None
-) -> tuple[PartyResult, LoadedDataset, dict[str, int]]:
-    """Run exactly one party of a networked session over TCP."""
+) -> tuple[PartyResult, LoadedDataset, dict[str, int], dict[str, int]]:
+    """Run exactly one party of a networked session over TCP.
+
+    Returns the party's result, its dataset, and the frames and bytes it
+    sent per message type.
+    """
     if not 0 <= party_id < cfg.party_count:
         raise ConfigError(f"party id {party_id} outside [0, {cfg.party_count})")
     endpoints = []
@@ -251,4 +255,4 @@ def run_networked_party(
         result = party.run(transport)
     finally:
         transport.close()
-    return result, loaded, transport.message_counts()
+    return result, loaded, transport.message_counts(), transport.message_bytes()

@@ -20,6 +20,7 @@ from psualign import (
     tokenize_record,
 )
 from psualign.config import SessionConfig
+from psualign.protocol import _decode_relay
 from psualign.simulate import build_parties, run_session
 from psualign.transport import InProcessHub
 
@@ -167,3 +168,15 @@ def run_tapped(cfg: SessionConfig, hashed_per_party, **tap):
     parties = build_parties(cfg, hashed_per_party)
     taps = [TapTransport(hub.transport(k), **tap) for k in range(cfg.party_count)]
     return parties, run_session(parties, taps), taps
+
+
+def relayed_records(cfg: SessionConfig, taps) -> dict[str, int]:
+    """Records carried by every TOKEN_RELAY and TOKEN_RETURN the taps sent."""
+    group, feature_count = cfg.group(), len(cfg.match.features)
+    carried = {"TOKEN_RELAY": 0, "TOKEN_RETURN": 0}
+    for tap in taps:
+        for message in tap.sent:
+            if message.msg_type.name in carried:
+                _, batch = _decode_relay(message.payload, group, feature_count)
+                carried[message.msg_type.name] += len(batch)
+    return carried

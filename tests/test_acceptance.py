@@ -33,7 +33,9 @@ from psualign.corpus import generate_corpus
 from psualign.datasets import hash_dataset, load_dataset
 from psualign.evaluate import provenance_true_links, reported_links
 from psualign.messages import MessageType
+from psualign.protocol import relay_batch_size
 from psualign.simulate import run_local_session, run_tcp_session, write_outputs
+from psualign.transport import total_message_counts
 
 from helpers import (
     TWO_FEATURES,
@@ -42,6 +44,7 @@ from helpers import (
     overlap_count,
     plaintext_equal_pairs,
     random_instance,
+    relayed_records,
     run_tapped,
     session_config,
 )
@@ -173,13 +176,22 @@ def test_criterion_04_message_accounting():
         sizes = [len(rows) for rows in raw]
         cfg = session_config(party_count, TWO_FEATURES, seed=41 + party_count)
         hashed = [hash_rows(rows, TWO_FEATURES, G512) for rows in raw]
-        counts = run_local_session(cfg, hashed).message_counts
+        _, _, taps = run_tapped(cfg, hashed)
+        counts = total_message_counts([tap.inner for tap in taps])
+        per_frame = relay_batch_size(len(TWO_FEATURES.features))
+        batches = sum(-(-size // per_frame) for size in sizes)
         assert counts["SET_TRANSFER"] == party_count**2, counts
-        assert counts["TOKEN_RELAY"] == sum(sizes) * (party_count - 1), counts
-        assert counts["TOKEN_RETURN"] == sum(sizes), counts
+        assert counts["TOKEN_RELAY"] == batches * (party_count - 1), counts
+        assert counts["TOKEN_RETURN"] == batches, counts
         assert counts["UNION_TRANSFER"] == party_count - 1, counts
         assert counts["UID_BROADCAST"] == party_count - 1, counts
-    print("ACCEPTANCE 4 PASS - P^2 set transfers and sum(N_k)(P-1) relay legs, P in {2,3,4}")
+        carried = relayed_records(cfg, taps)
+        assert carried["TOKEN_RELAY"] == sum(sizes) * (party_count - 1), carried
+        assert carried["TOKEN_RETURN"] == sum(sizes), carried
+    print(
+        "ACCEPTANCE 4 PASS - P^2 set transfers, sum(N_k)(P-1) relayed records in "
+        "sum(ceil(N_k/B))(P-1) frames, P in {2,3,4}"
+    )
 
 
 # --- noisy corpus shared by criteria 5 and 7b ---------------------------------

@@ -14,9 +14,16 @@ from pathlib import Path
 import pytest
 
 from psualign import EncryptedIdentifier, MessageType, decode_set, encode_set
+from psualign.protocol import _decode_relay, _encode_relay
 from psualign.transport import TcpTransport
 
-from helpers import SINGLE_FEATURE_NOISY, hash_rows, run_tapped, session_config
+from helpers import (
+    SINGLE_FEATURE_NOISY,
+    TWO_FEATURES,
+    hash_rows,
+    run_tapped,
+    session_config,
+)
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 sys.path.insert(0, BENCH)
@@ -90,4 +97,27 @@ def test_leak_check_reads_the_set_layout():
     planted = ((hashed[0][0].features[0][0],) + first[0][1:],) + first[1:]
     enc_set.items[0] = EncryptedIdentifier(planted)
     frames[at] = (MessageType.SET_TRANSFER, encode_set(enc_set, group))
+    assert checks.plaintext_leaks(frames, hashed, group) == 1
+
+
+def test_leak_check_reads_every_record_of_a_relay_batch():
+    """0 plaintext tokens, then exactly the 1 planted in a batch's last token."""
+    cfg = session_config(2, TWO_FEATURES, seed=5)
+    group = cfg.group()
+    rows = [
+        [("anna", "rome"), ("bob", "oslo"), ("carl", "kyiv")],
+        [("anna", "rome"), ("dora", "lima")],
+    ]
+    hashed = [hash_rows(party_rows, TWO_FEATURES, group) for party_rows in rows]
+    _, _, taps = run_tapped(cfg, hashed)
+    frames = [(m.msg_type, m.payload) for tap in taps for m in tap.sent]
+    assert checks.plaintext_leaks(frames, hashed, group) == 0
+
+    at = next(k for k, (t, _) in enumerate(frames) if t is MessageType.TOKEN_RELAY)
+    first, batch = _decode_relay(frames[at][1], group, len(TWO_FEATURES.features))
+    assert len(batch) == 3
+    *head, last = batch[-1].features
+    planted = tuple(head) + (last[:-1] + (hashed[0][0].features[0][0],),)
+    batch[-1] = EncryptedIdentifier(planted)
+    frames[at] = (MessageType.TOKEN_RELAY, _encode_relay(first, batch, group))
     assert checks.plaintext_leaks(frames, hashed, group) == 1

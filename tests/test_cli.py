@@ -248,6 +248,22 @@ def test_run_party_pair_matches_simulate(tmp_path):
             assert out.startswith(src)
     summary = json.loads((tmp_path / "net_out" / "run_party0.json").read_text())
     assert summary["unmatched"] == 0
+    sent, sizes = summary["sent_messages"], summary["sent_bytes"]
+    assert sent == {
+        "ABORT": 0,
+        "HELLO": 1,
+        "SET_TRANSFER": 2,
+        "UNION_TRANSFER": 0,
+        "UID_BROADCAST": 1,
+        "TOKEN_RELAY": 1,
+        "TOKEN_RETURN": 1,
+    }
+    assert set(sizes) == set(sent)
+    assert all((sizes[name] > 0) == (sent[name] > 0) for name in sent)
+    assert sizes["HELLO"] == 9 + 32  # header and config digest
+    # One batch of party 0's 5 records: header, first relay id, feature
+    # count, then per record one token count and 10 grams of 64 bytes.
+    assert sizes["TOKEN_RELAY"] == 9 + 4 + 1 + 5 * (2 + 10 * 64)
 
 
 def test_run_party_digest_mismatch_exits_2(tmp_path):

@@ -7,6 +7,7 @@ must return or raise ``FramingError``, ``ValueError`` or
 would escape the protocol's error handling.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from psualign import (
     encode_set,
     make_group_params,
 )
-from psualign.protocol import _decode_relay, _encode_relay
+from psualign.protocol import _decode_relay, _encode_relay, relay_batch_size
 
 GROUPS = [make_group_params(23), make_group_params("p512")]
 NAMED = (FramingError, ValueError, TransportFailure)
@@ -71,12 +72,33 @@ def pooled_set_inputs(draw):
 
 
 @st.composite
-def relay_inputs(draw):
+def relay_batches(draw):
+    """A group, a feature count F, a first relay id and 1 to B records of F features."""
     group = draw(st.sampled_from(GROUPS))
-    relay_id = draw(st.integers(0, (1 << 32) - 1))
-    valid = _encode_relay(relay_id, draw(identifiers(group)), group)
+    feature_count = draw(st.sampled_from([1, 2, 5, 85, 255]))
+    pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=4))
+    count = draw(st.integers(1, relay_batch_size(feature_count))) * feature_count
+    # One byte per feature, drawn at once: its low two bits give its token
+    # count, each further pair of bits picks one token from the pool.
+    shape = draw(st.binary(min_size=count, max_size=count))
+    features = [
+        tuple(pool[(byte >> (2 + 2 * k)) % len(pool)] for k in range(byte & 3))
+        for byte in shape
+    ]
+    records = [
+        EncryptedIdentifier(tuple(features[at : at + feature_count]))
+        for at in range(0, count, feature_count)
+    ]
+    first_id = draw(st.integers(0, (1 << 32) - 1))
+    return group, feature_count, first_id, records
+
+
+@st.composite
+def relay_inputs(draw):
+    group, feature_count, first_id, records = draw(relay_batches())
+    valid = _encode_relay(first_id, records, group)
     raw = draw(st.one_of(st.binary(max_size=400), damaged(valid)))
-    return group, raw
+    return group, feature_count, raw
 
 
 @st.composite
@@ -132,5 +154,32 @@ def test_decode_identifier_fails_only_with_named_errors(instance, offset):
 @settings(max_examples=500, deadline=None)
 @given(relay_inputs())
 def test_decode_relay_fails_only_with_named_errors(instance):
-    group, raw = instance
-    decodes_or_names_its_error(_decode_relay, raw, group)
+    group, feature_count, raw = instance
+    decodes_or_names_its_error(_decode_relay, raw, group, feature_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relay_batches())
+def test_relay_batches_round_trip(batch):
+    group, feature_count, first_id, records = batch
+    payload = _encode_relay(first_id, records, group)
+    assert _decode_relay(payload, group, feature_count) == (first_id, records)
+
+
+@pytest.mark.parametrize(
+    "payload, feature_count, error",
+    [
+        (b"\0\0\0\0" + b"\x00", 1, "holds no record"),
+        (
+            _encode_relay(0, [EncryptedIdentifier(((5,), (6,), (7,)))], GROUPS[0]),
+            2,
+            "3 features does not split into records of 2",
+        ),
+        (_encode_relay(0, [EncryptedIdentifier(((5,),))], GROUPS[0]) + b"\x00", 1, "trailing"),
+        (b"\0\0\0", 1, "shorter than its id"),
+    ],
+    ids=["empty", "partial-record", "trailing-byte", "no-id"],
+)
+def test_decode_relay_rejects_malformed_batches(payload, feature_count, error):
+    with pytest.raises(ValueError, match=error):
+        _decode_relay(payload, GROUPS[0], feature_count)

@@ -19,7 +19,7 @@ from psualign.evaluate import (
     provenance_true_links,
     reported_links,
 )
-from psualign.masking import SET_LAYOUT_VERSION
+from psualign.masking import WIRE_LAYOUT_VERSION
 from psualign.protocol import UniversalIndexMap
 
 
@@ -75,13 +75,24 @@ def test_config_digest_ignores_seed_and_paths(tmp_path):
 
 
 def test_config_digest_covers_the_set_layout(tmp_path):
-    """Peers on different set layouts disagree at HELLO, not on their first set."""
+    """Peers on different wire layouts disagree at HELLO, not on their first set."""
     cfg = load_config(write_config(tmp_path))
     current = cfg.digest()
-    with mock.patch.object(config, "SET_LAYOUT_VERSION", SET_LAYOUT_VERSION + 1):
+    with mock.patch.object(config, "WIRE_LAYOUT_VERSION", WIRE_LAYOUT_VERSION + 1):
         other = cfg.digest()
     assert len(current) == len(other) == 32
     assert current != other
+
+
+# BASE_CONFIG's digest under the dictionary-coded set layout with one
+# TOKEN_RELAY / TOKEN_RETURN frame per record (set layout version 2).
+PER_RECORD_RELAY_DIGEST = "f236e02ed418721f765d42aaec601798cf881063f7fa2636a86aac1530fa6632"
+
+
+def test_config_digest_differs_from_the_per_record_relay_layout(tmp_path):
+    """A peer that still sends one relay frame per record fails at HELLO."""
+    cfg = load_config(write_config(tmp_path))
+    assert cfg.digest().hex() != PER_RECORD_RELAY_DIGEST
 
 
 def test_config_rejects_variant_typos(tmp_path):

@@ -10,19 +10,20 @@ from psualign import (
     MessageType,
     Party,
     TransportFailure,
+    decode_identifier,
     decode_set,
     encode_identifier,
     encode_set,
     make_group_params,
 )
-from psualign.protocol import _decode_relay, _encode_relay
 from psualign.simulate import build_parties, run_local_session, run_session
-from psualign.transport import InProcessHub
+from psualign.transport import InProcessHub, total_message_counts
 
 from helpers import (
     SINGLE_FEATURE_NOISY,
     hash_rows,
     overlap_count,
+    relayed_records,
     run_tapped,
     session_config,
 )
@@ -123,13 +124,17 @@ def test_union_entries_identical_at_every_party():
 
 def test_message_accounting_matches_ordered_rules():
     raw = [[("mary kettler",)], [("mary kettlar",), ("someone else",)]]
-    _, _, outcome = run_noisy(raw)
-    counts = outcome.message_counts
+    cfg = session_config(2, SINGLE_FEATURE_NOISY)
+    hashed = [hash_rows(rows, SINGLE_FEATURE_NOISY, cfg.group()) for rows in raw]
+    _, _, taps = run_tapped(cfg, hashed)
+    counts = total_message_counts([tap.inner for tap in taps])
     assert counts["SET_TRANSFER"] == 4
     assert counts["UNION_TRANSFER"] == 1
     assert counts["UID_BROADCAST"] == 1
-    assert counts["TOKEN_RELAY"] == 3
-    assert counts["TOKEN_RETURN"] == 3
+    # One batch per party: one relay frame each, one return each.
+    assert counts["TOKEN_RELAY"] == 2
+    assert counts["TOKEN_RETURN"] == 2
+    assert relayed_records(cfg, taps) == {"TOKEN_RELAY": 3, "TOKEN_RETURN": 3}
 
 
 def test_four_party_run_is_stable_under_delivery_jitter():
@@ -203,8 +208,9 @@ def _with_a_token_added(ident):
 
 
 def _plant_in_relay(payload, group, change):
-    relay_id, ident = _decode_relay(payload, group)
-    return _encode_relay(relay_id, change(ident), group)
+    """Change a relay batch read whole: record 0's features come first."""
+    batch, _ = decode_identifier(payload, group, 4)
+    return payload[:4] + encode_identifier(change(batch), group)
 
 
 def _plant_in_union(payload, group, change):
@@ -213,28 +219,41 @@ def _plant_in_union(payload, group, change):
     return encode_set(union, group)
 
 
+NAME_AND_CITY_NOISY = MatchConfig(
+    features=(FeatureSpec("name", 12, 3), FeatureSpec("city", 6, 2)),
+    threshold=Fraction(7, 10),
+    ordered=False,
+)
+
+
 @pytest.mark.parametrize(
-    "msg_type, plant, change, error",
+    "match, msg_type, plant, change, error",
     [
+        # A relay batch is read as whole records of F features, so an extra
+        # feature shows as a batch that does not split into records.
         (
+            NAME_AND_CITY_NOISY,
             MessageType.TOKEN_RELAY,
             _plant_in_relay,
             _with_extra_feature,
-            "2 features, the session expects 1",
+            "relay batch of 3 features does not split into records of 2",
         ),
         (
+            SINGLE_FEATURE_NOISY,
             MessageType.UID_BROADCAST,
             _plant_in_union,
             _with_extra_feature,
             "2 features, the session expects 1",
         ),
         (
+            SINGLE_FEATURE_NOISY,
             MessageType.TOKEN_RELAY,
             _plant_in_relay,
             _with_a_token_dropped,
             "9 tokens in feature 0, the session expects 10",
         ),
         (
+            SINGLE_FEATURE_NOISY,
             MessageType.UID_BROADCAST,
             _plant_in_union,
             _with_a_token_added,
@@ -243,7 +262,7 @@ def _plant_in_union(payload, group, change):
     ],
     ids=["relay", "union", "relay-token-dropped", "union-token-added"],
 )
-def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant, change, error):
+def test_wrong_shape_identifier_is_rejected_on_receipt(match, msg_type, plant, change, error):
     """A decoded identifier with the wrong feature or token count fails the session.
 
     Matching would otherwise find no candidate for it and report it as
@@ -256,11 +275,12 @@ def test_wrong_shape_identifier_is_rejected_on_receipt(msg_type, plant, change, 
                 payload = plant(payload, self.group, change)
             super()._send(transport, to, sent_type, origin, hop, payload)
 
-    cfg = session_config(2, SINGLE_FEATURE_NOISY, seed=3, recv_timeout=5)
+    cfg = session_config(2, match, seed=3, recv_timeout=5)
     group = cfg.group()
+    fields = len(match.features)
     hashed = [
-        hash_rows([("mary kettler",)], SINGLE_FEATURE_NOISY, group),
-        hash_rows([("mary kettlar",)], SINGLE_FEATURE_NOISY, group),
+        hash_rows([("mary kettler", "oslo")[:fields]], match, group),
+        hash_rows([("mary kettlar", "oslo")[:fields]], match, group),
     ]
     parties = build_parties(cfg, hashed)
     parties[0] = PlantingParty(

@@ -1,11 +1,16 @@
+import functools
+import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psualign import (
+    FeatureSpec,
+    MatchConfig,
     NoMatchInUnion,
     Party,
     PhaseViolation,
@@ -15,6 +20,7 @@ from psualign import (
     make_group_params,
 )
 from psualign import groups
+from psualign.protocol import _decode_relay, _encode_relay, relay_batch_size
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub, total_message_counts
 
@@ -24,6 +30,7 @@ from helpers import (
     hashed_union_oracle,
     plaintext_equal_pairs,
     random_instance,
+    relayed_records,
     run_tapped,
     session_config,
 )
@@ -111,18 +118,60 @@ def test_message_accounting_and_peer_sizes():
         [("c", "z")],
         [("a", "x"), ("d", "w"), ("e", "v")],
     ]
-    cfg, hashed, outcome = run_ordered(raw)
-    counts = outcome.message_counts
+    cfg = session_config(3, TWO_FEATURES)
+    hashed = [hash_rows(rows, TWO_FEATURES, cfg.group()) for rows in raw]
+    _, results, taps = run_tapped(cfg, hashed)
+    counts = total_message_counts([tap.inner for tap in taps])
     sizes = [2, 1, 3]
     P = 3
     assert counts["SET_TRANSFER"] == P * P
     assert counts["UNION_TRANSFER"] == P - 1
     assert counts["UID_BROADCAST"] == P - 1
-    assert counts["TOKEN_RELAY"] == sum(sizes) * (P - 1)
-    assert counts["TOKEN_RETURN"] == sum(sizes)
+    # Every party's records fit one batch: one relay frame per hop, one return.
+    assert counts["TOKEN_RELAY"] == P * (P - 1)
+    assert counts["TOKEN_RETURN"] == P
     assert counts["HELLO"] == P * (P - 1)
-    for result in outcome.results:
+    carried = relayed_records(cfg, taps)
+    assert carried == {"TOKEN_RELAY": sum(sizes) * (P - 1), "TOKEN_RETURN": sum(sizes)}
+    for result in results:
         assert result.peer_sizes == {0: 2, 1: 1, 2: 3}
+
+
+SHORT_IDS = MatchConfig(
+    features=(FeatureSpec("id", 3, 3),), threshold=Fraction(1), ordered=True
+)
+
+
+def test_an_origin_with_2b_plus_1_records_sends_three_relay_batches():
+    """B = 255 one-feature records per frame: 2B+1 records take 3 frames."""
+    per_frame = relay_batch_size(1)
+    assert per_frame == 255
+    codes = ["".join(code) for code in itertools.product("abcdefghi", repeat=3)]
+    raw = [
+        [(code,) for code in codes[: 2 * per_frame + 1]],
+        [(codes[0],), (codes[per_frame],), (codes[-1],), (codes[2 * per_frame],)],
+    ]
+    cfg = session_config(2, SHORT_IDS)
+    hashed = [hash_rows(rows, SHORT_IDS, cfg.group()) for rows in raw]
+    _, results, taps = run_tapped(cfg, hashed)
+    from_origin_0 = [m for m in taps[0].sent if m.msg_type.name == "TOKEN_RELAY"]
+    assert [m.payload[:4] for m in from_origin_0] == [
+        first.to_bytes(4, "big") for first in (0, per_frame, 2 * per_frame)
+    ]
+    returns_to_0 = [m for m in taps[1].sent if m.msg_type.name == "TOKEN_RETURN"]
+    assert len(returns_to_0) == 3
+    carried = 2 * per_frame + 1 + 4
+    assert relayed_records(cfg, taps) == {"TOKEN_RELAY": carried, "TOKEN_RETURN": carried}
+
+    assert results[0].union_table.size == hashed_union_oracle(hashed)
+    for party_id, result in enumerate(results):
+        assert len(result.index_map.local_to_universal) == len(raw[party_id])
+    indices = {}
+    for party_id, rows in enumerate(raw):
+        for row, fields in enumerate(rows):
+            index = results[party_id].index_map.local_to_universal[row]
+            assert indices.setdefault(fields, index) == index
+    assert len(set(indices.values())) == len(indices)
 
 
 def test_same_seed_reproduces_union_and_indices():
@@ -363,27 +412,63 @@ def test_message_from_an_unknown_party_id_is_rejected_at_once():
     assert party.phase is Phase.HANDSHAKE
 
 
-@pytest.mark.parametrize(
-    "renumbered", [7, 0], ids=["out-of-range-record", "repeated-record"]
+# 85 one-token features: B = 255 // 85 = 3 records per relay frame.
+WIDE = MatchConfig(
+    features=tuple(FeatureSpec(f"f{k}", 1, 1) for k in range(85)),
+    threshold=Fraction(1),
+    ordered=True,
 )
-def test_token_return_for_a_record_not_pending_is_rejected(renumbered):
-    """Party 0 gives every return it sends back to party 1 one relay id."""
+
+
+def _renumbered(payload, group, send):
+    send((7).to_bytes(4, "big") + payload[4:])
+
+
+def _repeated(payload, group, send):
+    send(payload)
+    send(payload)
+
+
+def _one_record_short(payload, group, send):
+    first, batch = _decode_relay(payload, group, len(WIDE.features))
+    send(_encode_relay(first, batch[:-1], group))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_renumbered, _repeated, _one_record_short],
+    ids=["out-of-range-record", "repeated-record", "wrong-record-count"],
+)
+def test_token_return_for_a_record_not_pending_is_rejected(tamper):
+    """Party 0 tampers with the first return it sends back to party 1.
+
+    Party 1's four records travel as batches (0, 3 records) and (3, 1
+    record); a return must name a pending batch's first relay id and
+    carry exactly its record count, once.
+    """
     from psualign.messages import MessageType
 
-    class RenumberingParty(Party):
-        def _send(self, transport, to, msg_type, origin, hop, payload):
-            if msg_type is MessageType.TOKEN_RETURN:
-                payload = renumbered.to_bytes(4, "big") + payload[4:]
-            super()._send(transport, to, msg_type, origin, hop, payload)
+    class TamperingParty(Party):
+        tampered = False
 
-    cfg = session_config(2, TWO_FEATURES, seed=3)
+        def _send(self, transport, to, msg_type, origin, hop, payload):
+            send = functools.partial(
+                super()._send, transport, to, msg_type, origin, hop
+            )
+            if msg_type is MessageType.TOKEN_RETURN and not self.tampered:
+                self.tampered = True
+                tamper(payload, self.group, send)
+            else:
+                send(payload)
+
+    cfg = session_config(2, WIDE, seed=3)
     group = cfg.group()
     hashed = [
-        hash_rows([("al", "ro")], TWO_FEATURES, group),
-        hash_rows([("bo", "pa"), ("al", "ro")], TWO_FEATURES, group),
+        hash_rows([("a",) * 85], WIDE, group),
+        hash_rows([(c,) * 85 for c in "abcd"], WIDE, group),
     ]
     parties = build_parties(cfg, hashed)
-    parties[0] = RenumberingParty(
+    parties[0] = TamperingParty(
         party_id=0,
         party_count=2,
         group=group,
@@ -394,4 +479,36 @@ def test_token_return_for_a_record_not_pending_is_rejected(renumbered):
     )
     hub = InProcessHub(2, recv_timeout=5)
     with pytest.raises(PhaseViolation, match="not pending"):
+        run_session(parties, [hub.transport(0), hub.transport(1)])
+
+
+def test_a_relay_batch_larger_than_the_peer_records_is_rejected():
+    """Party 0 relays its one record twice in one batch; party 1 serves one."""
+    from psualign.messages import MessageType
+
+    class PaddingParty(Party):
+        def _send(self, transport, to, msg_type, origin, hop, payload):
+            if msg_type is MessageType.TOKEN_RELAY:
+                first, batch = _decode_relay(payload, self.group, 2)
+                payload = _encode_relay(first, batch + batch[-1:], self.group)
+            super()._send(transport, to, msg_type, origin, hop, payload)
+
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    group = cfg.group()
+    hashed = [
+        hash_rows([("al", "ro")], TWO_FEATURES, group),
+        hash_rows([("bo", "pa")], TWO_FEATURES, group),
+    ]
+    parties = build_parties(cfg, hashed)
+    parties[0] = PaddingParty(
+        party_id=0,
+        party_count=2,
+        group=group,
+        match_cfg=cfg.match,
+        hashed_records=hashed[0],
+        rng=cfg.party_rng(0),
+        session_digest=cfg.digest(),
+    )
+    hub = InProcessHub(2, recv_timeout=5)
+    with pytest.raises(PhaseViolation, match="more relays than peer records"):
         run_session(parties, [hub.transport(0), hub.transport(1)])
