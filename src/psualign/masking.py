@@ -135,24 +135,24 @@ def compose(
 #   element:    fixed-width big-endian bytes (width = GroupParams.element_width);
 #   identifier: u8 feature count, then per feature a u16 big-endian token
 #               count followed by that many elements;
-#   set:        u32 big-endian item count | u32 big-endian table size D |
-#               D distinct elements in first-occurrence order | the items,
+#   set:        u32 big-endian item count | u8 chunk count S | S chunks,
+#               each a u16 big-endian size n and n elements | the items,
 #               each a u8 feature count, then per feature a u16 token
 #               count followed by that many big-endian table indices of
-#               1 byte when D <= 256, 2 when D <= 65,536, else 4;
-#   relay:      u32 big-endian first relay id | one identifier holding the
-#               features of up to floor(255 / F) consecutive records of F
-#               features each (``protocol._encode_relay``).
+#               1 byte when D <= 256, 2 when D <= 65,536, else 4.
 #
-# Every table entry is used and entries appear in the order the items
-# first refer to them, so a set has exactly one encoding.  The table
-# shows which tokens are equal, which deterministic masking shows anyway,
-# and its order follows the (shuffled) item order.
+# The chunks hold the table: the D distinct elements in first-occurrence
+# order, S = ceil(D / 65,535) and only the last chunk short.  Every entry
+# is used, in the order the items first refer to it, so a set has exactly
+# one encoding.  From byte 4 on a payload reads as an identifier whose
+# features are the chunks, so an identifier reader there sees every
+# element.  Sets and matching relays share this layout.  The table shows
+# which tokens are equal, which deterministic masking shows anyway; its
+# order follows the item order: shuffled in sets, record order in relays.
 
-# Part of the session digest, so peers on different set or relay layouts
-# fail at the handshake instead of on their first payload; bump it with
-# either layout.
-WIRE_LAYOUT_VERSION = 3
+# Part of the session digest, so peers on different set layouts fail at
+# the handshake instead of on their first payload.
+WIRE_LAYOUT_VERSION = 4
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
@@ -206,14 +206,24 @@ def _index_format(table_size: int) -> tuple[str, int]:
     return "I", 4
 
 
+_CHUNK = 0xFFFF  # most table elements one chunk holds
+
+
 def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
-    distinct = dict.fromkeys(
-        [value for item in enc_set.items for feature in item.features for value in feature]
+    table = list(
+        dict.fromkeys(
+            [value for item in enc_set.items for feature in item.features for value in feature]
+        )
     )
-    index_of = dict(zip(distinct, range(len(distinct)))).__getitem__
-    code, _ = _index_format(len(distinct))
-    out = bytearray(struct.pack(">II", len(enc_set.items), len(distinct)))
-    out += group.encode_elements(distinct)
+    if len(table) > 0xFF * _CHUNK:
+        raise ValueError(f"more than {0xFF * _CHUNK} distinct elements cannot be serialized")
+    index_of = dict(zip(table, range(len(table)))).__getitem__
+    code, _ = _index_format(len(table))
+    out = bytearray(struct.pack(">IB", len(enc_set.items), -(-len(table) // _CHUNK)))
+    for start in range(0, len(table), _CHUNK):
+        chunk = table[start : start + _CHUNK]
+        out += len(chunk).to_bytes(2, "big")
+        out += group.encode_elements(chunk)
     for item in enc_set.items:
         if len(item.features) > 0xFF:
             raise ValueError("more than 255 features cannot be serialized")
@@ -230,16 +240,28 @@ def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
 def decode_set(raw: bytes, group: GroupParams) -> EncryptedSet:
     """Parse a set payload, accepting only its one canonical encoding.
 
-    Raises ``ValueError`` on any malformed input, before allocating the
-    table if its declared size does not fit the payload.
+    Raises ``ValueError`` on any malformed input, before decoding a table
+    chunk whose declared size does not fit the payload.  The table is
+    read through a ``memoryview``, so its bytes are not copied.
     """
-    if len(raw) < 8:
-        raise ValueError("truncated set: missing item count or table size")
-    count, table_size = struct.unpack_from(">II", raw)
-    offset = 8 + table_size * group.element_width
-    if offset > len(raw):
-        raise ValueError(f"set table of {table_size} elements runs past the payload")
-    table = group.decode_elements(raw[8:offset])
+    if len(raw) < 5:
+        raise ValueError("truncated set: missing item count or chunk count")
+    count, chunk_count = struct.unpack_from(">IB", raw)
+    width = group.element_width
+    offset = 5
+    table: list[int] = []
+    with memoryview(raw) as view:
+        for chunk in range(chunk_count):
+            if offset + 2 > len(raw):
+                raise ValueError("truncated set: missing chunk size")
+            (size,) = struct.unpack_from(">H", raw, offset)
+            if size == 0 or size < _CHUNK and chunk < chunk_count - 1:
+                raise ValueError(f"set table chunk {chunk} of {size} elements is empty or short")
+            start, offset = offset + 2, offset + 2 + size * width
+            if offset > len(raw):
+                raise ValueError(f"set table chunk of {size} elements runs past the payload")
+            table += group.decode_elements(view[start:offset])
+    table_size = len(table)
     if len(set(table)) != table_size:
         raise ValueError("set table repeats an element")
     element = table.__getitem__

@@ -12,17 +12,21 @@ A session runs five phases in fixed order:
    (party 0) broadcasts the finished union.
 4. index derivation -- every party sorts the broadcast entries by their
    canonical serialization; position = universal index.
-5. private matching -- each party relays its records around the ring in
-   batches of B = floor(255 / F) consecutive records, F being the feature
-   count: one TOKEN_RELAY frame per batch per hop, one TOKEN_RETURN per
-   batch.  Each batch gathers the remaining exponents, and every record
-   in it is looked up in the union on return.  Batching reveals nothing
-   new: relay ids travel in the clear anyway, and the batch bounds depend
-   only on N_k and F, which every peer learns in round one.
+5. private matching -- each party with at least one record relays them
+   around the ring as one set payload in record order (not shuffled):
+   one TOKEN_RELAY frame per hop, one TOKEN_RETURN.  The relay gathers
+   the remaining exponents, and every record in it is looked up in the
+   union on return, its position in the payload being its relay id.
+   Nothing new leaks: record order was already public through relay ids,
+   the table's equality pattern through deterministic masking, and
+   whether an origin relays at all depends only on N_k, which every peer
+   learns in round one.
 
 Messages that do not belong to the current phase, messages from a party
-id outside ``[0, P)`` and token returns for a batch that is not pending
-raise PhaseViolation.  A received identifier whose feature count or
+id outside ``[0, P)``, a second relay from one origin or a relay whose
+record count is not the origin's round-one set size, and a token return
+that is repeated or does not hold exactly the origin's records raise
+PhaseViolation.  A received identifier whose feature count or
 per-feature token count the session cannot produce raises
 TransportFailure.  Receive deadlines belong to the transport.
 Two interleavings are legal and buffered: a SET_TRANSFER arriving while
@@ -51,9 +55,7 @@ from .masking import (
     UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
-    decode_identifier,
     decode_set,
-    encode_identifier,
     encode_set,
     encrypt_identifier,
     encrypt_set,
@@ -100,47 +102,6 @@ class PartyResult:
     union_table: UnionTable
     peer_sizes: dict[int, int]
     wall_time: float
-
-
-def relay_batch_size(feature_count: int) -> int:
-    """Records per relay frame.
-
-    A batch travels as one identifier, whose u8 feature count holds at
-    most 255 features.
-    """
-    return 0xFF // feature_count
-
-
-def _encode_relay(
-    first_id: int, records: list[EncryptedIdentifier], group: GroupParams
-) -> bytes:
-    """``u32 first relay id | one identifier holding every record's features``."""
-    batch = EncryptedIdentifier(tuple(f for record in records for f in record.features))
-    return first_id.to_bytes(4, "big") + encode_identifier(batch, group)
-
-
-def _decode_relay(
-    payload: bytes, group: GroupParams, feature_count: int
-) -> tuple[int, list[EncryptedIdentifier]]:
-    """The first relay id and the records of one relay batch."""
-    if len(payload) < 4:
-        raise ValueError("relay payload shorter than its id")
-    first_id = int.from_bytes(payload[:4], "big")
-    batch, end = decode_identifier(payload, group, 4)
-    if end != len(payload):
-        raise ValueError("trailing bytes after relay payload")
-    features = batch.features
-    if not features:
-        raise ValueError("relay batch holds no record")
-    if len(features) % feature_count:
-        raise ValueError(
-            f"relay batch of {len(features)} features does not split into "
-            f"records of {feature_count}"
-        )
-    return first_id, [
-        EncryptedIdentifier(features[at : at + feature_count])
-        for at in range(0, len(features), feature_count)
-    ]
 
 
 class Party:
@@ -470,105 +431,111 @@ class Party:
         e1, _, e3 = self.exponents
         return (e1 * e3) % self.group.q
 
+    def _masked(self, records, exponent: int, powers: dict[int, int]) -> EncryptedSet:
+        """``records`` raised to ``exponent`` in record order, through ``powers``."""
+        return EncryptedSet(
+            [
+                encrypt_identifier(record, exponent, self.group, self.mode, self.rng, powers)
+                for record in records
+            ]
+        )
+
     def _matching(self, transport) -> None:
         assert self.union_table is not None
-        locate = entry_locator(self.union_table, self.match_cfg)
-        rng = self.rng if self.mode == UNORDERED else None
-        feature_count = len(self.match_cfg.features)
-        per_frame = relay_batch_size(feature_count)
-        # Each batch's first relay id -> its record count, until it returns.
-        pending: dict[int, int] = {}
-        # One powers memo per exponent, each living only as long as its
-        # pass: the opening sweep, then relays served and returns closed.
-        opening: dict[int, int] = {}
-        for first in range(0, len(self.hashed_records), per_frame):
-            opened = [
-                encrypt_identifier(
-                    record, self.exponents[1], self.group, self.mode, rng, opening
-                )
-                for record in self.hashed_records[first : first + per_frame]
-            ]
+        if self.hashed_records:
+            # The opened records and their memo die once encoded.
             self._send(
                 transport,
                 self.next_id,
                 MessageType.TOKEN_RELAY,
                 origin=self.party_id,
                 hop=0,
-                payload=_encode_relay(first, opened, self.group),
+                payload=encode_set(
+                    self._masked(self.hashed_records, self.exponents[1], {}), self.group
+                ),
             )
-            pending[first] = len(opened)
-        del opening
-
-        relay_exponent, relay_powers = self._relay_exponent(), {}
-        closing_exponent, closing_powers = self._closing_exponent(), {}
-        to_serve = sum(
-            size for peer, size in self.peer_sizes.items() if peer != self.party_id
-        )
-        result = UniversalIndexMap(self.party_id)
-        while to_serve > 0 or pending:
+            # Built while the peers open their own records.
+            locate = entry_locator(self.union_table, self.match_cfg)
+        # Origins whose one relay this party has still to serve.
+        to_serve = {
+            origin
+            for origin, size in self.peer_sizes.items()
+            if origin != self.party_id and size
+        }
+        # One memo serves every relay, as one pass under the relay exponent.
+        relay_powers: dict[int, int] = {}
+        index_map = None if self.hashed_records else UniversalIndexMap(self.party_id)
+        while to_serve or index_map is None:
             _, msg = self._recv(
                 transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
-            try:
-                first, batch = _decode_relay(msg.payload, self.group, feature_count)
-            except ValueError as exc:
-                raise TransportFailure(f"undecodable relay payload: {exc}") from exc
-            for ident in batch:
-                self._check_shape(ident, self._item_shape)
             if msg.msg_type is MessageType.TOKEN_RELAY:
-                if len(batch) > to_serve:
-                    raise PhaseViolation("more relays than peer records")
-                if not 0 <= msg.hop <= self.party_count - 2:
-                    raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
-                expected_holder = (msg.origin + msg.hop + 1) % self.party_count
-                if msg.origin == self.party_id or expected_holder != self.party_id:
-                    raise PhaseViolation(
-                        f"relay from origin {msg.origin} at hop {msg.hop} "
-                        f"reached party {self.party_id}"
-                    )
-                masked = [
-                    encrypt_identifier(
-                        ident, relay_exponent, self.group, self.mode, rng, relay_powers
-                    )
-                    for ident in batch
-                ]
-                next_hop = msg.hop + 1
-                done = next_hop == self.party_count - 1
-                self._send(
-                    transport,
-                    msg.origin if done else self.next_id,
-                    MessageType.TOKEN_RETURN if done else MessageType.TOKEN_RELAY,
-                    origin=msg.origin,
-                    hop=next_hop,
-                    payload=_encode_relay(first, masked, self.group),
+                self._serve_relay(transport, msg, to_serve, relay_powers)
+            elif index_map is not None:
+                raise PhaseViolation(
+                    f"second token return for party {self.party_id}: "
+                    "its records are not pending"
                 )
-                to_serve -= len(batch)
             else:
-                if msg.origin != self.party_id:
-                    raise PhaseViolation("token return for a foreign origin")
-                if msg.hop != self.party_count - 1:
-                    raise PhaseViolation(
-                        f"token return after {msg.hop} hops, expected {self.party_count - 1}"
-                    )
-                if pending.get(first) != len(batch):
-                    raise PhaseViolation(
-                        f"token return for records {first} to {first + len(batch) - 1}, "
-                        "which are not pending"
-                    )
-                del pending[first]
-                for relay_id, ident in enumerate(batch, first):
-                    final = encrypt_identifier(
-                        ident, closing_exponent, self.group, self.mode, rng, closing_powers
-                    )
-                    index = locate(final)
-                    if index is not None:
-                        result.local_to_universal[relay_id] = index
-                    elif self.match_cfg.ordered:
-                        raise NoMatchInUnion(
-                            f"party {self.party_id}: record {relay_id} is missing from the "
-                            "union; parties disagree on group parameters or hashing"
-                        )
-                    else:
-                        result.unmatched.append(relay_id)
-        result.unmatched.sort()
-        self.index_map = result
+                index_map = self._close_return(msg, locate)
+        self.index_map = index_map
+
+    def _serve_relay(self, transport, msg, to_serve: set[int], powers) -> None:
+        """Add this party's layer to one origin's relay and pass it on."""
+        if not 0 <= msg.hop <= self.party_count - 2:
+            raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
+        expected_holder = (msg.origin + msg.hop + 1) % self.party_count
+        if expected_holder != self.party_id:
+            raise PhaseViolation(
+                f"relay from origin {msg.origin} at hop {msg.hop} "
+                f"reached party {self.party_id}"
+            )
+        if msg.origin not in to_serve:
+            raise PhaseViolation(f"second relay from origin {msg.origin}")
+        relay = self._decode_set(msg.payload, self._item_shape)
+        if len(relay.items) != self.peer_sizes[msg.origin]:
+            raise PhaseViolation(
+                f"relay of {len(relay.items)} records from origin {msg.origin}, "
+                f"whose set held {self.peer_sizes[msg.origin]}"
+            )
+        to_serve.remove(msg.origin)
+        masked = self._masked(relay.items, self._relay_exponent(), powers)
+        next_hop = msg.hop + 1
+        done = next_hop == self.party_count - 1
+        self._send(
+            transport,
+            msg.origin if done else self.next_id,
+            MessageType.TOKEN_RETURN if done else MessageType.TOKEN_RELAY,
+            origin=msg.origin,
+            hop=next_hop,
+            payload=encode_set(masked, self.group),
+        )
+
+    def _close_return(self, msg, locate) -> UniversalIndexMap:
+        """Remove this party's own layers and look every record up in the union."""
+        if msg.origin != self.party_id:
+            raise PhaseViolation("token return for a foreign origin")
+        if msg.hop != self.party_count - 1:
+            raise PhaseViolation(
+                f"token return after {msg.hop} hops, expected {self.party_count - 1}"
+            )
+        returned = self._decode_set(msg.payload, self._item_shape)
+        if len(returned.items) != len(self.hashed_records):
+            raise PhaseViolation(
+                f"token return of {len(returned.items)} records for party "
+                f"{self.party_id}, which has {len(self.hashed_records)} pending"
+            )
+        closed = self._masked(returned.items, self._closing_exponent(), {})
+        result = UniversalIndexMap(self.party_id)
+        for relay_id, final in enumerate(closed.items):
+            index = locate(final)
+            if index is not None:
+                result.local_to_universal[relay_id] = index
+            elif self.match_cfg.ordered:
+                raise NoMatchInUnion(
+                    f"party {self.party_id}: record {relay_id} is missing from the "
+                    "union; parties disagree on group parameters or hashing"
+                )
+            else:
+                result.unmatched.append(relay_id)
+        return result

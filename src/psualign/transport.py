@@ -10,7 +10,8 @@ assertions.  The config-digest handshake itself is a protocol phase
 (HELLO frames) on top of this layer; over TCP the first frame on every
 connection must be a HELLO, which also identifies the sender.  A party
 sending to itself is a legal loopback delivery and is counted, frames
-and bytes, like any other send.
+and bytes, like any other send.  Over TCP a received payload is the
+``bytearray`` its frame was read into, not a copy.
 
 Each transport owns its receive deadline, a required constructor
 argument: ``recv`` with no argument waits at most that long, and over
@@ -133,17 +134,21 @@ class InProcessTransport:
         pass
 
 
-def _read_exact(sock: socket.socket, count: int) -> bytes | None:
-    """Read exactly ``count`` bytes; None on clean EOF at a frame boundary."""
-    chunks = bytearray()
-    while len(chunks) < count:
-        block = sock.recv(min(count - len(chunks), _RECV_CHUNK))
-        if not block:
-            if chunks:
+def _read_exact(sock: socket.socket, count: int) -> bytearray | None:
+    """Read exactly ``count`` bytes into one buffer, handed on uncopied.
+
+    None on clean EOF at a frame boundary.
+    """
+    buffer = bytearray(count)
+    view, filled = memoryview(buffer), 0
+    while filled < count:
+        got = sock.recv_into(view[filled : filled + _RECV_CHUNK])
+        if not got:
+            if filled:
                 raise FramingError("connection closed mid-frame")
             return None
-        chunks += block
-    return bytes(chunks)
+        filled += got
+    return buffer
 
 
 class TcpTransport:

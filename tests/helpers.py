@@ -16,11 +16,11 @@ from psualign import (
     GroupParams,
     MatchConfig,
     FeatureSpec,
+    decode_set,
     hash_identifier,
     tokenize_record,
 )
 from psualign.config import SessionConfig
-from psualign.protocol import _decode_relay
 from psualign.simulate import build_parties, run_session
 from psualign.transport import InProcessHub
 
@@ -172,11 +172,10 @@ def run_tapped(cfg: SessionConfig, hashed_per_party, **tap):
 
 def relayed_records(cfg: SessionConfig, taps) -> dict[str, int]:
     """Records carried by every TOKEN_RELAY and TOKEN_RETURN the taps sent."""
-    group, feature_count = cfg.group(), len(cfg.match.features)
+    group = cfg.group()
     carried = {"TOKEN_RELAY": 0, "TOKEN_RETURN": 0}
     for tap in taps:
         for message in tap.sent:
             if message.msg_type.name in carried:
-                _, batch = _decode_relay(message.payload, group, feature_count)
-                carried[message.msg_type.name] += len(batch)
+                carried[message.msg_type.name] += len(decode_set(message.payload, group).items)
     return carried

@@ -13,8 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from psualign import EncryptedIdentifier, MessageType, decode_set, encode_set
-from psualign.protocol import _decode_relay, _encode_relay
+from psualign import (
+    EncryptedIdentifier,
+    MessageType,
+    decode_identifier,
+    decode_set,
+    encode_set,
+)
 from psualign.transport import TcpTransport
 
 from helpers import (
@@ -101,7 +106,7 @@ def test_leak_check_reads_the_set_layout():
 
 
 def test_leak_check_reads_every_record_of_a_relay_batch():
-    """0 plaintext tokens, then exactly the 1 planted in a batch's last token."""
+    """0 plaintext tokens, then exactly the 1 planted in a relay's last token."""
     cfg = session_config(2, TWO_FEATURES, seed=5)
     group = cfg.group()
     rows = [
@@ -114,10 +119,44 @@ def test_leak_check_reads_every_record_of_a_relay_batch():
     assert checks.plaintext_leaks(frames, hashed, group) == 0
 
     at = next(k for k, (t, _) in enumerate(frames) if t is MessageType.TOKEN_RELAY)
-    first, batch = _decode_relay(frames[at][1], group, len(TWO_FEATURES.features))
-    assert len(batch) == 3
-    *head, last = batch[-1].features
+    relay = decode_set(frames[at][1], group)
+    assert len(relay.items) == 3
+    *head, last = relay.items[-1].features
     planted = tuple(head) + (last[:-1] + (hashed[0][0].features[0][0],),)
-    batch[-1] = EncryptedIdentifier(planted)
-    frames[at] = (MessageType.TOKEN_RELAY, _encode_relay(first, batch, group))
+    relay.items[-1] = EncryptedIdentifier(planted)
+    frames[at] = (MessageType.TOKEN_RELAY, encode_set(relay, group))
     assert checks.plaintext_leaks(frames, hashed, group) == 1
+
+
+@pytest.mark.parametrize(
+    "match", [TWO_FEATURES, SINGLE_FEATURE_NOISY], ids=["ordered", "unordered"]
+)
+def test_identifier_reader_at_byte_4_sees_every_element_of_a_payload(match):
+    """The leak check reads relays as an identifier at byte 4; that is the table.
+
+    Over every set, relay and return frame of a 3-party session, the
+    elements read there are the payload's distinct elements, in the order
+    the items first use them.
+    """
+    cfg = session_config(3, match, seed=8)
+    group = cfg.group()
+    rows = [
+        [("anna novak", "rome"), ("bob smith", "oslo")],
+        [("anna novok", "rome")],
+        [("carl jones", "kyiv"), ("bob smith", "oslo"), ("dora lima", "lima")],
+    ]
+    fields = len(match.features)
+    hashed = [hash_rows([r[:fields] for r in party_rows], match, group) for party_rows in rows]
+    _, _, taps = run_tapped(cfg, hashed)
+    read = set()
+    for tap in taps:
+        for message in tap.sent:
+            if message.msg_type in checks.SET_PAYLOADS + checks.RELAY_PAYLOADS:
+                table, _ = decode_identifier(message.payload, group, 4)
+                items = decode_set(message.payload, group).items
+                distinct = dict.fromkeys(
+                    value for item in items for feature in item.features for value in feature
+                )
+                assert [v for chunk in table.features for v in chunk] == list(distinct)
+                read.add(message.msg_type)
+    assert read == set(checks.SET_PAYLOADS + checks.RELAY_PAYLOADS)

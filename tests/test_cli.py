@@ -1,3 +1,4 @@
+import csv
 import json
 import threading
 
@@ -26,6 +27,19 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(document))
     return path
+
+
+def set_frame_bytes(names) -> int:
+    """The frame of one set message holding ``names`` (12 characters, 3-grams).
+
+    Ordered masking keeps equal grams equal and distinct grams distinct,
+    so the table holds the distinct plaintext grams.  Header, item count,
+    chunk count, one chunk size, 64-byte elements, per item one feature
+    count and one token count, one 1-byte index per token.
+    """
+    padded = [name.lower()[:12].ljust(12) for name in names]
+    distinct = {text[i : i + 3] for text in padded for i in range(10)}
+    return 9 + 4 + 1 + 2 + 64 * len(distinct) + 3 * len(names) + 10 * len(names)
 
 
 def test_gen_corpus_then_simulate_then_evaluate(tmp_path, capsys):
@@ -76,11 +90,7 @@ def test_simulate_spec_example_shared_one_of_three(tmp_path):
 
 
 def test_report_counts_the_bytes_of_every_set_message(tmp_path):
-    """Each dataset crosses P set transfers; each carries one element table.
-
-    Ordered masking keeps equal grams equal and distinct grams distinct,
-    so a transfer's table holds the party's distinct plaintext grams.
-    """
+    """Each dataset crosses P set transfers; each carries one element table."""
     rows = [["alpha one", "beta two", "alpha one"], ["delta four", "epsilon five"]]
     for k, names in enumerate(rows):
         lines = "".join(f"{name}\n" for name in names)
@@ -89,14 +99,7 @@ def test_report_counts_the_bytes_of_every_set_message(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
 
-    def set_frame(names):
-        padded = [name.lower()[:12].ljust(12) for name in names]
-        distinct = {text[i : i + 3] for text in padded for i in range(10)}
-        # header, item count, table size, 64-byte elements, per item one
-        # feature count and one token count, one 1-byte index per token
-        return 9 + 4 + 4 + 64 * len(distinct) + 3 * len(names) + 10 * len(names)
-
-    assert report["message_bytes"]["SET_TRANSFER"] == 2 * sum(map(set_frame, rows))
+    assert report["message_bytes"]["SET_TRANSFER"] == 2 * sum(map(set_frame_bytes, rows))
     assert report["message_bytes"]["HELLO"] == 2 * (9 + 32)
     assert main(["evaluate", "--config", str(config)]) == 0
     evaluation = json.loads((tmp_path / "out" / "evaluation.json").read_text())
@@ -261,9 +264,11 @@ def test_run_party_pair_matches_simulate(tmp_path):
     assert set(sizes) == set(sent)
     assert all((sizes[name] > 0) == (sent[name] > 0) for name in sent)
     assert sizes["HELLO"] == 9 + 32  # header and config digest
-    # One batch of party 0's 5 records: header, first relay id, feature
-    # count, then per record one token count and 10 grams of 64 bytes.
-    assert sizes["TOKEN_RELAY"] == 9 + 4 + 1 + 5 * (2 + 10 * 64)
+    # Party 0's 5 records travel as one set message, in record order.
+    with open(tmp_path / "party0.csv", newline="") as handle:
+        names = [row["name"] for row in csv.DictReader(handle)]
+    assert len(names) == 5
+    assert sizes["TOKEN_RELAY"] == set_frame_bytes(names)
 
 
 def test_run_party_digest_mismatch_exits_2(tmp_path):

@@ -25,7 +25,6 @@ from psualign import (
     encode_set,
     make_group_params,
 )
-from psualign.protocol import _decode_relay, _encode_relay, relay_batch_size
 
 GROUPS = [make_group_params(23), make_group_params("p512")]
 NAMED = (FramingError, ValueError, TransportFailure)
@@ -72,12 +71,12 @@ def pooled_set_inputs(draw):
 
 
 @st.composite
-def relay_batches(draw):
-    """A group, a feature count F, a first relay id and 1 to B records of F features."""
+def relays(draw):
+    """A group, a feature count F and 1 to 4 records of F features, in record order."""
     group = draw(st.sampled_from(GROUPS))
     feature_count = draw(st.sampled_from([1, 2, 5, 85, 255]))
     pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=4))
-    count = draw(st.integers(1, relay_batch_size(feature_count))) * feature_count
+    count = draw(st.integers(1, 4)) * feature_count
     # One byte per feature, drawn at once: its low two bits give its token
     # count, each further pair of bits picks one token from the pool.
     shape = draw(st.binary(min_size=count, max_size=count))
@@ -89,16 +88,15 @@ def relay_batches(draw):
         EncryptedIdentifier(tuple(features[at : at + feature_count]))
         for at in range(0, count, feature_count)
     ]
-    first_id = draw(st.integers(0, (1 << 32) - 1))
-    return group, feature_count, first_id, records
+    return group, records
 
 
 @st.composite
 def relay_inputs(draw):
-    group, feature_count, first_id, records = draw(relay_batches())
-    valid = _encode_relay(first_id, records, group)
+    group, records = draw(relays())
+    valid = encode_set(EncryptedSet(records), group)
     raw = draw(st.one_of(st.binary(max_size=400), damaged(valid)))
-    return group, feature_count, raw
+    return group, raw
 
 
 @st.composite
@@ -154,32 +152,42 @@ def test_decode_identifier_fails_only_with_named_errors(instance, offset):
 @settings(max_examples=500, deadline=None)
 @given(relay_inputs())
 def test_decode_relay_fails_only_with_named_errors(instance):
-    group, feature_count, raw = instance
-    decodes_or_names_its_error(_decode_relay, raw, group, feature_count)
+    """A relay is a set payload in record order; damaged ones fail by name."""
+    group, raw = instance
+    decodes_or_names_its_error(decode_set, raw, group)
 
 
 @settings(max_examples=200, deadline=None)
-@given(relay_batches())
-def test_relay_batches_round_trip(batch):
-    group, feature_count, first_id, records = batch
-    payload = _encode_relay(first_id, records, group)
-    assert _decode_relay(payload, group, feature_count) == (first_id, records)
+@given(relays())
+def test_relay_batches_round_trip(relay):
+    """All of an origin's records travel as one set, their order kept."""
+    group, records = relay
+    payload = encode_set(EncryptedSet(records), group)
+    assert decode_set(payload, group).items == records
+
+
+_ONE_RECORD = encode_set(EncryptedSet([EncryptedIdentifier(((5, 6), (7,)))]), GROUPS[0])
 
 
 @pytest.mark.parametrize(
-    "payload, feature_count, error",
+    "payload, error",
     [
-        (b"\0\0\0\0" + b"\x00", 1, "holds no record"),
+        # u32 one record | u8 one chunk | u16 zero elements | the record
         (
-            _encode_relay(0, [EncryptedIdentifier(((5,), (6,), (7,)))], GROUPS[0]),
-            2,
-            "3 features does not split into records of 2",
+            b"\0\0\0\1" + b"\x01" + b"\0\0" + _ONE_RECORD[10:],
+            "chunk 0 of 0 elements is empty or short",
         ),
-        (_encode_relay(0, [EncryptedIdentifier(((5,),))], GROUPS[0]) + b"\x00", 1, "trailing"),
-        (b"\0\0\0", 1, "shorter than its id"),
+        (_ONE_RECORD[:-1], "truncated set: missing token indices"),
+        (_ONE_RECORD + b"\x00", "1 trailing bytes"),
+        (b"\0\0\0", "missing item count"),
     ],
     ids=["empty", "partial-record", "trailing-byte", "no-id"],
 )
-def test_decode_relay_rejects_malformed_batches(payload, feature_count, error):
+def test_decode_relay_rejects_malformed_batches(payload, error):
+    """A relay with an empty table chunk, a cut record or a trailing byte
+    is refused, and so is one too short for the item count that fixes
+    every record's relay id.
+    """
+    assert decode_set(_ONE_RECORD, GROUPS[0]).items == [EncryptedIdentifier(((5, 6), (7,)))]
     with pytest.raises(ValueError, match=error):
-        _decode_relay(payload, GROUPS[0], feature_count)
+        decode_set(payload, GROUPS[0])

@@ -95,6 +95,17 @@ def test_config_digest_differs_from_the_per_record_relay_layout(tmp_path):
     assert cfg.digest().hex() != PER_RECORD_RELAY_DIGEST
 
 
+# BASE_CONFIG's digest with one TOKEN_RELAY / TOKEN_RETURN frame per
+# batch of floor(255 / F) records (set layout version 3).
+BATCHED_RELAY_DIGEST = "6c3b298fe5c5f33fc90790a4c432a4af89e9c26788d949e754da2257c8975a73"
+
+
+def test_config_digest_differs_from_the_batched_relay_layout(tmp_path):
+    """A peer that still sends relays in batches fails at HELLO."""
+    cfg = load_config(write_config(tmp_path))
+    assert cfg.digest().hex() != BATCHED_RELAY_DIGEST
+
+
 def test_config_rejects_variant_typos(tmp_path):
     with pytest.raises(ConfigError, match="variant"):
         load_config(write_config(tmp_path, variant="fuzzy"))

@@ -195,10 +195,22 @@ def test_identifier_codec_rejects_truncation():
         decode_identifier(raw[:-1], G23)
 
 
-def set_layout(group, table, items, index_width=1) -> bytes:
-    """A set payload written out by hand: ``items`` hold table indices."""
-    out = len(items).to_bytes(4, "big") + len(table).to_bytes(4, "big")
-    out += b"".join(group.encode_element(value) for value in table)
+def set_layout(group, table, items, index_width=1, chunks=None, chunk_count=None) -> bytes:
+    """A set payload written out by hand: ``items`` hold table indices.
+
+    ``chunks`` lists the table's chunk sizes, by default the canonical
+    split into chunks of 65,535; ``chunk_count`` is the S byte, by
+    default the number of chunks.
+    """
+    if chunks is None:
+        chunks = [min(0xFFFF, len(table) - at) for at in range(0, len(table), 0xFFFF)]
+    out = len(items).to_bytes(4, "big")
+    out += bytes([len(chunks) if chunk_count is None else chunk_count])
+    at = 0
+    for size in chunks:
+        out += size.to_bytes(2, "big")
+        out += b"".join(group.encode_element(value) for value in table[at : at + size])
+        at += size
     for item in items:
         out += bytes([len(item)])
         for feature in item:
@@ -208,12 +220,13 @@ def set_layout(group, table, items, index_width=1) -> bytes:
 
 
 def set_length(enc_set, group, index_width) -> int:
-    """``8 + D*w + sum over items of (1 + 2F) + T*i``."""
+    """``5 + 2S + D*w + sum over items of (1 + 2F) + T*i``, S = ceil(D / 65,535)."""
     features = [f for item in enc_set.items for f in item.features]
     distinct = {value for feature in features for value in feature}
     tokens = sum(len(feature) for feature in features)
     return (
-        8
+        5
+        + 2 * -(-len(distinct) // 0xFFFF)
         + len(distinct) * group.element_width
         + sum(1 + 2 * len(item.features) for item in enc_set.items)
         + tokens * index_width
@@ -223,11 +236,14 @@ def set_length(enc_set, group, index_width) -> int:
 def test_set_codec_writes_each_distinct_element_once():
     enc_set = EncryptedSet([ident([2, 3, 2]), ident([3, 4])])
     raw = encode_set(enc_set, G23)
-    # u32 items, u32 table size, table (1-byte elements), then per item
-    # u8 feature count and per feature u16 token count plus 1-byte indices
-    assert raw == bytes([0, 0, 0, 2, 0, 0, 0, 3, 2, 3, 4, 1, 0, 3, 0, 1, 0, 1, 0, 2, 1, 2])
+    # u32 items, u8 chunk count, u16 chunk size, table (1-byte elements),
+    # then per item u8 feature count and per feature u16 token count plus
+    # 1-byte indices
+    assert raw == bytes([0, 0, 0, 2, 1, 0, 3, 2, 3, 4, 1, 0, 3, 0, 1, 0, 1, 0, 2, 1, 2])
     assert raw == set_layout(G23, [2, 3, 4], [[[0, 1, 0]], [[1, 2]]])
     assert decode_set(raw, G23) == enc_set
+    # from byte 4 on, the payload reads as an identifier holding the table
+    assert decode_identifier(raw, G23, 4) == (ident([2, 3, 4]), 10)
 
 
 def test_decoded_set_shares_one_int_per_distinct_element():
@@ -251,6 +267,7 @@ def pooled_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(pooled_sets())
 def test_set_codec_roundtrip_on_repeated_tokens(instance):
+    """Items come back in exactly their encoded order, on p23 and p512."""
     group, enc_set = instance
     raw = encode_set(enc_set, group)
     assert decode_set(raw, group) == enc_set
@@ -272,6 +289,60 @@ def test_set_index_width_follows_the_table_size(distinct, index_width):
     assert decode_set(raw, G512) == enc_set
 
 
+def table_of(distinct):
+    """A p512 set of ``distinct`` distinct elements, a few repeated."""
+    values = list(range(1, distinct + 1))
+    # a feature holds at most 65,535 tokens; each item's second repeats one
+    return EncryptedSet(
+        [ident(values[at : at + 4096], values[at : at + 1]) for at in range(0, distinct, 4096)]
+    )
+
+
+@pytest.mark.parametrize("distinct, chunks", [(65_535, [65_535]), (65_536, [65_535, 1])])
+def test_set_table_splits_into_chunks_of_65535(distinct, chunks):
+    enc_set = table_of(distinct)
+    raw = encode_set(enc_set, G512)
+    assert raw[4] == len(chunks)
+    at = 5
+    for size in chunks:
+        assert int.from_bytes(raw[at : at + 2], "big") == size
+        at += 2 + size * G512.element_width
+    assert len(raw) == set_length(enc_set, G512, 2)
+    assert decode_set(raw, G512) == enc_set
+
+
+def test_set_codec_rejects_a_short_chunk_before_the_last_and_an_empty_last_chunk():
+    table = list(range(1, 65_536))
+    items = [[list(range(at, min(at + 4096, len(table))))] for at in range(0, len(table), 4096)]
+    assert len(decode_set(set_layout(G512, table, items, 2), G512).items) == len(items)
+    with pytest.raises(ValueError, match="chunk 0 of 65534 elements is empty or short"):
+        decode_set(set_layout(G512, table, items, 2, chunks=[65_534, 1]), G512)
+    with pytest.raises(ValueError, match="chunk 1 of 0 elements is empty or short"):
+        decode_set(set_layout(G512, table, items, 2, chunks=[65_535, 0]), G512)
+
+
+def test_set_codec_refuses_more_than_255_chunks():
+    """With two-element chunks for the test, 510 elements fit and 511 do not."""
+    with mock.patch.object(masking, "_CHUNK", 2):
+        fits = EncryptedSet([ident(range(1, 511))])
+        raw = encode_set(fits, G512)
+        assert raw[4] == 255
+        assert decode_set(raw, G512) == fits
+        with pytest.raises(ValueError, match="more than 510 distinct elements"):
+            encode_set(EncryptedSet([ident(range(1, 512))]), G512)
+
+
+@pytest.mark.parametrize(
+    "distinct, index_width",
+    [(256, 1), (257, 2), (65_536, 2), (65_537, 4)],
+)
+def test_set_index_width_follows_the_table_size(distinct, index_width):
+    enc_set = table_of(distinct)
+    raw = encode_set(enc_set, G512)
+    assert len(raw) == set_length(enc_set, G512, index_width)
+    assert decode_set(raw, G512) == enc_set
+
+
 @pytest.mark.parametrize(
     "raw, reason",
     [
@@ -279,13 +350,20 @@ def test_set_index_width_follows_the_table_size(distinct, index_width):
         (set_layout(G23, [2, 3], [[[0, 0]]]), "never used"),
         (set_layout(G23, [2], [[[0, 1]]]), "outside a table"),
         (set_layout(G23, [2, 3], [[[1, 0]]]), "skips ahead"),
-        (set_layout(G23, [2, 3], [[[0, 1]]])[:9], "runs past the payload"),
-        (bytes([0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF]), "runs past the payload"),
+        (set_layout(G23, [2, 3], [[[0, 1]]])[:8], "runs past the payload"),
+        (bytes([0, 0, 0, 1, 0xFF, 0xFF, 0xFF]), "runs past the payload"),
         (set_layout(G23, [2, 3], [[[0, 1]]]) + b"\x00", "trailing bytes"),
+        (set_layout(G23, [], [], chunks=[0]), "chunk 0 of 0 elements is empty or short"),
+        (
+            set_layout(G23, [2, 3], [[[0, 1]]], chunk_count=2),
+            "chunk 0 of 2 elements is empty or short",
+        ),
+        (set_layout(G23, [], [[[0, 1]]], chunks=[]), "outside a table of 0"),
     ],
     ids=[
         "repeated", "unused", "index-past-table", "skips-ahead",
         "table-cut", "table-huge", "trailing",
+        "empty-last-chunk", "more-chunks-than-the-table", "no-chunk-for-the-indices",
     ],
 )
 def test_set_codec_rejects_non_canonical_payloads(raw, reason):

@@ -10,7 +10,6 @@ from psualign import (
     MessageType,
     Party,
     TransportFailure,
-    decode_identifier,
     decode_set,
     encode_identifier,
     encode_set,
@@ -131,7 +130,7 @@ def test_message_accounting_matches_ordered_rules():
     assert counts["SET_TRANSFER"] == 4
     assert counts["UNION_TRANSFER"] == 1
     assert counts["UID_BROADCAST"] == 1
-    # One batch per party: one relay frame each, one return each.
+    # One relay frame per party and hop, one return each.
     assert counts["TOKEN_RELAY"] == 2
     assert counts["TOKEN_RETURN"] == 2
     assert relayed_records(cfg, taps) == {"TOKEN_RELAY": 3, "TOKEN_RETURN": 3}
@@ -207,16 +206,10 @@ def _with_a_token_added(ident):
     return EncryptedIdentifier((first + first[:1],) + ident.features[1:])
 
 
-def _plant_in_relay(payload, group, change):
-    """Change a relay batch read whole: record 0's features come first."""
-    batch, _ = decode_identifier(payload, group, 4)
-    return payload[:4] + encode_identifier(change(batch), group)
-
-
-def _plant_in_union(payload, group, change):
-    union = decode_set(payload, group)
-    union.items[0] = change(union.items[0])
-    return encode_set(union, group)
+def _plant_in_set(payload, group, change):
+    decoded = decode_set(payload, group)
+    decoded.items[0] = change(decoded.items[0])
+    return encode_set(decoded, group)
 
 
 NAME_AND_CITY_NOISY = MatchConfig(
@@ -227,42 +220,36 @@ NAME_AND_CITY_NOISY = MatchConfig(
 
 
 @pytest.mark.parametrize(
-    "match, msg_type, plant, change, error",
+    "match, msg_type, change, error",
     [
-        # A relay batch is read as whole records of F features, so an extra
-        # feature shows as a batch that does not split into records.
         (
             NAME_AND_CITY_NOISY,
             MessageType.TOKEN_RELAY,
-            _plant_in_relay,
             _with_extra_feature,
-            "relay batch of 3 features does not split into records of 2",
+            "3 features, the session expects 2",
         ),
         (
             SINGLE_FEATURE_NOISY,
             MessageType.UID_BROADCAST,
-            _plant_in_union,
             _with_extra_feature,
             "2 features, the session expects 1",
         ),
         (
             SINGLE_FEATURE_NOISY,
             MessageType.TOKEN_RELAY,
-            _plant_in_relay,
             _with_a_token_dropped,
             "9 tokens in feature 0, the session expects 10",
         ),
         (
             SINGLE_FEATURE_NOISY,
             MessageType.UID_BROADCAST,
-            _plant_in_union,
             _with_a_token_added,
             "11 tokens in feature 0, the session expects 7 to 10",
         ),
     ],
     ids=["relay", "union", "relay-token-dropped", "union-token-added"],
 )
-def test_wrong_shape_identifier_is_rejected_on_receipt(match, msg_type, plant, change, error):
+def test_wrong_shape_identifier_is_rejected_on_receipt(match, msg_type, change, error):
     """A decoded identifier with the wrong feature or token count fails the session.
 
     Matching would otherwise find no candidate for it and report it as
@@ -272,7 +259,7 @@ def test_wrong_shape_identifier_is_rejected_on_receipt(match, msg_type, plant, c
     class PlantingParty(Party):
         def _send(self, transport, to, sent_type, origin, hop, payload):
             if sent_type is msg_type:
-                payload = plant(payload, self.group, change)
+                payload = _plant_in_set(payload, self.group, change)
             super()._send(transport, to, sent_type, origin, hop, payload)
 
     cfg = session_config(2, match, seed=3, recv_timeout=5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psualign import (
+    EncryptedSet,
     FeatureSpec,
     MatchConfig,
     NoMatchInUnion,
@@ -16,11 +17,12 @@ from psualign import (
     PhaseViolation,
     ProtocolAbort,
     compose,
+    decode_set,
     encode_identifier,
+    encode_set,
     make_group_params,
 )
 from psualign import groups
-from psualign.protocol import _decode_relay, _encode_relay, relay_batch_size
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub, total_message_counts
 
@@ -127,7 +129,7 @@ def test_message_accounting_and_peer_sizes():
     assert counts["SET_TRANSFER"] == P * P
     assert counts["UNION_TRANSFER"] == P - 1
     assert counts["UID_BROADCAST"] == P - 1
-    # Every party's records fit one batch: one relay frame per hop, one return.
+    # Each party relays its records in one frame per hop and gets one return.
     assert counts["TOKEN_RELAY"] == P * (P - 1)
     assert counts["TOKEN_RETURN"] == P
     assert counts["HELLO"] == P * (P - 1)
@@ -142,26 +144,26 @@ SHORT_IDS = MatchConfig(
 )
 
 
-def test_an_origin_with_2b_plus_1_records_sends_three_relay_batches():
-    """B = 255 one-feature records per frame: 2B+1 records take 3 frames."""
-    per_frame = relay_batch_size(1)
-    assert per_frame == 255
+def test_an_origin_with_511_records_sends_one_relay_and_gets_one_return():
+    """511 records travel as one relay frame and come back as one return.
+
+    The records stay in record order, so each record's position in the
+    returned payload is its relay id, and every record is indexed as the
+    plaintext oracle says.
+    """
     codes = ["".join(code) for code in itertools.product("abcdefghi", repeat=3)]
     raw = [
-        [(code,) for code in codes[: 2 * per_frame + 1]],
-        [(codes[0],), (codes[per_frame],), (codes[-1],), (codes[2 * per_frame],)],
+        [(code,) for code in codes[:511]],
+        [(codes[0],), (codes[255],), (codes[-1],), (codes[510],)],
     ]
     cfg = session_config(2, SHORT_IDS)
     hashed = [hash_rows(rows, SHORT_IDS, cfg.group()) for rows in raw]
     _, results, taps = run_tapped(cfg, hashed)
     from_origin_0 = [m for m in taps[0].sent if m.msg_type.name == "TOKEN_RELAY"]
-    assert [m.payload[:4] for m in from_origin_0] == [
-        first.to_bytes(4, "big") for first in (0, per_frame, 2 * per_frame)
-    ]
+    assert [m.payload[:4] for m in from_origin_0] == [(511).to_bytes(4, "big")]
     returns_to_0 = [m for m in taps[1].sent if m.msg_type.name == "TOKEN_RETURN"]
-    assert len(returns_to_0) == 3
-    carried = 2 * per_frame + 1 + 4
-    assert relayed_records(cfg, taps) == {"TOKEN_RELAY": carried, "TOKEN_RETURN": carried}
+    assert [m.payload[:4] for m in returns_to_0] == [(511).to_bytes(4, "big")]
+    assert relayed_records(cfg, taps) == {"TOKEN_RELAY": 515, "TOKEN_RETURN": 515}
 
     assert results[0].union_table.size == hashed_union_oracle(hashed)
     for party_id, result in enumerate(results):
@@ -412,16 +414,9 @@ def test_message_from_an_unknown_party_id_is_rejected_at_once():
     assert party.phase is Phase.HANDSHAKE
 
 
-# 85 one-token features: B = 255 // 85 = 3 records per relay frame.
-WIDE = MatchConfig(
-    features=tuple(FeatureSpec(f"f{k}", 1, 1) for k in range(85)),
-    threshold=Fraction(1),
-    ordered=True,
-)
-
-
-def _renumbered(payload, group, send):
-    send((7).to_bytes(4, "big") + payload[4:])
+def _record_added(payload, group, send):
+    returned = decode_set(payload, group)
+    send(encode_set(EncryptedSet(returned.items + returned.items[:1]), group))
 
 
 def _repeated(payload, group, send):
@@ -429,43 +424,50 @@ def _repeated(payload, group, send):
     send(payload)
 
 
-def _one_record_short(payload, group, send):
-    first, batch = _decode_relay(payload, group, len(WIDE.features))
-    send(_encode_relay(first, batch[:-1], group))
+def _record_dropped(payload, group, send):
+    returned = decode_set(payload, group)
+    send(encode_set(EncryptedSet(returned.items[:-1]), group))
 
 
 @pytest.mark.parametrize(
-    "tamper",
-    [_renumbered, _repeated, _one_record_short],
+    "tamper, error",
+    [
+        (_record_added, "token return of 5 records for party 1, which has 4 pending"),
+        (_repeated, "second token return for party 1: its records are not pending"),
+        (_record_dropped, "token return of 3 records for party 1, which has 4 pending"),
+    ],
     ids=["out-of-range-record", "repeated-record", "wrong-record-count"],
 )
-def test_token_return_for_a_record_not_pending_is_rejected(tamper):
-    """Party 0 tampers with the first return it sends back to party 1.
+def test_token_return_for_a_record_not_pending_is_rejected(tamper, error):
+    """Party 0 tampers with the return it sends back to party 1.
 
-    Party 1's four records travel as batches (0, 3 records) and (3, 1
-    record); a return must name a pending batch's first relay id and
-    carry exactly its record count, once.
+    A return must hold exactly party 1's four records, once.  Party 0
+    holds back its own relay until the return is out, so party 1 is
+    still serving when a repeated return arrives.
     """
     from psualign.messages import MessageType
 
     class TamperingParty(Party):
-        tampered = False
+        held = None
 
         def _send(self, transport, to, msg_type, origin, hop, payload):
             send = functools.partial(
                 super()._send, transport, to, msg_type, origin, hop
             )
-            if msg_type is MessageType.TOKEN_RETURN and not self.tampered:
-                self.tampered = True
+            if msg_type is MessageType.TOKEN_RELAY:
+                self.held = send, payload
+            elif msg_type is MessageType.TOKEN_RETURN:
                 tamper(payload, self.group, send)
+                held_send, held_payload = self.held
+                held_send(held_payload)
             else:
                 send(payload)
 
-    cfg = session_config(2, WIDE, seed=3)
+    cfg = session_config(2, TWO_FEATURES, seed=3)
     group = cfg.group()
     hashed = [
-        hash_rows([("a",) * 85], WIDE, group),
-        hash_rows([(c,) * 85 for c in "abcd"], WIDE, group),
+        hash_rows([("a", "b")], TWO_FEATURES, group),
+        hash_rows([(c, c) for c in "abcd"], TWO_FEATURES, group),
     ]
     parties = build_parties(cfg, hashed)
     parties[0] = TamperingParty(
@@ -478,19 +480,19 @@ def test_token_return_for_a_record_not_pending_is_rejected(tamper):
         session_digest=cfg.digest(),
     )
     hub = InProcessHub(2, recv_timeout=5)
-    with pytest.raises(PhaseViolation, match="not pending"):
+    with pytest.raises(PhaseViolation, match=error):
         run_session(parties, [hub.transport(0), hub.transport(1)])
 
 
-def test_a_relay_batch_larger_than_the_peer_records_is_rejected():
-    """Party 0 relays its one record twice in one batch; party 1 serves one."""
+def test_a_relay_not_holding_exactly_the_origin_records_is_rejected():
+    """Party 0 relays its one record twice, then not at all; party 1 serves one."""
     from psualign.messages import MessageType
 
-    class PaddingParty(Party):
+    class ResizingParty(Party):
         def _send(self, transport, to, msg_type, origin, hop, payload):
             if msg_type is MessageType.TOKEN_RELAY:
-                first, batch = _decode_relay(payload, self.group, 2)
-                payload = _encode_relay(first, batch + batch[-1:], self.group)
+                items = decode_set(payload, self.group).items
+                payload = encode_set(EncryptedSet(resize(items)), self.group)
             super()._send(transport, to, msg_type, origin, hop, payload)
 
     cfg = session_config(2, TWO_FEATURES, seed=3)
@@ -499,16 +501,21 @@ def test_a_relay_batch_larger_than_the_peer_records_is_rejected():
         hash_rows([("al", "ro")], TWO_FEATURES, group),
         hash_rows([("bo", "pa")], TWO_FEATURES, group),
     ]
-    parties = build_parties(cfg, hashed)
-    parties[0] = PaddingParty(
-        party_id=0,
-        party_count=2,
-        group=group,
-        match_cfg=cfg.match,
-        hashed_records=hashed[0],
-        rng=cfg.party_rng(0),
-        session_digest=cfg.digest(),
-    )
-    hub = InProcessHub(2, recv_timeout=5)
-    with pytest.raises(PhaseViolation, match="more relays than peer records"):
-        run_session(parties, [hub.transport(0), hub.transport(1)])
+    cases = [
+        (lambda items: items + items[-1:], "relay of 2 records from origin 0, whose set held 1"),
+        (lambda items: items[:-1], "relay of 0 records from origin 0, whose set held 1"),
+    ]
+    for resize, error in cases:
+        parties = build_parties(cfg, hashed)
+        parties[0] = ResizingParty(
+            party_id=0,
+            party_count=2,
+            group=group,
+            match_cfg=cfg.match,
+            hashed_records=hashed[0],
+            rng=cfg.party_rng(0),
+            session_digest=cfg.digest(),
+        )
+        hub = InProcessHub(2, recv_timeout=5)
+        with pytest.raises(PhaseViolation, match=error):
+            run_session(parties, [hub.transport(0), hub.transport(1)])
