@@ -6,8 +6,9 @@ every exponent in [1, q - 1] acts as a bijection on it; that bijectivity
 is what makes the layered masking invertible-by-composition and keeps
 set cardinalities stable across encryption rounds.
 
-:class:`GroupParams` is the group: exponentiation (``exp``), hashing into
-the group (``hash_to_element``), exponent sampling (``sample_exponent``),
+:class:`GroupParams` is the group: exponentiation (``exp`` for one
+element, ``exp_many`` for a masking pass's batch), hashing into the group
+(``hash_to_element``), exponent sampling (``sample_exponent``),
 membership (``contains``) and the element codec are its methods, so the
 rest of the package imports no arithmetic from here.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import secrets
 import threading
 from dataclasses import dataclass
@@ -30,14 +32,26 @@ from .errors import (
 
 # --- modular exponentiation ------------------------------------------------
 #
-# Every exponentiation in the package goes through ``powmod``.  Wide
-# exponents modulo a wide odd modulus go to OpenSSL's
-# BN_mod_exp_mont_consttime through ctypes: the secret masking exponents
-# are then raised by a constant-time routine, and ctypes drops the GIL
-# for the call, so party threads exponentiate in parallel.  Everything
-# else -- public small exponents such as hash_to_element's square, the toy
-# moduli, even or non-positive arguments, or a missing library -- uses
-# built-in ``pow``.  Both paths return identical integers.
+# Every exponentiation in the package goes through ``powmod_many``, which
+# raises a batch of bases to one exponent: a masking pass is one call, and
+# ``powmod`` is a batch of one.  Wide exponents modulo a wide odd modulus
+# go to OpenSSL's BN_mod_exp_mont_consttime through ctypes, so the secret
+# masking exponents are raised by a constant-time routine.  Only that call
+# drops the GIL; the byte conversions around it keep it (``ctypes.PyDLL``),
+# since they are shorter than a GIL hand-over.
+#
+# A batch of at least 2 x _SLICE_MIN bases is split into contiguous
+# slices, one per CPU this process may run on.  The calling thread raises
+# the first slice and short-lived ``psu-exp-*`` threads the others; they
+# are joined before the batch returns, and a helper's exception is raised
+# in the caller.  Each slice loads the exponent once into BIGNUMs of its
+# own, flagged constant-time, and clears them when it ends, so no BIGNUM
+# holding a secret exponent outlives its pass.
+#
+# Everything else -- public small exponents such as hash_to_element's
+# square, the toy moduli, even or non-positive arguments, or a missing
+# library -- uses built-in ``pow`` on the calling thread and starts no
+# thread.  Both paths return identical integers.
 
 _BN_FLG_CONSTTIME = 0x04
 
@@ -46,6 +60,11 @@ _BN_FLG_CONSTTIME = 0x04
 # ``pow``'s; exponents this short are public (hash_to_element's square),
 # while secret exponents are drawn uniformly from [1, q - 1].
 _POW_MAX_BITS = 64
+
+# Fewest bases a slice gets.  Starting and joining a helper thread costs
+# about as much as one 512-bit exponentiation, so shorter slices do not
+# pay for their thread.
+_SLICE_MIN = 16
 
 
 class _Montgomery:
@@ -67,77 +86,76 @@ class _Montgomery:
         self.lib.bn_clear_free(self.bn)
 
 
-class _Registers:
-    """One thread's BN_CTX and result, base and exponent BIGNUMs."""
-
-    def __init__(self, lib: "_Libcrypto"):
-        self.lib = lib
-        self.ctx = lib.ctx_new()
-        self.bns = (lib.bn_new(), lib.bn_new(), lib.bn_new())
-        if not (self.ctx and all(self.bns)):
-            raise MemoryError("libcrypto could not allocate BIGNUMs")
-        lib.set_flags(self.bns[2], _BN_FLG_CONSTTIME)
-
-    def __del__(self):
-        for bn in self.bns:
-            self.lib.bn_clear_free(bn)
-        self.lib.ctx_free(self.ctx)
-
-
 class _Libcrypto:
-    """ctypes bindings for the few BIGNUM calls ``powmod`` needs."""
+    """ctypes bindings for the few BIGNUM calls ``powmod_many`` needs.
 
-    def __init__(self, lib: ctypes.CDLL):
+    ``exp`` comes from ``released`` (a ``CDLL``, which drops the GIL for
+    the call); every other binding from ``held`` (a ``PyDLL`` of the same
+    library, which keeps it).
+    """
+
+    def __init__(self, released: ctypes.CDLL, held: ctypes.PyDLL):
         ptr, c_int, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
 
-        def bind(name, restype, *argtypes):
+        def bind(lib, name, restype, *argtypes):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
             return fn
 
-        self.ctx_new = bind("BN_CTX_new", ptr)
-        self.ctx_free = bind("BN_CTX_free", None, ptr)
-        self.bn_new = bind("BN_new", ptr)
-        self.bn_clear_free = bind("BN_clear_free", None, ptr)
-        self.set_flags = bind("BN_set_flags", None, ptr, c_int)
-        self.bin2bn = bind("BN_bin2bn", ptr, buf, c_int, ptr)
-        self.bn2binpad = bind("BN_bn2binpad", c_int, ptr, buf, c_int)
-        self.mont_new = bind("BN_MONT_CTX_new", ptr)
-        self.mont_set = bind("BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
-        self.mont_free = bind("BN_MONT_CTX_free", None, ptr)
         self.exp = bind(
-            "BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr
+            released, "BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr
         )
-        self._local = threading.local()
+        self.ctx_new = bind(held, "BN_CTX_new", ptr)
+        self.ctx_free = bind(held, "BN_CTX_free", None, ptr)
+        self.bn_new = bind(held, "BN_new", ptr)
+        self.bn_clear_free = bind(held, "BN_clear_free", None, ptr)
+        self.set_flags = bind(held, "BN_set_flags", None, ptr, c_int)
+        self.bin2bn = bind(held, "BN_bin2bn", ptr, buf, c_int, ptr)
+        self.bn2binpad = bind(held, "BN_bn2binpad", c_int, ptr, buf, c_int)
+        self.mont_new = bind(held, "BN_MONT_CTX_new", ptr)
+        self.mont_set = bind(held, "BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
+        self.mont_free = bind(held, "BN_MONT_CTX_free", None, ptr)
         self.montgomery = functools.lru_cache(maxsize=16)(
             functools.partial(_Montgomery, self)
         )
 
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        """``pow(base, exponent, modulus)`` for 0 <= base < modulus, odd modulus."""
-        regs = getattr(self._local, "regs", None)
-        if regs is None:
-            regs = self._local.regs = _Registers(self)
-        result, bn_base, bn_exp = regs.bns
+    def powmod_many(self, values: list[int], exponent: int, modulus: int) -> list[int]:
+        """One slice on this thread, for an odd modulus."""
         mont = self.montgomery(modulus)
-        raw_base = base.to_bytes(mont.width, "big")
-        raw_exp = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
-        out = ctypes.create_string_buffer(mont.width)
-        if not (
-            self.bin2bn(raw_base, len(raw_base), bn_base)
-            and self.bin2bn(raw_exp, len(raw_exp), bn_exp)
-            and self.exp(result, bn_base, bn_exp, mont.bn, regs.ctx, mont.mont)
-            and self.bn2binpad(result, out, mont.width) == mont.width
-        ):
-            raise ArithmeticError("libcrypto modular exponentiation failed")
-        return int.from_bytes(out.raw, "big")
+        width = mont.width
+        ctx = self.ctx_new()
+        bns = (self.bn_new(), self.bn_new(), self.bn_new())
+        result, base, power = bns
+        try:
+            if not (ctx and all(bns)):
+                raise MemoryError("libcrypto could not allocate BIGNUMs")
+            self.set_flags(power, _BN_FLG_CONSTTIME)
+            raw = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+            if not self.bin2bn(raw, len(raw), power):
+                raise ArithmeticError("libcrypto could not load the exponent")
+            bin2bn, bn2binpad, exp = self.bin2bn, self.bn2binpad, self.exp
+            out = ctypes.create_string_buffer(width)
+            powers = []
+            for value in values:
+                if not (
+                    bin2bn((value % modulus).to_bytes(width, "big"), width, base)
+                    and exp(result, base, power, mont.bn, ctx, mont.mont)
+                    and bn2binpad(result, out, width) == width
+                ):
+                    raise ArithmeticError("libcrypto modular exponentiation failed")
+                powers.append(int.from_bytes(out.raw, "big"))
+            return powers
+        finally:
+            for bn in bns:
+                self.bn_clear_free(bn)
+            self.ctx_free(ctx)
 
 
 def _load_libcrypto() -> _Libcrypto | None:
     # By soname: ctypes.util.find_library would start a subprocess.  The
     # hashlib module has normally mapped this library already.
     try:
-        return _Libcrypto(ctypes.CDLL("libcrypto.so.3"))
+        return _Libcrypto(ctypes.CDLL("libcrypto.so.3"), ctypes.PyDLL("libcrypto.so.3"))
     except (OSError, AttributeError):
         return None
 
@@ -145,8 +163,8 @@ def _load_libcrypto() -> _Libcrypto | None:
 _libcrypto = _load_libcrypto()
 
 
-def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)``, constant-time via libcrypto when wide."""
+def powmod_many(values: list[int], exponent: int, modulus: int) -> list[int]:
+    """``[pow(value, exponent, modulus) for value in values]``, constant-time when wide."""
     lib = _libcrypto
     if (
         lib is None
@@ -156,8 +174,43 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
         or modulus < 0
         or not modulus & 1
     ):
+        return [pow(value, exponent, modulus) for value in values]
+    slices = min(len(os.sched_getaffinity(0)), len(values) // _SLICE_MIN)
+    if slices < 2:
+        return lib.powmod_many(values, exponent, modulus)
+    bounds = [len(values) * k // slices for k in range(slices + 1)]
+    parts: list = [None] * slices
+    errors: list[BaseException] = []
+
+    def raise_slice(k: int) -> None:
+        try:
+            parts[k] = lib.powmod_many(values[bounds[k] : bounds[k + 1]], exponent, modulus)
+        except BaseException as exc:  # re-raised on the calling thread, after the joins
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=raise_slice, args=(k,), name=f"psu-exp-{k}", daemon=True)
+        for k in range(1, slices)
+    ]
+    for helper in helpers:
+        helper.start()
+    raise_slice(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return [power for part in parts for power in part]
+
+
+def powmod(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)``, as a batch of one.
+
+    A short exponent, such as hash_to_element's square, goes to ``pow``
+    without building the batch.
+    """
+    if exponent.bit_length() <= _POW_MAX_BITS:
         return pow(base, exponent, modulus)
-    return lib.powmod(base % modulus, exponent, modulus)
+    return powmod_many([base], exponent, modulus)[0]
 
 
 MIN_MODULUS = 7
@@ -282,6 +335,10 @@ class GroupParams:
     def exp(self, value: int, exponent: int) -> int:
         """Raise a subgroup element to a secret exponent modulo p."""
         return powmod(value, exponent, self.p)
+
+    def exp_many(self, values, exponent: int) -> list[int]:
+        """Raise each element to one secret exponent modulo p, in order."""
+        return powmod_many(values, exponent, self.p)
 
     def sample_exponent(self, rng) -> int:
         """Draw a uniform secret exponent from [1, q - 1].

@@ -1,11 +1,11 @@
 """Commutative masking of identifiers and identifier sets.
 
 Masking raises every token to a secret exponent through
-``GroupParams.exp``.  It is used as a deterministic commutative layer, not
-as randomized encryption: layers applied by different parties commute,
-and equal inputs stay equal, which is exactly what union-by-equality
-needs.  Hashed and masked identifiers are one value type,
-:class:`EncryptedIdentifier`, so that test is plain value equality.
+``GroupParams.exp_many``.  It is used as a deterministic commutative
+layer, not as randomized encryption: layers applied by different parties
+commute, and equal inputs stay equal, which is exactly what
+union-by-equality needs.  Hashed and masked identifiers are one value
+type, :class:`EncryptedIdentifier`, so that test is plain value equality.
 
 Two modes exist.  "ordered" keeps token positions fixed so identifiers
 stay comparable tokenwise.  "unordered" additionally draws a fresh
@@ -14,10 +14,12 @@ only the per-feature multiset survives an encryption pass.  In both
 modes, set-level masking shuffles the order of identifiers.
 
 Within one pass -- the tokens a party raises to one secret exponent in
-one sweep -- each distinct base is raised once: a ``powers`` memo maps a
-base to its power under that exponent and serves every repeat.  A memo
-hit depends only on whether two bases are equal, never on the exponent,
-and deterministic masking already shows that equality pattern to every
+one sweep -- each distinct base is raised once: the pass collects the
+bases its ``powers`` memo lacks and raises them in one ``exp_many``
+batch, which ``groups`` spreads over the CPUs; the memo then maps a base
+to its power under that exponent and serves every repeat.  A memo hit
+depends only on whether two bases are equal, never on the exponent, and
+deterministic masking already shows that equality pattern to every
 holder of the output, so sharing the work leaks nothing more.  A memo is
 scoped to its pass and dropped with it, so no table keyed to a secret
 exponent outlives the pass that made it.
@@ -58,6 +60,44 @@ class EncryptedSet:
     items: list[EncryptedIdentifier] = field(default_factory=list)
 
 
+def encrypt_identifiers(
+    idents,
+    exponent: int,
+    group: GroupParams,
+    mode: str = ORDERED,
+    rng=None,
+    powers: dict[int, int] | None = None,
+) -> list[EncryptedIdentifier]:
+    """One masking pass: raise every token to ``exponent``, in item order.
+
+    The distinct bases missing from ``powers`` -- the pass's memo of
+    base -> power under this same ``exponent`` -- are raised first, in
+    first-occurrence order and in one ``exp_many`` batch; the memo is read
+    and filled, and a fresh one is used when none is given.  Then each
+    item is mapped through it, drawing the unordered permutation fresh per
+    feature.  Feature order is never permuted.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == UNORDERED and rng is None:
+        raise ValueError("unordered masking needs a randomness source")
+    if powers is None:
+        powers = {}
+    bases = [value for ident in idents for feature in ident.features for value in feature]
+    missing = [base for base in dict.fromkeys(bases) if base not in powers]
+    powers.update(zip(missing, group.exp_many(missing, exponent)))
+    masked = []
+    for ident in idents:
+        features = []
+        for feature in ident.features:
+            powered = [powers[value] for value in feature]
+            if mode == UNORDERED:
+                rng.shuffle(powered)
+            features.append(tuple(powered))
+        masked.append(EncryptedIdentifier(tuple(features)))
+    return masked
+
+
 def encrypt_identifier(
     ident: EncryptedIdentifier,
     exponent: int,
@@ -66,29 +106,8 @@ def encrypt_identifier(
     rng=None,
     powers: dict[int, int] | None = None,
 ) -> EncryptedIdentifier:
-    """Raise every token to ``exponent``; permute token positions if unordered.
-
-    Feature order is never permuted.  The unordered permutation is drawn
-    fresh per feature on every call.  ``powers`` is the pass's memo of
-    base -> power under this same ``exponent``; it is read and filled, and
-    a fresh one is used when none is given.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == UNORDERED and rng is None:
-        raise ValueError("unordered masking needs a randomness source")
-    if powers is None:
-        powers = {}
-    masked = []
-    for feature in ident.features:
-        for value in feature:
-            if value not in powers:
-                powers[value] = group.exp(value, exponent)
-        powered = [powers[value] for value in feature]
-        if mode == UNORDERED:
-            rng.shuffle(powered)
-        masked.append(tuple(powered))
-    return EncryptedIdentifier(tuple(masked))
+    """:func:`encrypt_identifiers` on one identifier."""
+    return encrypt_identifiers([ident], exponent, group, mode, rng, powers)[0]
 
 
 def encrypt_set(
@@ -102,15 +121,11 @@ def encrypt_set(
 
     The item shuffle happens in both modes (it hides dataset ordering);
     unordered mode additionally permutes tokens inside each identifier.
-    The call is one pass: every item shares one ``powers`` memo.
+    The call is one pass of :func:`encrypt_identifiers`.
     """
     if rng is None:
         raise ValueError("set masking needs a randomness source for the shuffle")
-    powers: dict[int, int] = {}
-    items = [
-        encrypt_identifier(item, exponent, group, mode, rng, powers)
-        for item in enc_set.items
-    ]
+    items = encrypt_identifiers(enc_set.items, exponent, group, mode, rng)
     rng.shuffle(items)
     return EncryptedSet(items)
 

@@ -57,7 +57,7 @@ from .masking import (
     EncryptedSet,
     decode_set,
     encode_set,
-    encrypt_identifier,
+    encrypt_identifiers,
     encrypt_set,
 )
 from .messages import MessageType, ProtocolMessage
@@ -434,10 +434,7 @@ class Party:
     def _masked(self, records, exponent: int, powers: dict[int, int]) -> EncryptedSet:
         """``records`` raised to ``exponent`` in record order, through ``powers``."""
         return EncryptedSet(
-            [
-                encrypt_identifier(record, exponent, self.group, self.mode, self.rng, powers)
-                for record in records
-            ]
+            encrypt_identifiers(records, exponent, self.group, self.mode, self.rng, powers)
         )
 
     def _matching(self, transport) -> None:

@@ -1,5 +1,8 @@
 import ast
+import ctypes
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -19,9 +22,13 @@ from psualign import (
 from psualign import groups
 from psualign.groups import P512, P2048, PRESETS, powmod
 
+from psualign.simulate import build_parties
+
 from helpers import (
     SINGLE_FEATURE_NOISY,
+    hash_rows,
     quadratic_residues,
+    random_word,
     session_config,
     trial_division_is_prime,
 )
@@ -29,6 +36,7 @@ from helpers import (
 
 G23 = make_group_params(23)
 G512 = make_group_params("p512")
+G2048 = make_group_params("modp2048")
 
 
 def test_make_group_params_p23():
@@ -278,11 +286,11 @@ def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch):
         pytest.skip("libcrypto.so.3 could not be loaded")
     calls = []
 
-    def spy(base, exponent, modulus):
+    def spy(values, exponent, modulus):
         calls.append(modulus)
-        return type(lib).powmod(lib, base, exponent, modulus)
+        return type(lib).powmod_many(lib, values, exponent, modulus)
 
-    monkeypatch.setattr(lib, "powmod", spy)
+    monkeypatch.setattr(lib, "powmod_many", spy)
     g7 = make_group_params("p7")
     for group in (G23, g7):
         group.exp(2, group.q - 1)
@@ -310,12 +318,212 @@ def test_powmod_falls_back_on_even_and_negative_arguments(backend):
     assert powmod(3, -(P512 // 2), P512) == pow(3, -(P512 // 2), P512)
 
 
+# --- exp_many: one batch per masking pass ---------------------------------
+
+
+def _exp_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("psu-exp-")]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs ``powmod_many`` sees this process allowed to run on."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(groups.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    return set_cpus
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads ``powmod_many`` starts."""
+    names = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(groups.threading, "Thread", Recorded)
+    return names
+
+
+# Around the slice boundaries: 2 x 16 bases start a helper on two CPUs,
+# 3 x 16 a second one on three or more, 4 x 16 a third on four.
+SLICE_LENGTHS = [15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100]
+
+
+def _exp_many_cases(p, rng, long_batches):
+    """Batches drawn from a few distinct bases, so ``pow`` raises each once."""
+    q = (p - 1) // 2
+    pool = [rng.randrange(1, p) for _ in range(5)]
+    batches = [[], pool[:1], [pool[0], 2, pool[0], pool[0], 2], [1, p - 1], [0, p + 2, -5, 1]]
+    exponents = [1, 2, q - 1, rng.randrange(1, q)]
+    cases = [(batch, exponent) for batch in batches for exponent in exponents]
+    if long_batches:
+        batches = [[rng.choice(pool) for _ in range(n)] for n in SLICE_LENGTHS]
+        batches.append([pool[0]] * 40 + [1, p - 1] * 20)
+        cases += [(batch, exponent) for batch in batches for exponent in (2, exponents[-1])]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_exp_many_matches_pow_on_presets(backend, name):
+    group = make_group_params(name)
+    # Long modp2048 batches only where they are fast to raise and can slice.
+    long_batches = backend == "libcrypto" or group.p != P2048
+    for batch, exponent in _exp_many_cases(group.p, random.Random(name), long_batches):
+        reference = {v: pow(v, exponent, group.p) for v in set(batch)}
+        got = group.exp_many(batch, exponent)
+        assert got == [reference[v] for v in batch], (len(batch), exponent)
+        assert all(type(power) is int for power in got)
+    assert _exp_threads() == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_exp_many_slices_by_cpu_count(count, cpus, started):
+    if groups._libcrypto is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    cpus(count)
+    rng = random.Random(count)
+    exponent = rng.randrange(1, G512.q)
+    for n in SLICE_LENGTHS:
+        started.clear()
+        batch = [rng.randrange(1, G512.p) for _ in range(n)]
+        assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+        slices = min(count, n // 16)
+        assert sorted(started) == [f"psu-exp-{k}" for k in range(1, slices)], n
+        assert _exp_threads() == []
+
+
+def _check_exp_many_interleaved(seed):
+    # Alternate moduli so threads share the cached Montgomery contexts.
+    rng = random.Random(seed)
+    for i in range(6):
+        group, sizes = (G2048, [5]) if i % 3 == 0 else (G512, [5, 33, 70])
+        exponent = rng.randrange(1, group.q)
+        pool = [rng.randrange(1, group.p) for _ in range(4)]
+        batch = [rng.choice(pool) for _ in range(rng.choice(sizes))]
+        reference = {v: pow(v, exponent, group.p) for v in pool}
+        assert group.exp_many(batch, exponent) == [reference[v] for v in batch]
+
+
+def test_exp_many_matches_pow_from_party_threads_at_once(backend, cpus):
+    """More party threads than CPUs, each slicing its batches, switching often."""
+    cpus(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(_check_exp_many_interleaved, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _exp_threads() == []
+
+
+def test_pow_backend_one_cpu_and_narrow_cases_start_no_thread(monkeypatch, cpus, started):
+    batch = list(range(1, 101))
+    exponent = G512.q - 1
+    cpus(4)
+    G23.exp_many([v % 23 for v in batch], 5)
+    G512.exp_many(batch, 2)
+    G512.hash_to_element(12345)
+    cpus(1)
+    assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+    cpus(4)
+    monkeypatch.setattr(groups, "_libcrypto", None)
+    assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+    assert started == []
+
+
+def test_set_up_calls_no_batch_and_starts_no_thread(monkeypatch, started):
+    """Hashing records and building parties raise nothing through ``powmod_many``."""
+
+    def forbidden(*args):
+        raise AssertionError("set-up reached powmod_many")
+
+    monkeypatch.setattr(groups, "powmod_many", forbidden)
+    rng = random.Random(3)
+    cfg = session_config(3, SINGLE_FEATURE_NOISY)
+    hashed = [hash_rows([[random_word(rng)] for _ in range(20)], cfg.match, G512)] * 3
+    parties = build_parties(cfg, hashed)
+    assert len(parties) == 3 and started == []
+
+
+def _failing_exp(lib, fail_on):
+    real = lib.exp
+
+    def exp(*args):
+        if fail_on(threading.current_thread().name):
+            return 0
+        return real(*args)
+
+    return exp
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_failing_exponentiation_raises_in_the_caller(monkeypatch, cpus, where):
+    lib = groups._libcrypto
+    if lib is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    cpus(4)
+    helper = where == "helper"
+    monkeypatch.setattr(
+        lib, "exp", _failing_exp(lib, lambda name: name.startswith("psu-exp-") == helper)
+    )
+    batch = list(range(2, 66))
+    with pytest.raises(ArithmeticError, match="exponentiation failed"):
+        G512.exp_many(batch, G512.q - 1)
+    assert _exp_threads() == []
+
+
+def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(monkeypatch, cpus):
+    lib = groups._libcrypto
+    if lib is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    get_flags = ctypes.CDLL("libcrypto.so.3").BN_get_flags
+    get_flags.restype, get_flags.argtypes = ctypes.c_int, (ctypes.c_void_p, ctypes.c_int)
+    real_exp, real_new, real_free = lib.exp, lib.bn_new, lib.bn_clear_free
+    flags, allocated, cleared = {}, [], []
+    lock = threading.Lock()
+
+    def exp(result, base, power, modulus, ctx, mont):
+        with lock:
+            name = threading.current_thread().name
+            flags.setdefault(name, set()).add(get_flags(power, 0x04))
+        return real_exp(result, base, power, modulus, ctx, mont)
+
+    def bn_new():
+        bn = real_new()
+        with lock:
+            allocated.append(bn)
+        return bn
+
+    def bn_clear_free(bn):
+        with lock:
+            cleared.append(bn)
+        real_free(bn)
+
+    monkeypatch.setattr(lib, "exp", exp)
+    monkeypatch.setattr(lib, "bn_new", bn_new)
+    monkeypatch.setattr(lib, "bn_clear_free", bn_clear_free)
+    cpus(4)
+    batch = list(range(2, 66))
+    exponent = G512.q - 1
+    assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+    caller = threading.current_thread().name
+    assert flags == {name: {0x04} for name in (caller, "psu-exp-1", "psu-exp-2", "psu-exp-3")}
+    assert len(allocated) == 4 * 3 and sorted(cleared) == sorted(allocated)
+    assert _exp_threads() == []
+
+
 def test_only_groups_imports_powmod():
     """Every other module reaches group arithmetic through ``GroupParams``.
 
-    Outside ``groups.py`` no module imports ``powmod``, and none imports a
-    name from ``groups`` beyond the group object, its constructor, the
-    presets and the primality test.
+    Outside ``groups.py`` no module imports ``powmod`` or ``powmod_many``,
+    and none imports a name from ``groups`` beyond the group object, its
+    constructor, the presets and the primality test.
     """
     allowed = {
         "GroupParams",
@@ -333,6 +541,8 @@ def test_only_groups_imports_powmod():
                 continue
             from_groups = node.module in ("groups", "psualign.groups")
             for alias in node.names:
-                if alias.name == "powmod" or (from_groups and alias.name not in allowed):
+                if alias.name in ("powmod", "powmod_many") or (
+                    from_groups and alias.name not in allowed
+                ):
                     offenders.append(f"{path.name}:{node.lineno}:{alias.name}")
     assert offenders == []

@@ -377,8 +377,7 @@ def test_set_codec_rejects_non_canonical_payloads(raw, reason):
 def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=None):
     """``pow`` on every token, with the shuffles the masking pass draws.
 
-    Takes and ignores ``powers``, so it can stand in for
-    ``encrypt_identifier`` at every call site.
+    Takes and ignores ``powers``, like :func:`reference_identifiers`.
     """
     masked = []
     for feature in ident.features:
@@ -389,6 +388,11 @@ def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=
     return EncryptedIdentifier(tuple(masked))
 
 
+def reference_identifiers(idents, exponent, group, mode=ORDERED, rng=None, powers=None):
+    """A memo-free pass; stands in for ``encrypt_identifiers`` at every call site."""
+    return [reference_identifier(i, exponent, group, mode, rng) for i in idents]
+
+
 def reference_set(enc_set, exponent, group, mode, rng):
     items = [reference_identifier(i, exponent, group, mode, rng) for i in enc_set.items]
     rng.shuffle(items)
@@ -396,20 +400,22 @@ def reference_set(enc_set, exponent, group, mode, rng):
 
 
 class CountingPowmod:
-    """Stands in for ``groups.powmod`` and records every call."""
+    """Stands in for ``groups.powmod_many`` and records every base of every batch."""
 
     def __init__(self):
         self.calls = []
+        self.batches = 0
         self.lock = threading.Lock()
-        self.inner = groups.powmod
+        self.inner = groups.powmod_many
 
-    def __call__(self, base, exponent, modulus):
+    def __call__(self, values, exponent, modulus):
         with self.lock:
-            self.calls.append((threading.current_thread().name, exponent, base))
-        return self.inner(base, exponent, modulus)
+            self.calls += [(exponent, base) for base in values]
+            self.batches += 1
+        return self.inner(values, exponent, modulus)
 
     def bases(self):
-        return [base for _, _, base in self.calls]
+        return [base for _, base in self.calls]
 
 
 @st.composite
@@ -441,12 +447,13 @@ def test_encrypt_set_raises_each_distinct_base_once(instance):
     group, items, exponent, mode, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
-    with mock.patch.object(groups, "powmod", counting):
+    with mock.patch.object(groups, "powmod_many", counting):
         got = encrypt_set(EncryptedSet(list(items)), exponent, group, mode, rng)
     expected = reference_set(EncryptedSet(list(items)), exponent, group, mode, ref_rng)
     assert got == expected
     assert rng.getstate() == ref_rng.getstate()
     assert sorted(counting.bases()) == sorted(distinct_bases(items))
+    assert counting.batches == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -457,7 +464,7 @@ def test_encrypt_identifier_memo_spans_the_calls_it_is_passed_to(instance):
     group, items, exponent, mode, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
-    with mock.patch.object(groups, "powmod", counting):
+    with mock.patch.object(groups, "powmod_many", counting):
         alone = [encrypt_identifier(i, exponent, group, mode, rng) for i in items]
         alone_calls = counting.bases()
         counting.calls.clear()
@@ -484,8 +491,9 @@ NOISY_TWO_FEATURES = MatchConfig(
 def test_session_raises_no_base_twice_per_party_and_exponent(match):
     """A seeded 3-party session against the oracles and a memo-free rerun.
 
-    The rerun masks through :func:`reference_identifier`, so it raises
-    every token occurrence; its outputs must be byte-identical.
+    The rerun masks through :func:`reference_identifiers`, so it raises
+    every token occurrence; its outputs must be byte-identical.  Raises
+    are keyed on (exponent, base), since helper threads raise too.
     """
     rng = random.Random("memo-session")
     raw = random_instance(rng, 3, max_rows=12)
@@ -495,7 +503,7 @@ def test_session_raises_no_base_twice_per_party_and_exponent(match):
     hashed = [hash_rows(rows, match, G512) for rows in raw]
 
     counting = CountingPowmod()
-    with mock.patch.object(groups, "powmod", counting):
+    with mock.patch.object(groups, "powmod_many", counting):
         outcome = run_local_session(cfg, hashed)
     raised = Counter(counting.calls)
     assert raised and max(raised.values()) == 1
@@ -516,8 +524,8 @@ def test_session_raises_no_base_twice_per_party_and_exponent(match):
         assert sorted(result.index_map.local_to_universal) == list(range(len(raw[party_id])))
         assert result.index_map.unmatched == []
 
-    with mock.patch.object(masking, "encrypt_identifier", reference_identifier), \
-            mock.patch.object(protocol, "encrypt_identifier", reference_identifier):
+    with mock.patch.object(masking, "encrypt_identifiers", reference_identifiers), \
+            mock.patch.object(protocol, "encrypt_identifiers", reference_identifiers):
         reference = run_local_session(cfg, hashed)
     for got, want in zip(outcome.results, reference.results):
         assert got.union_table == want.union_table
