@@ -5,7 +5,10 @@ A session runs five phases in fixed order:
 1. handshake -- every pair exchanges a config digest (HELLO).
 2. first masking round -- each dataset circulates the ring; every party
    applies its first exponent once; the last applier forwards the fully
-   masked set to the active party.  Exactly P sends per dataset.
+   masked set to the active party.  P sends per dataset, except for
+   origin 0, whose last layer the active party applies itself and keeps:
+   P - 1 sends.  A session sends P² - 1 set frames, and no party ever
+   sends to itself.
 3. union construction -- the active party deduplicates, masks the
    provisional union with its (third * second) exponent, and the union
    walks down the ring gathering every party's layer; the final holder
@@ -23,12 +26,14 @@ A session runs five phases in fixed order:
    learns in round one.
 
 Messages that do not belong to the current phase, messages from a party
-id outside ``[0, P)``, a second relay from one origin or a relay whose
-record count is not the origin's round-one set size, and a token return
-that is repeated or does not hold exactly the origin's records raise
-PhaseViolation.  A received identifier whose feature count or
-per-feature token count the session cannot produce raises
-TransportFailure.  Receive deadlines belong to the transport.
+id outside ``[0, P)``, a ring message (set, union, broadcast, relay or
+return) whose sender is not the party its origin and hop imply, a fully
+masked set for origin 0 arriving over the wire, a second relay from one
+origin or a relay whose record count is not the origin's round-one set
+size, and a token return that is repeated or does not hold exactly the
+origin's records raise PhaseViolation.  A received identifier whose
+feature count or per-feature token count the session cannot produce
+raises TransportFailure.  Receive deadlines belong to the transport.
 Two interleavings are legal and buffered: a SET_TRANSFER arriving while
 a slower peer is still handshaking, and a TOKEN_RELAY / TOKEN_RETURN
 arriving while the union broadcast is still in flight; both stem from
@@ -205,6 +210,13 @@ class Party:
                 f"cannot accept {msg.msg_type.name}"
             )
 
+    def _check_sender(self, sender: int, expected: int, what: str) -> None:
+        """Reject a ring message that did not come from the party its place implies."""
+        if sender != expected:
+            raise PhaseViolation(
+                f"{what} came from party {sender}, expected party {expected}"
+            )
+
     def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
         try:
             decoded = decode_set(payload, self.group)
@@ -306,10 +318,19 @@ class Party:
         pending_hops = self.party_count - 1
         want_finals = self.party_count if self.is_active else 0
         while pending_hops > 0 or len(self._finals) < want_finals:
-            _, msg = self._recv(transport, {MessageType.SET_TRANSFER})
+            sender, msg = self._recv(transport, {MessageType.SET_TRANSFER})
+            # Hop h of a set is sent by the party that applied layer h.
+            expected_sender = (msg.origin + msg.hop - 1) % self.party_count
+            what = f"set for origin {msg.origin} at hop {msg.hop}"
             if msg.hop == self.party_count:
                 if not self.is_active:
                     raise PhaseViolation("fully masked set delivered to a passive party")
+                if expected_sender == self.party_id:
+                    raise PhaseViolation(
+                        f"{what} arrived over the wire, but party {self.party_id} "
+                        "applies its last layer and keeps it"
+                    )
+                self._check_sender(sender, expected_sender, what)
                 if msg.origin in self._finals:
                     raise PhaseViolation(f"second final set for origin {msg.origin}")
                 self._finals[msg.origin] = self._decode_set(msg.payload, self._item_shape)
@@ -317,17 +338,22 @@ class Party:
                 expected_holder = (msg.origin + msg.hop) % self.party_count
                 if expected_holder != self.party_id:
                     raise PhaseViolation(
-                        f"set for origin {msg.origin} at hop {msg.hop} "
-                        f"reached party {self.party_id}, expected {expected_holder}"
+                        f"{what} reached party {self.party_id}, expected {expected_holder}"
                     )
+                self._check_sender(sender, expected_sender, what)
                 incoming = self._decode_set(msg.payload, self._item_shape)
                 self.peer_sizes[msg.origin] = len(incoming.items)
                 outgoing = encrypt_set(
                     incoming, self.exponents[0], self.group, self.mode, self.rng
                 )
                 next_hop = msg.hop + 1
+                pending_hops -= 1
+                if next_hop == self.party_count and self.is_active:
+                    # Origin 0's set takes its last layer here and is kept.
+                    self._finals[msg.origin] = outgoing
+                    continue
                 # After the P-th layer the set is complete and goes to the
-                # active party -- a loopback send when we are it.
+                # active party.
                 dest = self.active_id if next_hop == self.party_count else self.next_id
                 self._send(
                     transport,
@@ -337,7 +363,6 @@ class Party:
                     hop=next_hop,
                     payload=encode_set(outgoing, self.group),
                 )
-                pending_hops -= 1
             else:
                 raise PhaseViolation(f"set transfer with illegal hop {msg.hop}")
         self.phase = Phase.ROUND_TWO
@@ -348,6 +373,7 @@ class Party:
         concatenated: list[EncryptedIdentifier] = []
         for origin in range(self.party_count):
             concatenated.extend(self._finals[origin].items)
+        self._finals.clear()
         if self.match_cfg.ordered:
             return dedup_exact(concatenated)
         return dedup_noisy(concatenated, self.match_cfg, self.rng)
@@ -363,7 +389,7 @@ class Party:
             )
             self._forward_union(transport, masked, hop=1)
         else:
-            _, msg = self._recv(transport, {MessageType.UNION_TRANSFER})
+            sender, msg = self._recv(transport, {MessageType.UNION_TRANSFER})
             if not 1 <= msg.hop < self.party_count:
                 raise PhaseViolation(f"union transfer with illegal hop {msg.hop}")
             expected_holder = self.active_id - msg.hop
@@ -372,6 +398,7 @@ class Party:
                     f"union at hop {msg.hop} reached party {self.party_id}, "
                     f"expected {expected_holder}"
                 )
+            self._check_sender(sender, self.party_id + 1, f"union at hop {msg.hop}")
             incoming = self._decode_set(msg.payload, self._entry_shape)
             masked = encrypt_set(
                 incoming, self._union_exponent(), self.group, self.mode, self.rng
@@ -410,13 +437,14 @@ class Party:
         if self.union_table is not None:  # party 0 built it while broadcasting
             self.phase = Phase.MATCHING
             return
-        _, msg = self._recv(
+        sender, msg = self._recv(
             transport,
             {MessageType.UID_BROADCAST},
             buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN},
         )
         if msg.origin != 0 or msg.hop != self.party_count:
             raise PhaseViolation("union broadcast from an unexpected source")
+        self._check_sender(sender, 0, "union broadcast")
         entries = self._decode_set(msg.payload, self._entry_shape)
         self.union_table = assign_universal_indices(entries.items, self.group)
         self.phase = Phase.MATCHING
@@ -463,21 +491,21 @@ class Party:
         relay_powers: dict[int, int] = {}
         index_map = None if self.hashed_records else UniversalIndexMap(self.party_id)
         while to_serve or index_map is None:
-            _, msg = self._recv(
+            sender, msg = self._recv(
                 transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
             if msg.msg_type is MessageType.TOKEN_RELAY:
-                self._serve_relay(transport, msg, to_serve, relay_powers)
+                self._serve_relay(transport, sender, msg, to_serve, relay_powers)
             elif index_map is not None:
                 raise PhaseViolation(
                     f"second token return for party {self.party_id}: "
                     "its records are not pending"
                 )
             else:
-                index_map = self._close_return(msg, locate)
+                index_map = self._close_return(sender, msg, locate)
         self.index_map = index_map
 
-    def _serve_relay(self, transport, msg, to_serve: set[int], powers) -> None:
+    def _serve_relay(self, transport, sender: int, msg, to_serve: set[int], powers) -> None:
         """Add this party's layer to one origin's relay and pass it on."""
         if not 0 <= msg.hop <= self.party_count - 2:
             raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
@@ -487,6 +515,12 @@ class Party:
                 f"relay from origin {msg.origin} at hop {msg.hop} "
                 f"reached party {self.party_id}"
             )
+        # Hop h of a relay is sent by party origin + h.
+        self._check_sender(
+            sender,
+            (msg.origin + msg.hop) % self.party_count,
+            f"relay from origin {msg.origin} at hop {msg.hop}",
+        )
         if msg.origin not in to_serve:
             raise PhaseViolation(f"second relay from origin {msg.origin}")
         relay = self._decode_set(msg.payload, self._item_shape)
@@ -508,7 +542,7 @@ class Party:
             payload=encode_set(masked, self.group),
         )
 
-    def _close_return(self, msg, locate) -> UniversalIndexMap:
+    def _close_return(self, sender: int, msg, locate) -> UniversalIndexMap:
         """Remove this party's own layers and look every record up in the union."""
         if msg.origin != self.party_id:
             raise PhaseViolation("token return for a foreign origin")
@@ -516,6 +550,7 @@ class Party:
             raise PhaseViolation(
                 f"token return after {msg.hop} hops, expected {self.party_count - 1}"
             )
+        self._check_sender(sender, (self.party_id - 1) % self.party_count, "token return")
         returned = self._decode_set(msg.payload, self._item_shape)
         if len(returned.items) != len(self.hashed_records):
             raise PhaseViolation(

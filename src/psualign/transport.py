@@ -8,10 +8,10 @@ serialized stream, and per-transport counters record sends and their
 frame bytes (header plus payload) by message type for the accounting
 assertions.  The config-digest handshake itself is a protocol phase
 (HELLO frames) on top of this layer; over TCP the first frame on every
-connection must be a HELLO, which also identifies the sender.  A party
-sending to itself is a legal loopback delivery and is counted, frames
-and bytes, like any other send.  Over TCP a received payload is the
-``bytearray`` its frame was read into, not a copy.
+connection must be a HELLO, which also identifies the sender.  A send
+to one's own id, like one to an id outside ``[0, P)``, raises
+``PeerUnreachable``.  Over TCP a received payload is the ``bytearray``
+its frame was read into, not a copy.
 
 Each transport owns its receive deadline, a required constructor
 argument: ``recv`` with no argument waits at most that long, and over
@@ -90,6 +90,8 @@ class InProcessHub:
     def deliver(self, sender: int, receiver: int, message: ProtocolMessage) -> None:
         if not 0 <= receiver < self.party_count:
             raise PeerUnreachable(f"no party with id {receiver}")
+        if receiver == sender:
+            raise PeerUnreachable(f"party {sender} cannot send to itself")
         # Round-trip through the frame codec so the in-process backend
         # carries exactly the bytes TCP would.
         self.queues[receiver].put((sender, decode_frame(encode_frame(message))))
@@ -292,18 +294,17 @@ class TcpTransport:
     def send(self, to: int, message: ProtocolMessage) -> None:
         if not 0 <= to < self.party_count:
             raise PeerUnreachable(f"no party with id {to}")
-        frame = encode_frame(message)
         if to == self.my_id:
-            self._inbox.put((self.my_id, message))
-        else:
-            sock = self._out_socks.get(to)
-            if sock is None:
-                raise PeerUnreachable(f"party {to} is not connected")
-            try:
-                with self._out_locks[to]:
-                    sock.sendall(frame)
-            except OSError as exc:
-                raise TransportFailure(f"send to party {to} failed: {exc}") from exc
+            raise PeerUnreachable(f"party {to} cannot send to itself")
+        sock = self._out_socks.get(to)
+        if sock is None:
+            raise PeerUnreachable(f"party {to} is not connected")
+        frame = encode_frame(message)
+        try:
+            with self._out_locks[to]:
+                sock.sendall(frame)
+        except OSError as exc:
+            raise TransportFailure(f"send to party {to} failed: {exc}") from exc
         self.counters[message.msg_type] += 1
         self.byte_counters[message.msg_type] += len(frame)
 

@@ -133,7 +133,7 @@ def plaintext_equal_pairs(raw_per_party):
 
 
 class TapTransport:
-    """A hub endpoint that keeps every message its party sends.
+    """A hub endpoint that keeps every message its party sends, and to whom.
 
     ``max_delay`` > 0 makes every send sleep a random amount first, which
     jitters cross-pair interleaving while preserving per-pair order (the
@@ -145,6 +145,7 @@ class TapTransport:
         self.max_delay = max_delay
         self.delay_rng = delay_rng
         self.sent = []
+        self.receivers = []  # the party each message in ``sent`` went to
 
     def establish(self, timeout=None) -> None:
         self.inner.establish(timeout)
@@ -154,6 +155,7 @@ class TapTransport:
             time.sleep(self.delay_rng.uniform(0, self.max_delay))
         self.inner.send(to, message)
         self.sent.append(message)
+        self.receivers.append(to)
 
     def recv(self, timeout=None):
         return self.inner.recv(timeout)

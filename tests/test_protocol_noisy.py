@@ -127,7 +127,7 @@ def test_message_accounting_matches_ordered_rules():
     hashed = [hash_rows(rows, SINGLE_FEATURE_NOISY, cfg.group()) for rows in raw]
     _, _, taps = run_tapped(cfg, hashed)
     counts = total_message_counts([tap.inner for tap in taps])
-    assert counts["SET_TRANSFER"] == 4
+    assert counts["SET_TRANSFER"] == 3
     assert counts["UNION_TRANSFER"] == 1
     assert counts["UID_BROADCAST"] == 1
     # One relay frame per party and hop, one return each.

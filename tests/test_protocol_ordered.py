@@ -23,6 +23,7 @@ from psualign import (
     make_group_params,
 )
 from psualign import groups
+from psualign.messages import MessageType, ProtocolMessage
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub, total_message_counts
 
@@ -126,7 +127,7 @@ def test_message_accounting_and_peer_sizes():
     counts = total_message_counts([tap.inner for tap in taps])
     sizes = [2, 1, 3]
     P = 3
-    assert counts["SET_TRANSFER"] == P * P
+    assert counts["SET_TRANSFER"] == P * P - 1
     assert counts["UNION_TRANSFER"] == P - 1
     assert counts["UID_BROADCAST"] == P - 1
     # Each party relays its records in one frame per hop and gets one return.
@@ -137,6 +138,31 @@ def test_message_accounting_and_peer_sizes():
     assert carried == {"TOKEN_RELAY": sum(sizes) * (P - 1), "TOKEN_RETURN": sum(sizes)}
     for result in results:
         assert result.peer_sizes == {0: 2, 1: 1, 2: 3}
+
+
+UNORDERED_TWO_FEATURES = MatchConfig(
+    features=TWO_FEATURES.features, threshold=Fraction(1), ordered=False
+)
+
+
+@pytest.mark.parametrize("party_count", [2, 3, 4])
+@pytest.mark.parametrize(
+    "match", [TWO_FEATURES, UNORDERED_TWO_FEATURES], ids=["ordered", "unordered"]
+)
+def test_no_frame_goes_back_to_its_sender(match, party_count):
+    """The active party keeps origin 0's final set instead of sending it to itself."""
+    raw = random_instance(random.Random(f"no-self-send/{party_count}"), party_count, 8)
+    cfg = session_config(party_count, match, seed=60 + party_count)
+    hashed = [hash_rows(rows, match, cfg.group()) for rows in raw]
+    _, results, taps = run_tapped(cfg, hashed)
+    for sender, tap in enumerate(taps):
+        assert sender not in tap.receivers, (sender, tap.receivers)
+    sets = [m for tap in taps for m in tap.sent if m.msg_type is MessageType.SET_TRANSFER]
+    assert len(sets) == party_count**2 - 1
+    assert (0, party_count) not in {(m.origin, m.hop) for m in sets}
+    assert results[0].union_table.size == hashed_union_oracle(hashed)
+    for result in results:
+        assert result.union_table == results[0].union_table
 
 
 SHORT_IDS = MatchConfig(
@@ -259,7 +285,7 @@ def test_all_parties_empty_union_is_empty_and_broadcast_happens():
     for result in outcome.results:
         assert result.index_map.local_to_universal == {}
     counts = outcome.message_counts
-    assert counts["SET_TRANSFER"] == 9
+    assert counts["SET_TRANSFER"] == 8
     assert counts["UID_BROADCAST"] == 2  # empty union still distributed
     assert counts["TOKEN_RELAY"] == 0
 
@@ -412,6 +438,79 @@ def test_message_from_an_unknown_party_id_is_rejected_at_once():
         party.run(hub.transport(1))
     assert time.monotonic() - started < 1.0
     assert party.phase is Phase.HANDSHAKE
+
+
+class ForgingTransport:
+    """A hub endpoint that puts one frame straight into its receiver's
+    queue under another party's id.
+
+    ``target`` is the (type, receiver, origin) of the frame to forge.
+    """
+
+    def __init__(self, inner, target, claimed: int):
+        self.inner = inner
+        self.target = target
+        self.claimed = claimed
+
+    def establish(self, timeout=None) -> None:
+        self.inner.establish(timeout)
+
+    def send(self, to, message) -> None:
+        if (message.msg_type, to, message.origin) == self.target:
+            self.inner.hub.queues[to].put((self.claimed, message))
+        else:
+            self.inner.send(to, message)
+
+    def recv(self, timeout=None):
+        return self.inner.recv(timeout)
+
+
+@pytest.mark.parametrize(
+    "forger, target, claimed, error",
+    [
+        (0, (MessageType.SET_TRANSFER, 1, 0), 2,
+         "set for origin 0 at hop 1 came from party 2, expected party 0"),
+        (2, (MessageType.UNION_TRANSFER, 1, 2), 0,
+         "union at hop 1 came from party 0, expected party 2"),
+        (0, (MessageType.UID_BROADCAST, 2, 0), 1,
+         "union broadcast came from party 1, expected party 0"),
+        (0, (MessageType.TOKEN_RELAY, 1, 0), 2,
+         "relay from origin 0 at hop 0 came from party 2, expected party 0"),
+        (2, (MessageType.TOKEN_RETURN, 0, 0), 1,
+         "token return came from party 1, expected party 2"),
+    ],
+    ids=["set", "union", "broadcast", "relay", "return"],
+)
+def test_a_ring_message_from_the_wrong_sender_is_rejected(forger, target, claimed, error):
+    """Three parties with records; one frame arrives under another party's id."""
+    raw = [[("a", "x")], [("b", "y")], [("a", "x"), ("c", "z")]]
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    hashed = [hash_rows(rows, TWO_FEATURES, cfg.group()) for rows in raw]
+    hub = InProcessHub(3, recv_timeout=5)
+    transports = [hub.transport(k) for k in range(3)]
+    transports[forger] = ForgingTransport(transports[forger], target, claimed)
+    with pytest.raises(PhaseViolation, match=error):
+        run_session(build_parties(cfg, hashed), transports)
+
+
+@pytest.mark.parametrize("claimed", [0, 1])
+def test_a_final_set_for_origin_0_over_the_wire_is_rejected(claimed):
+    """Party 1 of 2 masks origin 0's set last and keeps it; none may arrive."""
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    hub = InProcessHub(2, recv_timeout=2)
+    party = Party(
+        party_id=1,
+        party_count=2,
+        group=cfg.group(),
+        match_cfg=cfg.match,
+        hashed_records=[],
+        rng=cfg.party_rng(1),
+        session_digest=cfg.digest(),
+    )
+    hub.queues[1].put((0, ProtocolMessage(MessageType.HELLO, 0, 0, cfg.digest())))
+    hub.queues[1].put((claimed, ProtocolMessage(MessageType.SET_TRANSFER, 0, 2, b"")))
+    with pytest.raises(PhaseViolation, match="set for origin 0 at hop 2 arrived over the wire"):
+        party.run(hub.transport(1))
 
 
 def _record_added(payload, group, send):

@@ -43,13 +43,15 @@ def test_inprocess_loopback_bytes():
     assert received.payload == b"hello bytes"
 
 
-def test_inprocess_self_send_is_delivered_and_counted():
-    hub = InProcessHub(1, recv_timeout=2)
+def test_inprocess_self_send_is_refused():
+    hub = InProcessHub(2, recv_timeout=0.05)
     t = hub.transport(0)
-    t.send(0, msg(b"me"))
-    sender, received = t.recv()
-    assert sender == 0 and received.payload == b"me"
-    assert t.message_counts()["SET_TRANSFER"] == 1
+    with pytest.raises(PeerUnreachable, match="party 0 cannot send to itself"):
+        t.send(0, msg(b"me"))
+    assert t.message_counts()["SET_TRANSFER"] == 0
+    assert t.message_bytes()["SET_TRANSFER"] == 0
+    with pytest.raises(TransportFailure, match="no message"):
+        t.recv()
 
 
 def test_inprocess_order_per_pair():
@@ -91,7 +93,7 @@ def test_inprocess_bytes_by_type_are_header_plus_payload():
     t = hub.transport(0)
     assert set(t.message_bytes().values()) == {0}
     t.send(1, msg(b"abc", MessageType.SET_TRANSFER))
-    t.send(0, msg(b"loop", MessageType.SET_TRANSFER))  # loopback counts too
+    t.send(1, msg(b"four", MessageType.SET_TRANSFER))
     t.send(1, msg(b"", MessageType.TOKEN_RELAY, hop=0))
     sizes = t.message_bytes()
     assert sizes["SET_TRANSFER"] == 2 * HEADER_SIZE + 7
@@ -150,12 +152,15 @@ def test_tcp_preserves_order_per_pair():
         b.close()
 
 
-def test_tcp_self_send_loopback():
+def test_tcp_self_send_is_refused():
     a, b = _mesh(2)
     try:
-        a.send(0, msg(b"self"))
-        sender, received = a.recv()
-        assert sender == 0 and received.payload == b"self"
+        with pytest.raises(PeerUnreachable, match="party 0 cannot send to itself"):
+            a.send(0, msg(b"self"))
+        assert a.message_counts()["SET_TRANSFER"] == 0
+        assert a.message_bytes()["SET_TRANSFER"] == 0
+        with pytest.raises(TransportFailure, match="no message"):
+            a.recv(0.05)
     finally:
         a.close()
         b.close()
@@ -168,9 +173,9 @@ def test_tcp_counts_frame_bytes_like_the_in_process_backend():
     try:
         for t in (a, local):
             t.send(1, msg(b"x" * 100))
-            t.send(0, msg(b"self"))
+            t.send(1, msg(b"four"))
         b.recv()
-        a.recv()
+        b.recv()
         # _mesh sent one HELLO from each endpoint first
         assert a.message_bytes()["HELLO"] == HEADER_SIZE
         assert a.message_bytes()["SET_TRANSFER"] == local.message_bytes()["SET_TRANSFER"]
