@@ -1,7 +1,9 @@
-"""SHA3-based mapping of n-gram tokens onto the quadratic-residue subgroup.
+"""SHA3-based mapping of tokens onto the quadratic-residue subgroup.
 
-A token's digest enters the group through ``GroupParams.hash_to_element``.
-A hashed identifier is an :class:`~psualign.masking.EncryptedIdentifier`
+A token is an n-gram in unordered sessions and a whole normalized record
+in ordered ones, so an ordered record hashes to one element.  A token's
+digest enters the group through ``GroupParams.hash_to_element``.  A
+hashed identifier is an :class:`~psualign.masking.EncryptedIdentifier`
 with zero masking layers, the value type every masking pass takes and
 returns.
 """

@@ -11,7 +11,10 @@ Two modes exist.  "ordered" keeps token positions fixed so identifiers
 stay comparable tokenwise.  "unordered" additionally draws a fresh
 uniform permutation of token positions per identifier per feature, so
 only the per-feature multiset survives an encryption pass.  In both
-modes, set-level masking shuffles the order of identifiers.
+modes, set-level masking shuffles the order of identifiers.  An ordered
+session's identifier is one element per record (see ``tokenization``),
+so a pass there raises one base per distinct record, not one per
+distinct n-gram.
 
 Within one pass -- the tokens a party raises to one secret exponent in
 one sweep -- each distinct base is raised once: the pass collects the
@@ -165,9 +168,10 @@ def compose(
 # which tokens are equal, which deterministic masking shows anyway; its
 # order follows the item order: shuffled in sets, record order in relays.
 
-# Part of the session digest, so peers on different set layouts fail at
-# the handshake instead of on their first payload.
-WIRE_LAYOUT_VERSION = 4
+# Part of the session digest, so peers on different set layouts, or on
+# different identifier shapes (version 5 made an ordered record one
+# element), fail at the handshake instead of on their first payload.
+WIRE_LAYOUT_VERSION = 5
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:

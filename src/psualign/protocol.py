@@ -26,8 +26,9 @@ A session runs five phases in fixed order:
    learns in round one.
 
 Messages that do not belong to the current phase, messages from a party
-id outside ``[0, P)``, a ring message (set, union, broadcast, relay or
-return) whose sender is not the party its origin and hop imply, a fully
+id outside ``[0, P)``, a HELLO whose sender is not its origin, a ring
+message (set, union, broadcast, relay or return) whose sender is not
+the party its origin and hop imply, a fully
 masked set for origin 0 arriving over the wire, a second relay from one
 origin or a relay whose record count is not the origin's round-one set
 size, and a token return that is repeated or does not hold exactly the
@@ -139,13 +140,15 @@ class Party:
         self.rng = rng
         self.session_digest = session_digest
         self.mode = ORDERED if match_cfg.ordered else UNORDERED
-        # (least, most) tokens per feature: sets and relays carry every
-        # gram; union entries of unordered sessions may be trimmed to the
-        # match floor.
-        grams = [spec.gram_count for spec in match_cfg.features]
-        self._item_shape = tuple((g, g) for g in grams)
-        floors = grams if match_cfg.ordered else match_cfg.match_floors()
-        self._entry_shape = tuple(zip(floors, grams))
+        # (least, most) tokens per feature.  An ordered record is one
+        # element.  Unordered sets and relays carry every gram, and union
+        # entries may be trimmed to the match floor.
+        if match_cfg.ordered:
+            self._item_shape = self._entry_shape = ((1, 1),)
+        else:
+            grams = [spec.gram_count for spec in match_cfg.features]
+            self._item_shape = tuple((g, g) for g in grams)
+            self._entry_shape = tuple(zip(match_cfg.match_floors(), grams))
         # Three per-party secret exponents, consumed by different passes:
         # [0] masks circulating sets, [1] opens matching relays, [1]*[2]
         # masks the union; drawn up front so seeded runs are reproducible.
@@ -290,9 +293,10 @@ class Party:
                 transport.send(peer, hello)
         seen: set[int] = set()
         while len(seen) < self.party_count - 1:
-            _, msg = self._recv(
+            sender, msg = self._recv(
                 transport, {MessageType.HELLO}, buffer={MessageType.SET_TRANSFER}
             )
+            self._check_sender(sender, msg.origin, f"hello for party {msg.origin}")
             if msg.origin in seen or msg.origin == self.party_id:
                 raise PhaseViolation(f"duplicate hello from party {msg.origin}")
             if msg.payload != self.session_digest:

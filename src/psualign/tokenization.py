@@ -1,4 +1,19 @@
-"""Identifier normalization and sliding-window n-gram tokenization."""
+"""Identifier normalization and tokenization.
+
+Unordered (typo-tolerant) sessions cut every normalized field into its
+sliding-window n-grams, one feature per field.  Ordered (exact) sessions
+tokenize a record as one feature holding one token, the concatenation of
+its normalized fields, so each record masks to one group element.  The
+paper's ordered variant keeps the per-gram sequence of every field; two
+records match under it exactly when their normalized fields are equal,
+which is the relation one element per record keeps.  Its per-gram
+representation and exponent counts are not kept: a party that knows the
+final value of every gram it holds could read every union entry built
+from those grams, while one element per record lets it recognize only
+the entries equal to its own records.  A vocabulary with fewer distinct
+grams than records costs more exponentiations this way (README,
+"Ordered records").
+"""
 
 from __future__ import annotations
 
@@ -37,6 +52,8 @@ class FeatureSpec:
 
     A gram size larger than the length is legal in configuration; the
     length is raised to the gram size so at least one gram exists.
+    Ordered sessions cut no grams, so there the gram size acts only
+    through that raise.
     """
 
     name: str
@@ -92,7 +109,11 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class TokenizedIdentifier:
-    """Per-feature ordered tuples of n-gram strings for one record."""
+    """Per-feature ordered tuples of token strings for one record.
+
+    One tuple of n-grams per field in unordered sessions; one tuple
+    holding the joined normalized record in ordered ones.
+    """
 
     features: tuple[tuple[str, ...], ...]
 
@@ -115,11 +136,19 @@ def ngrams(field: str, size: int) -> tuple[str, ...]:
 
 
 def tokenize_record(fields, cfg: MatchConfig) -> TokenizedIdentifier:
-    """Normalize and tokenize one record's identifier fields."""
+    """Normalize and tokenize one record's identifier fields.
+
+    Ordered: one feature holding the normalized fields joined.  Each has
+    its feature's fixed length, so the join is injective without a
+    separator.  Unordered: one feature of n-grams per normalized field.
+    """
     if len(fields) != cfg.d_match:
         raise ArityMismatch(
             f"record has {len(fields)} identifier fields, config expects {cfg.d_match}"
         )
+    if cfg.ordered:
+        joined = "".join(map(normalize_field, fields, cfg.features))
+        return TokenizedIdentifier(((joined,),))
     return TokenizedIdentifier(
         tuple(
             ngrams(normalize_field(field, spec), spec.ngram)

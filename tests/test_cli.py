@@ -30,16 +30,16 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 
 def set_frame_bytes(names) -> int:
-    """The frame of one set message holding ``names`` (12 characters, 3-grams).
+    """The frame of one ordered set message holding ``names`` (12 characters).
 
-    Ordered masking keeps equal grams equal and distinct grams distinct,
-    so the table holds the distinct plaintext grams.  Header, item count,
-    chunk count, one chunk size, 64-byte elements, per item one feature
-    count and one token count, one 1-byte index per token.
+    An ordered record is one element, and masking keeps equal records
+    equal and distinct ones distinct, so the table holds one element per
+    distinct normalized name.  Header, item count, chunk count, one chunk
+    size, 64-byte elements, per item one feature count, one token count
+    and one 1-byte index.
     """
-    padded = [name.lower()[:12].ljust(12) for name in names]
-    distinct = {text[i : i + 3] for text in padded for i in range(10)}
-    return 9 + 4 + 1 + 2 + 64 * len(distinct) + 3 * len(names) + 10 * len(names)
+    distinct = {name.lower()[:12].ljust(12) for name in names}
+    return 9 + 4 + 1 + 2 + 64 * len(distinct) + 4 * len(names)
 
 
 def test_gen_corpus_then_simulate_then_evaluate(tmp_path, capsys):

@@ -41,11 +41,13 @@ def test_hash_token_lands_in_subgroup():
 
 
 def test_hash_identifier_preserves_shape():
-    cfg = MatchConfig(features=(FeatureSpec("name", 4, 2),))
-    tok = tokenize_record(["ab"], cfg)
-    hashed = hash_identifier(tok, G512)
-    assert len(hashed.features) == 1
-    assert len(hashed.features[0]) == 3
+    name, city = FeatureSpec("name", 4, 2), FeatureSpec("city", 6, 3)
+    unordered = MatchConfig(features=(name, city), ordered=False)
+    hashed = hash_identifier(tokenize_record(["ab", "rome"], unordered), G512)
+    assert [len(feature) for feature in hashed.features] == [3, 4]
+    ordered = MatchConfig(features=(name, city))
+    hashed = hash_identifier(tokenize_record(["ab", "rome"], ordered), G512)
+    assert hashed.features == ((hash_token("ab  rome  ", G512),),)
 
 
 def test_cross_party_agreement():

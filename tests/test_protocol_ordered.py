@@ -226,7 +226,7 @@ def test_randomized_instances_match_oracle():
     for trial in range(6):
         party_count = 2 + trial % 3
         raw = random_instance(rng, party_count, max_rows=10)
-        cfg, hashed, outcome = run_ordered(raw, seed=trial, group="p23")
+        cfg, hashed, outcome = run_ordered(raw, seed=trial, group="p512")
         assert outcome.results[0].union_table.size == hashed_union_oracle(hashed)
         for (p1, i1), (p2, i2) in plaintext_equal_pairs(raw):
             phi1 = outcome.results[p1].index_map.local_to_universal
@@ -248,7 +248,7 @@ _identifier = st.tuples(st.text(max_size=10), st.text(max_size=8))
 def test_pipeline_matches_oracle_on_arbitrary_text(pool, picks):
     """Whole-pipeline property: any unicode identifiers, oracle-equal union."""
     raw = [[pool[i % len(pool)] for i in party] for party in picks]
-    cfg = session_config(len(raw), TWO_FEATURES, group="p23", seed=77)
+    cfg = session_config(len(raw), TWO_FEATURES, group="p512", seed=77)
     group = cfg.group()
     hashed = [hash_rows(rows, TWO_FEATURES, group) for rows in raw]
     outcome = run_local_session(cfg, hashed)
@@ -435,6 +435,33 @@ def test_message_from_an_unknown_party_id_is_rejected_at_once():
         intruder.send(1, ProtocolMessage(MessageType.HELLO, origin, 0, cfg.digest()))
     started = time.monotonic()
     with pytest.raises(PhaseViolation, match="unknown party 7"):
+        party.run(hub.transport(1))
+    assert time.monotonic() - started < 1.0
+    assert party.phase is Phase.HANDSHAKE
+
+
+def test_a_hello_from_a_party_other_than_its_origin_is_rejected_at_once():
+    """Party 2 greets party 1 twice, once as party 0; the handshake must not pass."""
+    from psualign.protocol import Phase
+
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    hub = InProcessHub(3, recv_timeout=2)
+    party = Party(
+        party_id=1,
+        party_count=3,
+        group=cfg.group(),
+        match_cfg=cfg.match,
+        hashed_records=[],
+        rng=cfg.party_rng(1),
+        session_digest=cfg.digest(),
+    )
+    impostor = hub.transport(2)
+    for origin in (0, 2):
+        impostor.send(1, ProtocolMessage(MessageType.HELLO, origin, 0, cfg.digest()))
+    started = time.monotonic()
+    with pytest.raises(
+        PhaseViolation, match="hello for party 0 came from party 2, expected party 0"
+    ):
         party.run(hub.transport(1))
     assert time.monotonic() - started < 1.0
     assert party.phase is Phase.HANDSHAKE
