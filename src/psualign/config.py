@@ -49,6 +49,14 @@ class SessionConfig:
     output_dir: Path = Path("out")
     provenance_path: Path | None = None
 
+    def __post_init__(self):
+        # The digest hashes ``variant`` while parties follow ``match.ordered``.
+        if self.variant != ("ordered" if self.match.ordered else "unordered"):
+            raise ConfigError(
+                f"variant {self.variant!r} disagrees with a match config of "
+                f"ordered={self.match.ordered}"
+            )
+
     def group(self) -> GroupParams:
         if self.group_source.startswith("hex:"):
             return make_group_params(int(self.group_source[4:], 16))
@@ -166,9 +174,6 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
             raise ConfigError("'group' must be a preset name string")
 
     match = _parse_match(document.get("match"), variant, where)
-    for spec in match.features:
-        if spec.gram_count < 1:
-            raise ConfigError(f"feature {spec.name!r} yields no grams")
 
     raw_parties = document.get("parties")
     if not isinstance(raw_parties, list) or len(raw_parties) != party_count:

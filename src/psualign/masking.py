@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .groups import GroupParams
 
@@ -154,24 +155,33 @@ def compose(
 #   identifier: u8 feature count, then per feature a u16 big-endian token
 #               count followed by that many elements;
 #   set:        u32 big-endian item count | u8 chunk count S | S chunks,
-#               each a u16 big-endian size n and n elements | the items,
-#               each a u8 feature count, then per feature a u16 token
-#               count followed by that many big-endian table indices of
-#               1 byte when D <= 256, 2 when D <= 65,536, else 4.
+#               each a u16 big-endian size n and n elements | u16 shape
+#               count K | K shapes, each a u8 feature count F and F u16
+#               token counts | one shape index per item | T token indices,
+#               all big-endian.
 #
 # The chunks hold the table: the D distinct elements in first-occurrence
-# order, S = ceil(D / 65,535) and only the last chunk short.  Every entry
-# is used, in the order the items first refer to it, so a set has exactly
-# one encoding.  From byte 4 on a payload reads as an identifier whose
-# features are the chunks, so an identifier reader there sees every
-# element.  Sets and matching relays share this layout.  The table shows
-# which tokens are equal, which deterministic masking shows anyway; its
-# order follows the item order: shuffled in sets, record order in relays.
+# order, S = ceil(D / 65,535) and only the last chunk short.  The shapes
+# are the items' distinct (per-feature token count) tuples, also in
+# first-occurrence order.  An index into a table of n entries takes 1 byte
+# when n <= 256, 2 when n <= 65,536, else 4.  The shape indices are left
+# out when K = 1 and that shape holds a token: then they can only be 0.
+# (A token-less shape keeps them, so that every item costs a byte and the
+# item count stays bounded by the payload.)  The T token indices, one per
+# token of every item in item order, are left out when D = T: every token
+# is then distinct, and first-occurrence order makes them 0, 1, 2, ...
+# Every table entry and every shape is used, in the order the items first
+# refer to it, so a set has exactly one encoding.  From byte 4 on a payload
+# reads as an identifier whose features are the chunks, so an identifier
+# reader there sees every element.  Sets and matching relays share this
+# layout.  The table shows which tokens are equal, which deterministic
+# masking shows anyway; its order follows the item order: shuffled in
+# sets, record order in relays.
 
 # Part of the session digest, so peers on different set layouts, or on
 # different identifier shapes (version 5 made an ordered record one
 # element), fail at the handshake instead of on their first payload.
-WIRE_LAYOUT_VERSION = 5
+WIRE_LAYOUT_VERSION = 6
 
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
@@ -228,40 +238,72 @@ def _index_format(table_size: int) -> tuple[str, int]:
 _CHUNK = 0xFFFF  # most table elements one chunk holds
 
 
+def _shape_index_format(shapes: list[tuple[int, ...]]) -> tuple[str, int]:
+    """The ``struct`` code and byte width of one shape index; width 0 when left out."""
+    if len(shapes) == 1 and any(shapes[0]):
+        return "", 0
+    return _index_format(len(shapes))
+
+
 def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
-    table = list(
-        dict.fromkeys(
-            [value for item in enc_set.items for feature in item.features for value in feature]
-        )
-    )
+    shape_id: dict[tuple[int, ...], int] = {}
+    shape_ids = []
+    values: list[int] = []
+    for item in enc_set.items:
+        shape = tuple(map(len, item.features))
+        shape_ids.append(shape_id.setdefault(shape, len(shape_id)))
+        for feature in item.features:
+            values += feature
+    shapes = list(shape_id)
+    for shape in shapes:
+        if len(shape) > 0xFF:
+            raise ValueError("more than 255 features cannot be serialized")
+        if shape and max(shape) > 0xFFFF:
+            raise ValueError("more than 65535 tokens per feature cannot be serialized")
+    if len(shapes) > 0xFFFF:
+        raise ValueError("more than 65535 item shapes cannot be serialized")
+    table = list(dict.fromkeys(values))
     if len(table) > 0xFF * _CHUNK:
         raise ValueError(f"more than {0xFF * _CHUNK} distinct elements cannot be serialized")
-    index_of = dict(zip(table, range(len(table)))).__getitem__
-    code, _ = _index_format(len(table))
-    out = bytearray(struct.pack(">IB", len(enc_set.items), -(-len(table) // _CHUNK)))
+    out = bytearray(struct.pack(">IB", len(shape_ids), -(-len(table) // _CHUNK)))
     for start in range(0, len(table), _CHUNK):
         chunk = table[start : start + _CHUNK]
         out += len(chunk).to_bytes(2, "big")
         out += group.encode_elements(chunk)
-    for item in enc_set.items:
-        if len(item.features) > 0xFF:
-            raise ValueError("more than 255 features cannot be serialized")
-        out.append(len(item.features))
-        for feature in item.features:
-            if len(feature) > 0xFFFF:
-                raise ValueError("more than 65535 tokens per feature cannot be serialized")
-            out += struct.pack(
-                f">H{len(feature)}{code}", len(feature), *map(index_of, feature)
-            )
+    out += len(shapes).to_bytes(2, "big")
+    for shape in shapes:
+        out += struct.pack(f">B{len(shape)}H", len(shape), *shape)
+    code, width = _shape_index_format(shapes)
+    if width:
+        out += struct.pack(f">{len(shape_ids)}{code}", *shape_ids)
+    if len(table) < len(values):
+        index_of = dict(zip(table, range(len(table)))).__getitem__
+        code, _ = _index_format(len(table))
+        out += struct.pack(f">{len(values)}{code}", *map(index_of, values))
     return bytes(out)
 
 
-def decode_set(raw: bytes, group: GroupParams) -> EncryptedSet:
+def _check_first_use(indices, table_size: int, what: str) -> None:
+    """Every entry of a table of ``table_size`` used, each first in table order."""
+    if indices and max(indices) >= table_size:
+        raise ValueError(f"set {what} index {max(indices)} outside a table of {table_size}")
+    first_uses = list(dict.fromkeys(indices))
+    if first_uses != list(range(len(first_uses))):
+        raise ValueError(f"a set {what} index skips ahead of first-occurrence order")
+    if len(first_uses) != table_size:
+        unused = table_size - len(first_uses)
+        raise ValueError(f"{unused} set {what} table entries are never used")
+
+
+def decode_set(raw: bytes, group: GroupParams, check_shape=None) -> EncryptedSet:
     """Parse a set payload, accepting only its one canonical encoding.
 
     Raises ``ValueError`` on any malformed input, before decoding a table
     chunk whose declared size does not fit the payload.  The table is
     read through a ``memoryview``, so its bytes are not copied.
+    ``check_shape``, when given, is called once with each entry of the
+    shape table (a tuple of per-feature token counts) before any item is
+    built, and what it raises is passed on.
     """
     if len(raw) < 5:
         raise ValueError("truncated set: missing item count or chunk count")
@@ -283,39 +325,63 @@ def decode_set(raw: bytes, group: GroupParams) -> EncryptedSet:
     table_size = len(table)
     if len(set(table)) != table_size:
         raise ValueError("set table repeats an element")
-    element = table.__getitem__
-    code, index_width = _index_format(table_size)
-    used: list[int] = []  # every index, in payload order
-    items = []
-    for _ in range(count):
+
+    if offset + 2 > len(raw):
+        raise ValueError("truncated set: missing shape count")
+    shape_count = int.from_bytes(raw[offset : offset + 2], "big")
+    offset += 2
+    shapes: list[tuple[int, ...]] = []
+    for _ in range(shape_count):
         if offset >= len(raw):
             raise ValueError("truncated set: missing feature count")
         feature_count = raw[offset]
-        offset += 1
-        features = []
-        for _ in range(feature_count):
-            if offset + 2 > len(raw):
-                raise ValueError("truncated set: missing token count")
-            token_count = int.from_bytes(raw[offset : offset + 2], "big")
-            offset += 2
-            end = offset + token_count * index_width
-            if end > len(raw):
-                raise ValueError("truncated set: missing token indices")
-            indices = struct.unpack_from(f">{token_count}{code}", raw, offset)
-            if indices and max(indices) >= table_size:
-                raise ValueError(
-                    f"set index {max(indices)} outside a table of {table_size}"
-                )
-            used += indices
-            features.append(tuple(map(element, indices)))
-            offset = end
-        items.append(EncryptedIdentifier(tuple(features)))
+        end = offset + 1 + 2 * feature_count
+        if end > len(raw):
+            raise ValueError("truncated set: missing token counts")
+        shapes.append(struct.unpack_from(f">{feature_count}H", raw, offset + 1))
+        offset = end
+    if len(set(shapes)) != shape_count:
+        raise ValueError("set shape table repeats a shape")
+    code, index_width = _shape_index_format(shapes)
+    if index_width:
+        end = offset + count * index_width
+        if end > len(raw):
+            raise ValueError("truncated set: missing shape indices")
+        shape_ids = struct.unpack_from(f">{count}{code}", raw, offset)
+        offset = end
+        _check_first_use(shape_ids, shape_count, "shape")
+        item_shapes = list(map(shapes.__getitem__, shape_ids))
+        tokens = sum(map(sum, item_shapes))
+    elif count == 0:
+        raise ValueError("1 set shape table entries are never used")
+    else:
+        # One shape that holds a token: the tokens that follow bound the
+        # item count, so the items are not listed before they are checked.
+        item_shapes = repeat(shapes[0], count)
+        tokens = count * sum(shapes[0])
+    if check_shape is not None:
+        for shape in shapes:
+            check_shape(shape)
+
+    values = table
+    if tokens != table_size:
+        code, index_width = _index_format(table_size)
+        end = offset + tokens * index_width
+        if end > len(raw):
+            raise ValueError("truncated set: missing token indices")
+        indices = struct.unpack_from(f">{tokens}{code}", raw, offset)
+        offset = end
+        _check_first_use(indices, table_size, "token")
+        values = list(map(table.__getitem__, indices))
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} trailing bytes after set payload")
-    first_uses = list(dict.fromkeys(used))
-    if first_uses != list(range(len(first_uses))):
-        raise ValueError("a set index skips ahead of first-occurrence order")
-    if len(first_uses) != table_size:
-        unused = table_size - len(first_uses)
-        raise ValueError(f"{unused} set table elements are never used")
+
+    items = []
+    at = 0
+    for shape in item_shapes:
+        features = []
+        for size in shape:
+            features.append(tuple(values[at : at + size]))
+            at += size
+        items.append(EncryptedIdentifier(tuple(features)))
     return EncryptedSet(items)

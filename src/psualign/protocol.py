@@ -222,28 +222,29 @@ class Party:
 
     def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
         try:
-            decoded = decode_set(payload, self.group)
+            return decode_set(
+                payload, self.group, lambda counts: self._check_shape(counts, shape)
+            )
         except ValueError as exc:
             raise TransportFailure(f"undecodable set payload: {exc}") from exc
-        for ident in decoded.items:
-            self._check_shape(ident, shape)
-        return decoded
 
-    def _check_shape(self, ident: EncryptedIdentifier, shape) -> None:
-        """Reject an identifier that does not fit ``shape``.
+    def _check_shape(self, counts: tuple[int, ...], shape) -> None:
+        """Reject an item shape, one token count per feature, that does not fit ``shape``.
 
-        ``shape`` holds one (least, most) token bound per feature.
+        ``shape`` holds one (least, most) token bound per feature.  A set
+        payload lists each distinct item shape once, so this runs once per
+        shape, not once per identifier.
         """
-        if len(ident.features) != len(shape):
+        if len(counts) != len(shape):
             raise TransportFailure(
-                f"received an identifier with {len(ident.features)} features, "
+                f"received an identifier with {len(counts)} features, "
                 f"the session expects {len(shape)}"
             )
-        for position, (feature, (least, most)) in enumerate(zip(ident.features, shape)):
-            if not least <= len(feature) <= most:
+        for position, (count, (least, most)) in enumerate(zip(counts, shape)):
+            if not least <= count <= most:
                 expected = most if least == most else f"{least} to {most}"
                 raise TransportFailure(
-                    f"received an identifier with {len(feature)} tokens in feature "
+                    f"received an identifier with {count} tokens in feature "
                     f"{position}, the session expects {expected}"
                 )
 
@@ -463,10 +464,10 @@ class Party:
         e1, _, e3 = self.exponents
         return (e1 * e3) % self.group.q
 
-    def _masked(self, records, exponent: int, powers: dict[int, int]) -> EncryptedSet:
-        """``records`` raised to ``exponent`` in record order, through ``powers``."""
+    def _masked(self, records, exponent: int) -> EncryptedSet:
+        """``records`` raised to ``exponent`` in record order, as one pass."""
         return EncryptedSet(
-            encrypt_identifiers(records, exponent, self.group, self.mode, self.rng, powers)
+            encrypt_identifiers(records, exponent, self.group, self.mode, self.rng)
         )
 
     def _matching(self, transport) -> None:
@@ -480,7 +481,7 @@ class Party:
                 origin=self.party_id,
                 hop=0,
                 payload=encode_set(
-                    self._masked(self.hashed_records, self.exponents[1], {}), self.group
+                    self._masked(self.hashed_records, self.exponents[1]), self.group
                 ),
             )
             # Built while the peers open their own records.
@@ -491,15 +492,13 @@ class Party:
             for origin, size in self.peer_sizes.items()
             if origin != self.party_id and size
         }
-        # One memo serves every relay, as one pass under the relay exponent.
-        relay_powers: dict[int, int] = {}
         index_map = None if self.hashed_records else UniversalIndexMap(self.party_id)
         while to_serve or index_map is None:
             sender, msg = self._recv(
                 transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
             if msg.msg_type is MessageType.TOKEN_RELAY:
-                self._serve_relay(transport, sender, msg, to_serve, relay_powers)
+                self._serve_relay(transport, sender, msg, to_serve)
             elif index_map is not None:
                 raise PhaseViolation(
                     f"second token return for party {self.party_id}: "
@@ -509,8 +508,8 @@ class Party:
                 index_map = self._close_return(sender, msg, locate)
         self.index_map = index_map
 
-    def _serve_relay(self, transport, sender: int, msg, to_serve: set[int], powers) -> None:
-        """Add this party's layer to one origin's relay and pass it on."""
+    def _serve_relay(self, transport, sender: int, msg, to_serve: set[int]) -> None:
+        """Add this party's layer to one origin's relay, as a pass of its own, and pass it on."""
         if not 0 <= msg.hop <= self.party_count - 2:
             raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
         expected_holder = (msg.origin + msg.hop + 1) % self.party_count
@@ -534,7 +533,7 @@ class Party:
                 f"whose set held {self.peer_sizes[msg.origin]}"
             )
         to_serve.remove(msg.origin)
-        masked = self._masked(relay.items, self._relay_exponent(), powers)
+        masked = self._masked(relay.items, self._relay_exponent())
         next_hop = msg.hop + 1
         done = next_hop == self.party_count - 1
         self._send(
@@ -561,7 +560,7 @@ class Party:
                 f"token return of {len(returned.items)} records for party "
                 f"{self.party_id}, which has {len(self.hashed_records)} pending"
             )
-        closed = self._masked(returned.items, self._closing_exponent(), {})
+        closed = self._masked(returned.items, self._closing_exponent())
         result = UniversalIndexMap(self.party_id)
         for relay_id, final in enumerate(closed.items):
             index = locate(final)

@@ -25,6 +25,78 @@ from psualign.simulate import build_parties, run_session
 from psualign.transport import InProcessHub
 
 
+def set_layout(
+    group,
+    table,
+    items,
+    index_width=1,
+    chunks=None,
+    chunk_count=None,
+    shapes=None,
+    shape_ids=None,
+    token_indices=None,
+) -> bytes:
+    """A set payload written out by hand: ``items`` hold table indices.
+
+    ``chunks`` lists the table's chunk sizes, by default the canonical
+    split into chunks of 65,535; ``chunk_count`` is the S byte, by
+    default the number of chunks.  ``shapes`` is the shape table and
+    ``shape_ids`` the items' shape indices, by default the items' shapes
+    in first-occurrence order; the shape indices are written unless there
+    is one shape and it holds a token.  The token indices are written
+    when ``token_indices`` is true, by default unless the table holds as
+    many elements as the items hold tokens.
+    """
+    if chunks is None:
+        chunks = [min(0xFFFF, len(table) - at) for at in range(0, len(table), 0xFFFF)]
+    out = len(items).to_bytes(4, "big")
+    out += bytes([len(chunks) if chunk_count is None else chunk_count])
+    at = 0
+    for size in chunks:
+        out += size.to_bytes(2, "big")
+        out += b"".join(group.encode_element(value) for value in table[at : at + size])
+        at += size
+    item_shapes = [tuple(map(len, item)) for item in items]
+    if shapes is None:
+        shapes = list(dict.fromkeys(item_shapes))
+    if shape_ids is None:
+        shape_ids = [shapes.index(shape) for shape in item_shapes]
+    out += len(shapes).to_bytes(2, "big")
+    for shape in shapes:
+        out += bytes([len(shape)]) + b"".join(n.to_bytes(2, "big") for n in shape)
+    if not (len(shapes) == 1 and any(shapes[0])):
+        shape_width = 1 if len(shapes) <= 256 else 2
+        out += b"".join(i.to_bytes(shape_width, "big") for i in shape_ids)
+    indices = [index for item in items for feature in item for index in feature]
+    if token_indices is None:
+        token_indices = len(table) != len(indices)
+    if token_indices:
+        out += b"".join(index.to_bytes(index_width, "big") for index in indices)
+    return out
+
+
+def set_length(enc_set, group, index_width) -> int:
+    """The bytes of ``enc_set``'s payload, with S = ceil(D / 65,535):
+
+    ``5 + 2S + D*w + 2 + sum over shapes of (1 + 2F) + n*s + T*i``, where
+    the shape index width s is 0 for one shape that holds a token, and
+    the token indices are left out (i = 0) when D = T.
+    """
+    shapes = list(dict.fromkeys(tuple(map(len, item.features)) for item in enc_set.items))
+    values = [v for item in enc_set.items for feature in item.features for v in feature]
+    distinct = len(set(values))
+    shape_width = 0 if len(shapes) == 1 and any(shapes[0]) else 1 if len(shapes) <= 256 else 2
+    return (
+        5
+        + 2 * -(-distinct // 0xFFFF)
+        + distinct * group.element_width
+        + 2
+        + sum(1 + 2 * len(shape) for shape in shapes)
+        + len(enc_set.items) * shape_width
+        + (0 if distinct == len(values) else len(values) * index_width)
+    )
+
+
 def free_port() -> int:
     """A localhost port that was free a moment ago."""
     probe = socket.socket()

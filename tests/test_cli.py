@@ -35,11 +35,14 @@ def set_frame_bytes(names) -> int:
     An ordered record is one element, and masking keeps equal records
     equal and distinct ones distinct, so the table holds one element per
     distinct normalized name.  Header, item count, chunk count, one chunk
-    size, 64-byte elements, per item one feature count, one token count
-    and one 1-byte index.
+    size, 64-byte elements, and a shape table of one shape (u16 count, u8
+    feature count, u16 token count), which leaves out the shape indices.
+    Then one 1-byte token index per name, left out when every name is
+    distinct.
     """
     distinct = {name.lower()[:12].ljust(12) for name in names}
-    return 9 + 4 + 1 + 2 + 64 * len(distinct) + 4 * len(names)
+    indices = 0 if len(distinct) == len(names) else len(names)
+    return 9 + 4 + 1 + 2 + 64 * len(distinct) + 5 + indices
 
 
 def test_gen_corpus_then_simulate_then_evaluate(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -104,6 +105,32 @@ def test_config_digest_differs_from_the_batched_relay_layout(tmp_path):
     """A peer that still sends relays in batches fails at HELLO."""
     cfg = load_config(write_config(tmp_path))
     assert cfg.digest().hex() != BATCHED_RELAY_DIGEST
+
+
+# BASE_CONFIG's digest with each item's feature and token counts and
+# every table index written out (set layout version 5).
+PER_ITEM_SHAPE_DIGEST = "b5d935ddaf05e46b5ead439c119ff3cfc5b19f7715fe11edac864044af7068af"
+
+
+def test_config_digest_differs_from_the_per_item_shape_layout(tmp_path):
+    """A peer that still writes every item's shape and every index fails at HELLO."""
+    cfg = load_config(write_config(tmp_path))
+    with mock.patch.object(config, "WIRE_LAYOUT_VERSION", 5):
+        assert cfg.digest().hex() == PER_ITEM_SHAPE_DIGEST
+    assert cfg.digest().hex() != PER_ITEM_SHAPE_DIGEST
+
+
+def test_session_config_rejects_a_variant_the_match_config_contradicts(tmp_path):
+    """The digest hashes ``variant`` and the parties follow ``match.ordered``."""
+    cfg = load_config(write_config(tmp_path))
+    with pytest.raises(ConfigError, match="variant 'unordered' disagrees"):
+        dataclasses.replace(cfg, variant="unordered")
+    with pytest.raises(ConfigError, match="variant 'ordered' disagrees"):
+        dataclasses.replace(cfg, match=dataclasses.replace(cfg.match, ordered=False))
+    unordered = dataclasses.replace(
+        cfg, variant="unordered", match=dataclasses.replace(cfg.match, ordered=False)
+    )
+    assert unordered.digest() != cfg.digest()
 
 
 def test_config_rejects_variant_typos(tmp_path):

@@ -37,6 +37,8 @@ from helpers import (
     plaintext_equal_pairs,
     random_instance,
     session_config,
+    set_layout,
+    set_length,
 )
 
 G23 = make_group_params(23)
@@ -195,51 +197,15 @@ def test_identifier_codec_rejects_truncation():
         decode_identifier(raw[:-1], G23)
 
 
-def set_layout(group, table, items, index_width=1, chunks=None, chunk_count=None) -> bytes:
-    """A set payload written out by hand: ``items`` hold table indices.
-
-    ``chunks`` lists the table's chunk sizes, by default the canonical
-    split into chunks of 65,535; ``chunk_count`` is the S byte, by
-    default the number of chunks.
-    """
-    if chunks is None:
-        chunks = [min(0xFFFF, len(table) - at) for at in range(0, len(table), 0xFFFF)]
-    out = len(items).to_bytes(4, "big")
-    out += bytes([len(chunks) if chunk_count is None else chunk_count])
-    at = 0
-    for size in chunks:
-        out += size.to_bytes(2, "big")
-        out += b"".join(group.encode_element(value) for value in table[at : at + size])
-        at += size
-    for item in items:
-        out += bytes([len(item)])
-        for feature in item:
-            out += len(feature).to_bytes(2, "big")
-            out += b"".join(index.to_bytes(index_width, "big") for index in feature)
-    return out
-
-
-def set_length(enc_set, group, index_width) -> int:
-    """``5 + 2S + D*w + sum over items of (1 + 2F) + T*i``, S = ceil(D / 65,535)."""
-    features = [f for item in enc_set.items for f in item.features]
-    distinct = {value for feature in features for value in feature}
-    tokens = sum(len(feature) for feature in features)
-    return (
-        5
-        + 2 * -(-len(distinct) // 0xFFFF)
-        + len(distinct) * group.element_width
-        + sum(1 + 2 * len(item.features) for item in enc_set.items)
-        + tokens * index_width
-    )
-
-
 def test_set_codec_writes_each_distinct_element_once():
     enc_set = EncryptedSet([ident([2, 3, 2]), ident([3, 4])])
     raw = encode_set(enc_set, G23)
     # u32 items, u8 chunk count, u16 chunk size, table (1-byte elements),
-    # then per item u8 feature count and per feature u16 token count plus
-    # 1-byte indices
-    assert raw == bytes([0, 0, 0, 2, 1, 0, 3, 2, 3, 4, 1, 0, 3, 0, 1, 0, 1, 0, 2, 1, 2])
+    # u16 shape count, per shape a u8 feature count and u16 token counts,
+    # one 1-byte shape index per item, then the 5 tokens' 1-byte indices
+    assert raw == bytes(
+        [0, 0, 0, 2, 1, 0, 3, 2, 3, 4, 0, 2, 1, 0, 3, 1, 0, 2, 0, 1, 0, 1, 0, 1, 2]
+    )
     assert raw == set_layout(G23, [2, 3, 4], [[[0, 1, 0]], [[1, 2]]])
     assert decode_set(raw, G23) == enc_set
     # from byte 4 on, the payload reads as an identifier holding the table
@@ -272,21 +238,6 @@ def test_set_codec_roundtrip_on_repeated_tokens(instance):
     raw = encode_set(enc_set, group)
     assert decode_set(raw, group) == enc_set
     assert len(raw) == set_length(enc_set, group, 1)
-
-
-@pytest.mark.parametrize(
-    "distinct, index_width",
-    [(256, 1), (257, 2), (65_536, 2), (65_537, 4)],
-)
-def test_set_index_width_follows_the_table_size(distinct, index_width):
-    values = list(range(1, distinct + 1))
-    # a feature holds at most 65,535 tokens; each item's second repeats one
-    enc_set = EncryptedSet(
-        [ident(values[at : at + 4096], values[at : at + 1]) for at in range(0, distinct, 4096)]
-    )
-    raw = encode_set(enc_set, G512)
-    assert len(raw) == set_length(enc_set, G512, index_width)
-    assert decode_set(raw, G512) == enc_set
 
 
 def table_of(distinct):
@@ -347,9 +298,9 @@ def test_set_index_width_follows_the_table_size(distinct, index_width):
     "raw, reason",
     [
         (set_layout(G23, [2, 2], [[[0, 1]]]), "repeats an element"),
-        (set_layout(G23, [2, 3], [[[0, 0]]]), "never used"),
+        (set_layout(G23, [2, 3], [[[0]]]), "1 set token table entries are never used"),
         (set_layout(G23, [2], [[[0, 1]]]), "outside a table"),
-        (set_layout(G23, [2, 3], [[[1, 0]]]), "skips ahead"),
+        (set_layout(G23, [2, 3], [[[1, 0, 1]]]), "skips ahead"),
         (set_layout(G23, [2, 3], [[[0, 1]]])[:8], "runs past the payload"),
         (bytes([0, 0, 0, 1, 0xFF, 0xFF, 0xFF]), "runs past the payload"),
         (set_layout(G23, [2, 3], [[[0, 1]]]) + b"\x00", "trailing bytes"),
@@ -359,11 +310,42 @@ def test_set_index_width_follows_the_table_size(distinct, index_width):
             "chunk 0 of 2 elements is empty or short",
         ),
         (set_layout(G23, [], [[[0, 1]]], chunks=[]), "outside a table of 0"),
+        # D = T: every token is distinct, so the indices are implied.
+        (set_layout(G23, [2, 3], [[[0, 1]]], token_indices=True), "2 trailing bytes"),
+        (
+            set_layout(G23, [2], [[[0]]], shapes=[(1,), (1,)], shape_ids=[0]),
+            "shape table repeats a shape",
+        ),
+        (
+            set_layout(G23, [2], [[[0]]], shapes=[(1,), (2,)], shape_ids=[0]),
+            "1 set shape table entries are never used",
+        ),
+        (set_layout(G23, [], [], shapes=[(1,)]), "1 set shape table entries are never used"),
+        (
+            set_layout(G23, [2, 3, 4], [[[0]], [[1, 2]]], shapes=[(2,), (1,)], shape_ids=[1, 0]),
+            "shape index skips ahead",
+        ),
+        (
+            set_layout(G23, [2, 3], [[[0]], [[1]]], shapes=[(1,), (2,)], shape_ids=[0, 2]),
+            "shape index 2 outside a table of 2",
+        ),
+        (
+            set_layout(G23, [], [[]], shapes=[], shape_ids=[0]),
+            "shape index 0 outside a table of 0",
+        ),
+        (set_layout(G23, [2], [[[0]]])[:-1], "missing token counts"),
+        # 2**32 - 1 items declared in a few bytes are refused before any is built.
+        (bytes([0xFF] * 4 + [0, 0, 1, 0]), "missing shape indices"),
+        (bytes([0xFF] * 4 + [0, 0, 1, 1, 0, 1]), "missing token indices"),
     ],
     ids=[
         "repeated", "unused", "index-past-table", "skips-ahead",
         "table-cut", "table-huge", "trailing",
         "empty-last-chunk", "more-chunks-than-the-table", "no-chunk-for-the-indices",
+        "index-section-when-every-token-is-distinct", "shape-repeated", "shape-unused",
+        "shape-without-items", "shape-skips-ahead", "shape-index-past-table",
+        "items-without-shapes", "shape-cut", "token-less-items-unbounded",
+        "one-token-items-unbounded",
     ],
 )
 def test_set_codec_rejects_non_canonical_payloads(raw, reason):
