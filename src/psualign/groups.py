@@ -48,17 +48,17 @@ from .errors import (
 # own, flagged constant-time, and clears them when it ends, so no BIGNUM
 # holding a secret exponent outlives its pass.
 #
-# Everything else -- public small exponents such as hash_to_element's
-# square, the toy moduli, even or non-positive arguments, or a missing
-# library -- uses built-in ``pow`` on the calling thread and starts no
-# thread.  Both paths return identical integers.
+# Everything else -- short public exponents, the toy moduli, even or
+# non-positive arguments, or a missing library -- uses built-in ``pow`` on
+# the calling thread and starts no thread.  Both paths return identical
+# integers.
 
 _BN_FLG_CONSTTIME = 0x04
 
 # Exponents or moduli of at most this many bits stay on ``pow``.  Up to
 # about 64-bit moduli a libcrypto call's fixed cost (~10 us) exceeds
-# ``pow``'s; exponents this short are public (hash_to_element's square),
-# while secret exponents are drawn uniformly from [1, q - 1].
+# ``pow``'s.  Secret exponents are drawn uniformly from [1, q - 1], so
+# under a wide modulus one this short is vanishingly rare.
 _POW_MAX_BITS = 64
 
 # Fewest bases a slice gets.  Starting and joining a helper thread costs
@@ -203,13 +203,7 @@ def powmod_many(values: list[int], exponent: int, modulus: int) -> list[int]:
 
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)``, as a batch of one.
-
-    A short exponent, such as hash_to_element's square, goes to ``pow``
-    without building the batch.
-    """
-    if exponent.bit_length() <= _POW_MAX_BITS:
-        return pow(base, exponent, modulus)
+    """``pow(base, exponent, modulus)``, as a batch of one."""
     return powmod_many([base], exponent, modulus)[0]
 
 
@@ -360,12 +354,15 @@ class GroupParams:
 
         Shift-then-square: ((value mod (p-1)) + 1)^2 mod p.  The +1 removes
         the residue class that would square to zero; squaring lands in the
-        quadratic residues.  Deterministic, so all parties agree.
+        quadratic residues.  Deterministic, so all parties agree.  The
+        square is one multiplication and one reduction, the integer
+        ``pow(shifted, 2, p)`` gives.
         """
         if value < 0:
             raise ValueError("hash values must be non-negative")
-        shifted = (value % (self.p - 1)) + 1
-        return powmod(shifted, 2, self.p)
+        p = self.p
+        shifted = value % (p - 1) + 1
+        return shifted * shifted % p
 
     def contains(self, value: int) -> bool:
         """Euler criterion membership test for the order-q subgroup."""

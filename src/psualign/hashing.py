@@ -32,9 +32,10 @@ def hash_identifier(
     tokens: TokenizedIdentifier, group: GroupParams
 ) -> EncryptedIdentifier:
     """Hash every token, preserving the feature/token shape."""
-    return EncryptedIdentifier(
-        tuple(
-            tuple(hash_token(token, group) for token in feature)
-            for feature in tokens.features
-        )
-    )
+    features = []
+    for feature in tokens.features:
+        hashed = []
+        for token in feature:
+            hashed.append(hash_token(token, group))
+        features.append(tuple(hashed))
+    return EncryptedIdentifier(tuple(features))

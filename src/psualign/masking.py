@@ -16,16 +16,16 @@ session's identifier is one element per record (see ``tokenization``),
 so a pass there raises one base per distinct record, not one per
 distinct n-gram.
 
-Within one pass -- the tokens a party raises to one secret exponent in
-one sweep -- each distinct base is raised once: the pass collects the
-bases its ``powers`` memo lacks and raises them in one ``exp_many``
-batch, which ``groups`` spreads over the CPUs; the memo then maps a base
-to its power under that exponent and serves every repeat.  A memo hit
-depends only on whether two bases are equal, never on the exponent, and
-deterministic masking already shows that equality pattern to every
-holder of the output, so sharing the work leaks nothing more.  A memo is
-scoped to its pass and dropped with it, so no table keyed to a secret
-exponent outlives the pass that made it.
+Within one pass -- one call of :func:`encrypt_identifiers`, the tokens a
+party raises to one secret exponent in one sweep -- each distinct base is
+raised once: the pass collects its distinct bases and raises them in one
+``exp_many`` batch, which ``groups`` spreads over the CPUs; a memo then
+maps each base to its power under that exponent and serves every repeat.
+A memo hit depends only on whether two bases are equal, never on the
+exponent, and deterministic masking already shows that equality pattern
+to every holder of the output, so sharing the work leaks nothing more.
+The memo is made and dropped inside the call, so no table keyed to a
+secret exponent outlives the pass that made it.
 """
 
 from __future__ import annotations
@@ -70,26 +70,22 @@ def encrypt_identifiers(
     group: GroupParams,
     mode: str = ORDERED,
     rng=None,
-    powers: dict[int, int] | None = None,
 ) -> list[EncryptedIdentifier]:
     """One masking pass: raise every token to ``exponent``, in item order.
 
-    The distinct bases missing from ``powers`` -- the pass's memo of
-    base -> power under this same ``exponent`` -- are raised first, in
-    first-occurrence order and in one ``exp_many`` batch; the memo is read
-    and filled, and a fresh one is used when none is given.  Then each
-    item is mapped through it, drawing the unordered permutation fresh per
-    feature.  Feature order is never permuted.
+    The distinct bases are raised first, in first-occurrence order and in
+    one ``exp_many`` batch, into the pass's memo of base -> power under
+    ``exponent``.  Then each item is mapped through it, drawing the
+    unordered permutation fresh per feature.  Feature order is never
+    permuted.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == UNORDERED and rng is None:
         raise ValueError("unordered masking needs a randomness source")
-    if powers is None:
-        powers = {}
-    bases = [value for ident in idents for feature in ident.features for value in feature]
-    missing = [base for base in dict.fromkeys(bases) if base not in powers]
-    powers.update(zip(missing, group.exp_many(missing, exponent)))
+    tokens = [value for ident in idents for feature in ident.features for value in feature]
+    bases = list(dict.fromkeys(tokens))
+    powers = dict(zip(bases, group.exp_many(bases, exponent)))
     masked = []
     for ident in idents:
         features = []
@@ -108,10 +104,9 @@ def encrypt_identifier(
     group: GroupParams,
     mode: str = ORDERED,
     rng=None,
-    powers: dict[int, int] | None = None,
 ) -> EncryptedIdentifier:
     """:func:`encrypt_identifiers` on one identifier."""
-    return encrypt_identifiers([ident], exponent, group, mode, rng, powers)[0]
+    return encrypt_identifiers([ident], exponent, group, mode, rng)[0]
 
 
 def encrypt_set(

@@ -33,7 +33,11 @@ def fold_text(raw: str) -> str:
     NFKD compatibility decomposition, then combining marks dropped, then
     casefold.  Every party must apply this exact table before length
     normalization or matching silently fails, so it is not configurable.
+    ASCII text has no compatibility forms and no combining marks, so for
+    it the table is casefold alone.
     """
+    if raw.isascii():
+        return raw.casefold()
     decomposed = unicodedata.normalize("NFKD", raw)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return stripped.casefold()
@@ -120,10 +124,8 @@ class TokenizedIdentifier:
 
 def normalize_field(raw, spec: FeatureSpec) -> str:
     """Fold, then right-pad with spaces or truncate to the canonical length."""
-    text = fold_text(stringify(raw))
-    if len(text) < spec.length:
-        return text + PAD_CHAR * (spec.length - len(text))
-    return text[: spec.length]
+    length = spec.length
+    return fold_text(stringify(raw))[:length].ljust(length, PAD_CHAR)
 
 
 def ngrams(field: str, size: int) -> tuple[str, ...]:
@@ -132,7 +134,10 @@ def ngrams(field: str, size: int) -> tuple[str, ...]:
         raise ValueError("gram size must be positive")
     if size > len(field):
         raise ValueError(f"gram size {size} exceeds field length {len(field)}")
-    return tuple(field[i : i + size] for i in range(len(field) - size + 1))
+    grams = []
+    for start in range(len(field) - size + 1):
+        grams.append(field[start : start + size])
+    return tuple(grams)
 
 
 def tokenize_record(fields, cfg: MatchConfig) -> TokenizedIdentifier:
@@ -142,16 +147,15 @@ def tokenize_record(fields, cfg: MatchConfig) -> TokenizedIdentifier:
     its feature's fixed length, so the join is injective without a
     separator.  Unordered: one feature of n-grams per normalized field.
     """
-    if len(fields) != cfg.d_match:
+    specs = cfg.features
+    if len(fields) != len(specs):
         raise ArityMismatch(
-            f"record has {len(fields)} identifier fields, config expects {cfg.d_match}"
+            f"record has {len(fields)} identifier fields, config expects {len(specs)}"
         )
     if cfg.ordered:
-        joined = "".join(map(normalize_field, fields, cfg.features))
+        joined = "".join(map(normalize_field, fields, specs))
         return TokenizedIdentifier(((joined,),))
-    return TokenizedIdentifier(
-        tuple(
-            ngrams(normalize_field(field, spec), spec.ngram)
-            for field, spec in zip(fields, cfg.features)
-        )
-    )
+    features = []
+    for field, spec in zip(fields, specs):
+        features.append(ngrams(normalize_field(field, spec), spec.ngram))
+    return TokenizedIdentifier(tuple(features))

@@ -131,6 +131,15 @@ def test_project_rejects_negative():
         G23.hash_to_element(-1)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_hash_to_element_matches_pow_at_the_edges(preset):
+    """The multiply-square against ``pow(shifted, 2, p)``, around 0, p - 1 and the digest width."""
+    group = make_group_params(preset)
+    p = group.p
+    for value in (0, 1, p - 3, p - 2, p - 1, 2**256 - 1, 2**600):
+        assert group.hash_to_element(value) == pow(value % (p - 1) + 1, 2, p), value
+
+
 def test_sample_exponent_range_and_determinism():
     rng = random.Random(99)
     draws = [G23.sample_exponent(rng) for _ in range(500)]

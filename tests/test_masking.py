@@ -356,11 +356,8 @@ def test_set_codec_rejects_non_canonical_payloads(raw, reason):
 # --- one exponentiation per distinct base per pass -------------------------
 
 
-def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=None):
-    """``pow`` on every token, with the shuffles the masking pass draws.
-
-    Takes and ignores ``powers``, like :func:`reference_identifiers`.
-    """
+def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None):
+    """``pow`` on every token, with the shuffles the masking pass draws."""
     masked = []
     for feature in ident.features:
         powered = [pow(value, exponent, group.p) for value in feature]
@@ -370,7 +367,7 @@ def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None, powers=
     return EncryptedIdentifier(tuple(masked))
 
 
-def reference_identifiers(idents, exponent, group, mode=ORDERED, rng=None, powers=None):
+def reference_identifiers(idents, exponent, group, mode=ORDERED, rng=None):
     """A memo-free pass; stands in for ``encrypt_identifiers`` at every call site."""
     return [reference_identifier(i, exponent, group, mode, rng) for i in idents]
 
@@ -441,8 +438,12 @@ def test_encrypt_set_raises_each_distinct_base_once(instance):
 @settings(max_examples=300, deadline=None)
 @given(memo_instances())
 @example((G23, [ident([2, 3, 2], [3, 2, 4]), ident([4, 2])], 5, ORDERED, 0))
-def test_encrypt_identifier_memo_spans_the_calls_it_is_passed_to(instance):
-    """Without a memo each call shares its own repeats; with one, the calls share."""
+def test_encrypt_identifier_memo_is_scoped_to_one_call(instance):
+    """Each call raises its own distinct bases once, in first-occurrence order.
+
+    Calls one item at a time share nothing; one call on every item shares
+    the repeats across items.
+    """
     group, items, exponent, mode, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
@@ -450,18 +451,17 @@ def test_encrypt_identifier_memo_spans_the_calls_it_is_passed_to(instance):
         alone = [encrypt_identifier(i, exponent, group, mode, rng) for i in items]
         alone_calls = counting.bases()
         counting.calls.clear()
-        powers = {}
-        shared = [encrypt_identifier(i, exponent, group, mode, rng, powers) for i in items]
+        together = masking.encrypt_identifiers(items, exponent, group, mode, rng)
     expected = [
         reference_identifier(i, exponent, group, mode, ref_rng) for i in items + items
     ]
-    assert alone + shared == expected
+    assert alone + together == expected
     assert rng.getstate() == ref_rng.getstate()
     assert sorted(alone_calls) == sorted(
         base for item in items for base in distinct_bases([item])
     )
-    assert sorted(counting.bases()) == sorted(distinct_bases(items))
-    assert powers == {base: pow(base, exponent, group.p) for base in distinct_bases(items)}
+    tokens = [value for item in items for feature in item.features for value in feature]
+    assert counting.bases() == list(dict.fromkeys(tokens))
 
 
 NOISY_TWO_FEATURES = MatchConfig(

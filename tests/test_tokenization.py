@@ -1,7 +1,8 @@
+import unicodedata
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psualign import (
@@ -32,6 +33,26 @@ def test_normalize_folds_case_and_accents():
     assert normalize_field("José", NAME4) == "jose"
     assert fold_text("SMITH") == "smith"
     assert fold_text("Ürümqi") == "urumqi"
+
+
+def reference_fold(raw):
+    """The folding table with no fast path: NFKD, combining marks dropped, casefold."""
+    decomposed = unicodedata.normalize("NFKD", raw)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).casefold()
+
+
+def test_fold_text_matches_the_table_on_every_ascii_code_point():
+    every = "".join(map(chr, range(128)))
+    for ch in every:
+        assert fold_text(ch) == reference_fold(ch), hex(ord(ch))
+    assert fold_text(every) == reference_fold(every)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(st.characters(max_codepoint=127)), st.text()))
+@example("Ünïcödé ﬁ Ǆ ß ㎏ Ⅻ")
+def test_fold_text_matches_the_table(raw):
+    assert fold_text(raw) == reference_fold(raw)
 
 
 def test_normalize_stringifies_numbers():
