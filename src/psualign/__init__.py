@@ -55,7 +55,6 @@ from .simulate import SessionOutcome, run_local_session, run_tcp_session
 from .tokenization import (
     FeatureSpec,
     MatchConfig,
-    TokenizedIdentifier,
     fold_text,
     ngrams,
     normalize_field,
@@ -107,7 +106,6 @@ __all__ = [
     "SessionOutcome",
     "ShapeMismatch",
     "TcpTransport",
-    "TokenizedIdentifier",
     "TooSmallPrimeError",
     "TransportFailure",
     "UNORDERED",

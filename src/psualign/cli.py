@@ -31,7 +31,6 @@ from .errors import (
 from .evaluate import build_report, read_report, reported_links, write_report
 from .groups import PRESETS, make_group_params
 from .simulate import (
-    fresh_index_start,
     load_party_inputs,
     plaintext_truth,
     run_local_session,
@@ -44,9 +43,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     loaded, hashed = load_party_inputs(cfg)
     outcome = run_local_session(cfg, hashed)
-    csv_paths, report_path = write_outputs(
-        cfg, loaded, outcome, assign_fresh=args.assign_fresh
-    )
+    csv_paths, report_path = write_outputs(cfg, loaded, outcome)
     report = read_report(report_path)
     print(f"union size: {report.n_protocol}")
     print(f"links reported: {report.reported_pairs} "
@@ -63,17 +60,11 @@ def _cmd_run_party(args) -> int:
     out_dir = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"aligned_party{args.party_id}.csv"
-    start = (
-        fresh_index_start(result, result.union_table.size)
-        if args.assign_fresh
-        else None
-    )
-    write_aligned_csv(csv_path, loaded, result.index_map, start)
+    write_aligned_csv(csv_path, loaded, result.index_map)
     summary = {
         "party_id": args.party_id,
         "union_size": result.union_table.size,
         "matched": len(result.index_map.local_to_universal),
-        "unmatched": len(result.index_map.unmatched),
         "sent_messages": counts,
         "sent_bytes": sizes,
         "wall_time": result.wall_time,
@@ -93,7 +84,7 @@ def _cmd_evaluate(args) -> int:
         path = out_dir / f"aligned_party{party_id}.csv"
         if not path.exists():
             raise MissingOutput(f"aligned output {path} not found; run simulate first")
-        index_maps.append(read_aligned_csv(path, party_id, spec.has_header))
+        index_maps.append(read_aligned_csv(path, party_id, spec))
 
     loaded = [load_dataset(spec) for spec in cfg.datasets]
     true_links, n_oracle = plaintext_truth(cfg, loaded)
@@ -182,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run every party locally in-process")
     simulate.add_argument("--config", required=True)
-    simulate.add_argument(
-        "--assign-fresh",
-        action="store_true",
-        help="give unmatched rows fresh trailing indices instead of blanks",
-    )
     simulate.set_defaults(func=_cmd_simulate)
 
     run_party = sub.add_parser("run-party", help="run one party over TCP")
@@ -194,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_party.add_argument("--party-id", type=int, required=True)
     run_party.add_argument("--listen", help="override this party's host:port")
     run_party.add_argument("--output-dir")
-    run_party.add_argument("--assign-fresh", action="store_true")
     run_party.set_defaults(func=_cmd_run_party)
 
     evaluate = sub.add_parser("evaluate", help="score aligned outputs vs plaintext")

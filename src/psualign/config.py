@@ -44,7 +44,6 @@ class SessionConfig:
     match: MatchConfig
     datasets: tuple[DatasetSpec, ...]
     seed: int | None = None
-    production: bool = False
     recv_timeout: float = DEFAULT_TIMEOUT
     output_dir: Path = Path("out")
     provenance_path: Path | None = None
@@ -191,8 +190,7 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
     seed = document.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise ConfigError("'seed' must be an integer")
-    production = bool(document.get("production", False))
-    if production and seed is not None:
+    if document.get("production", False) and seed is not None:
         raise ConfigError("production mode refuses a configured seed")
 
     timeout = document.get("timeout_s", DEFAULT_TIMEOUT)
@@ -208,7 +206,6 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
         match=match,
         datasets=datasets,
         seed=seed,
-        production=production,
         recv_timeout=float(timeout),
         output_dir=base / document.get("output_dir", "out"),
         provenance_path=(base / provenance) if provenance else None,

@@ -95,50 +95,42 @@ def hash_dataset(
     ]
 
 
-def write_aligned_csv(
-    path: Path,
-    loaded: LoadedDataset,
-    index_map: UniversalIndexMap,
-    fresh_start: int | None = None,
-) -> None:
+def write_aligned_csv(path: Path, loaded: LoadedDataset, index_map: UniversalIndexMap) -> None:
     """Write the party's own rows plus a universal_index column.
 
-    Unmatched rows (unordered mode) get an empty index, or consecutive
-    indices from ``fresh_start`` when fresh assignment is requested.
-    Only the party's own data appears here; nothing from peers.
+    A session's index map is total, so every row gets its index.  Only
+    the party's own data appears here; nothing from peers.
     """
-    fresh = {}
-    if fresh_start is not None:
-        for offset, local_index in enumerate(sorted(index_map.unmatched)):
-            fresh[local_index] = fresh_start + offset
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=loaded.spec.delimiter)
         if loaded.header is not None:
             writer.writerow([*loaded.header, ALIGNED_COLUMN])
         for local_index, row in enumerate(loaded.rows):
-            universal = index_map.local_to_universal.get(local_index)
-            if universal is None:
-                universal = fresh.get(local_index, "")
-            writer.writerow([*row, universal])
+            writer.writerow([*row, index_map.local_to_universal[local_index]])
 
 
-def read_aligned_csv(path: Path, party_id: int, has_header: bool = True) -> UniversalIndexMap:
-    """Rebuild an index map from an aligned CSV written by this harness."""
+def read_aligned_csv(path: Path, party_id: int, spec: DatasetSpec) -> UniversalIndexMap:
+    """Rebuild an index map from the aligned CSV written for ``spec``'s dataset.
+
+    The file has the dataset's delimiter and header; every row's last
+    cell must be a non-negative decimal index.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            records = list(csv.reader(handle))
+            records = list(csv.reader(handle, delimiter=spec.delimiter))
     except OSError as exc:
         raise DatasetError(f"cannot read aligned output {path}: {exc}") from exc
-    if has_header:
+    if spec.has_header:
         if not records or records[0][-1] != ALIGNED_COLUMN:
             raise DatasetError(f"{path} lacks the {ALIGNED_COLUMN} column")
         records = records[1:]
     index_map = UniversalIndexMap(party_id)
     for local_index, row in enumerate(records):
-        cell = row[-1]
-        if cell == "":
-            index_map.unmatched.append(local_index)
-        else:
-            index_map.local_to_universal[local_index] = int(cell)
+        cell = row[-1] if row else ""
+        if not (cell.isascii() and cell.isdigit()):
+            raise DatasetError(
+                f"{path}: row {local_index} has index {cell!r}, not a non-negative integer"
+            )
+        index_map.local_to_universal[local_index] = int(cell)
     return index_map

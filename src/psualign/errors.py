@@ -78,8 +78,8 @@ class PhaseViolation(ProtocolError):
 
 
 class NoMatchInUnion(ProtocolError):
-    """An exact-mode lookup found no union entry; parties disagree on
-    group parameters or hashing."""
+    """A record's lookup found no union entry; parties disagree on group
+    parameters or hashing, or a peer altered the record on its way."""
 
 
 class ProtocolAbort(ProtocolError):

@@ -14,7 +14,6 @@ import hashlib
 
 from .groups import GroupParams
 from .masking import EncryptedIdentifier
-from .tokenization import TokenizedIdentifier
 
 
 def hash_token(token: str, group: GroupParams) -> int:
@@ -29,11 +28,11 @@ def hash_token(token: str, group: GroupParams) -> int:
 
 
 def hash_identifier(
-    tokens: TokenizedIdentifier, group: GroupParams
+    tokens: tuple[tuple[str, ...], ...], group: GroupParams
 ) -> EncryptedIdentifier:
-    """Hash every token, preserving the feature/token shape."""
+    """Hash every token of ``tokenize_record``'s per-feature tuples, keeping their shape."""
     features = []
-    for feature in tokens.features:
+    for feature in tokens:
         hashed = []
         for token in feature:
             hashed.append(hash_token(token, group))

@@ -90,8 +90,10 @@ class Phase(Enum):
 class UniversalIndexMap:
     """Map from a party's local record indices to universal indices.
 
-    Total in ordered mode.  In unordered mode, records that met no union
-    entry at the threshold land in ``unmatched`` instead.
+    A session's map is total in both variants: every record gets an
+    index, and a record that reaches no union entry fails the session
+    with :class:`NoMatchInUnion`.  ``unmatched`` is always left empty
+    by a session; it remains only for readers that still expect it.
     """
 
     party_id: int
@@ -564,13 +566,11 @@ class Party:
         result = UniversalIndexMap(self.party_id)
         for relay_id, final in enumerate(closed.items):
             index = locate(final)
-            if index is not None:
-                result.local_to_universal[relay_id] = index
-            elif self.match_cfg.ordered:
+            if index is None:
                 raise NoMatchInUnion(
-                    f"party {self.party_id}: record {relay_id} is missing from the "
-                    "union; parties disagree on group parameters or hashing"
+                    f"party {self.party_id}: record {relay_id} reaches no union "
+                    "entry; parties disagree on group parameters or hashing, or a "
+                    "peer altered the record"
                 )
-            else:
-                result.unmatched.append(relay_id)
+            result.local_to_universal[relay_id] = index
         return result

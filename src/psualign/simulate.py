@@ -151,34 +151,16 @@ def load_party_inputs(cfg: SessionConfig) -> tuple[list[LoadedDataset], list]:
     return loaded, hashed
 
 
-def fresh_index_start(result: PartyResult, union_size: int) -> int:
-    """First trailing index for this party's unmatched rows.
-
-    Blocks are disjoint across parties because every party learned every
-    dataset size during the first round: party k starts after the union
-    and after all lower parties' potential blocks.
-    """
-    offset = sum(
-        size for peer, size in result.peer_sizes.items() if peer < result.party_id
-    )
-    return union_size + offset
-
-
 def write_outputs(
-    cfg: SessionConfig,
-    loaded: list[LoadedDataset],
-    outcome: SessionOutcome,
-    assign_fresh: bool = False,
+    cfg: SessionConfig, loaded: list[LoadedDataset], outcome: SessionOutcome
 ) -> tuple[list[Path], Path]:
     """Write per-party aligned CSVs plus the session report; returns paths."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_paths = []
-    union_size = outcome.results[0].union_table.size
     for party_id, result in enumerate(outcome.results):
         path = out_dir / f"aligned_party{party_id}.csv"
-        start = fresh_index_start(result, union_size) if assign_fresh else None
-        write_aligned_csv(path, loaded[party_id], result.index_map, start)
+        write_aligned_csv(path, loaded[party_id], result.index_map)
         csv_paths.append(path)
     report = evaluate_outcome(cfg, loaded, outcome)
     report_path = out_dir / "report.json"

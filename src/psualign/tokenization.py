@@ -111,17 +111,6 @@ class MatchConfig:
         return tuple(self.match_floor(spec) for spec in self.features)
 
 
-@dataclass(frozen=True)
-class TokenizedIdentifier:
-    """Per-feature ordered tuples of token strings for one record.
-
-    One tuple of n-grams per field in unordered sessions; one tuple
-    holding the joined normalized record in ordered ones.
-    """
-
-    features: tuple[tuple[str, ...], ...]
-
-
 def normalize_field(raw, spec: FeatureSpec) -> str:
     """Fold, then right-pad with spaces or truncate to the canonical length."""
     length = spec.length
@@ -140,12 +129,13 @@ def ngrams(field: str, size: int) -> tuple[str, ...]:
     return tuple(grams)
 
 
-def tokenize_record(fields, cfg: MatchConfig) -> TokenizedIdentifier:
+def tokenize_record(fields, cfg: MatchConfig) -> tuple[tuple[str, ...], ...]:
     """Normalize and tokenize one record's identifier fields.
 
-    Ordered: one feature holding the normalized fields joined.  Each has
-    its feature's fixed length, so the join is injective without a
-    separator.  Unordered: one feature of n-grams per normalized field.
+    Returns one ordered tuple of token strings per feature.  Ordered: one
+    feature holding the normalized fields joined.  Each has its feature's
+    fixed length, so the join is injective without a separator.
+    Unordered: one feature of n-grams per normalized field.
     """
     specs = cfg.features
     if len(fields) != len(specs):
@@ -154,8 +144,8 @@ def tokenize_record(fields, cfg: MatchConfig) -> TokenizedIdentifier:
         )
     if cfg.ordered:
         joined = "".join(map(normalize_field, fields, specs))
-        return TokenizedIdentifier(((joined,),))
+        return ((joined,),)
     features = []
     for field, spec in zip(fields, specs):
         features.append(ngrams(normalize_field(field, spec), spec.ngram))
-    return TokenizedIdentifier(tuple(features))
+    return tuple(features)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .compare import TokenIndex
+from .compare import TokenIndex, compare
 from .groups import GroupParams
 from .masking import EncryptedIdentifier, encode_identifier
 from .tokenization import MatchConfig
@@ -61,14 +61,17 @@ def dedup_noisy(
 ) -> list[EncryptedIdentifier]:
     """Merge near-duplicates under the threshold comparison.
 
-    Scan in ascending index order: when a later item matches an earlier
-    survivor, the later one is deleted.  A :class:`TokenIndex` over the
-    items yields exactly each survivor's matches.
-    Survivors keep their full token lists; dropping the matched grams (or
-    trimming a merged survivor) would push it below the match floor its
-    own records need to find it again in the matching phase.  Entries that
-    absorbed nothing are trimmed to exactly the floor, which also shrinks
-    the broadcast.
+    Scan in ascending index order: a survivor absorbs a later live item
+    when each reaches the other.  ``compare`` is not symmetric when a
+    feature repeats a gram, and in the matching phase it is the absorbed
+    item's own record that has to reach an entry, so one direction is
+    not enough.  A :class:`TokenIndex` over the items yields exactly each
+    survivor's matches.
+    Survivors that absorbed an item keep their full token lists, which
+    every item they absorbed reaches.  Entries that absorbed nothing are
+    trimmed to exactly the floor, which their own record still reaches
+    and which also shrinks the broadcast.  So every input item reaches
+    some survivor: no record is left without an index.
 
     The relation is not transitive, so the outcome depends on this fixed
     scan order; under a permuted input the surviving set may differ.
@@ -81,7 +84,7 @@ def dedup_noisy(
         if not alive[i]:
             continue
         for j in index.candidates(scan[i], cfg):
-            if j > i and alive[j]:
+            if j > i and alive[j] and compare(scan[j], scan[i], cfg).is_match:
                 alive[j] = False
                 absorbed_any[i] = True
     survivors = []

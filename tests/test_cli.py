@@ -2,6 +2,8 @@ import csv
 import json
 import threading
 
+import pytest
+
 from helpers import free_port
 from psualign.cli import main
 
@@ -142,21 +144,47 @@ def test_noisy_simulate_with_provenance(tmp_path):
     assert report["e2_false_positives"] == 0
 
 
-def test_assign_fresh_gives_unmatched_rows_trailing_indices(tmp_path):
-    # 'abababababab' absorbs the orphan's entry at dedup but the orphan
-    # cannot reach it back at matching time (asymmetric duplicate grams).
+def test_aligned_csv_indexes_the_asymmetric_orphan(tmp_path):
+    # 'abababababab' reaches the orphan but the orphan does not reach it
+    # back (asymmetric duplicate grams), so dedup keeps both entries and
+    # the orphan's row gets an index like every other row.
     (tmp_path / "party0.csv").write_text("name\nabababababab\n")
     (tmp_path / "party1.csv").write_text("name\nababzzzzzzzz\ndistinct name\n")
     config = write_config(tmp_path, variant="unordered")
 
     assert main(["simulate", "--config", str(config)]) == 0
     aligned = (tmp_path / "out" / "aligned_party1.csv").read_text().splitlines()
-    assert aligned[1] == "ababzzzzzzzz,"  # blank index by default
+    assert aligned[1] == "ababzzzzzzzz,1"
 
-    assert main(["simulate", "--config", str(config), "--assign-fresh"]) == 0
-    aligned = (tmp_path / "out" / "aligned_party1.csv").read_text().splitlines()
-    # union has 2 entries; party 1's fresh block starts after party 0's rows
-    assert aligned[1] == "ababzzzzzzzz,3"
+
+def test_evaluate_reads_aligned_csvs_in_the_dataset_delimiter(tmp_path):
+    (tmp_path / "party0.csv").write_text("name;city\nalpha one;oslo\nbeta two;rome\n")
+    (tmp_path / "party1.csv").write_text("name;city\nalpha one;oslo\n")
+    parties = [
+        {"csv": f"party{k}.csv", "id_columns": ["name"], "delimiter": ";"} for k in range(2)
+    ]
+    config = write_config(tmp_path, parties=parties)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config)]) == 0
+    evaluation = json.loads((tmp_path / "out" / "evaluation.json").read_text())
+    assert evaluation["precision"] == evaluation["recall"] == 1.0
+
+
+@pytest.mark.parametrize("cell", ["x", "-3", ""])
+def test_evaluate_rejects_a_bad_index_cell(tmp_path, capsys, cell):
+    (tmp_path / "party0.csv").write_text("name\nalpha one\nbeta two\n")
+    (tmp_path / "party1.csv").write_text("name\nalpha one\n")
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    aligned = tmp_path / "out" / "aligned_party0.csv"
+    lines = aligned.read_text().splitlines()
+    lines[2] = f"beta two,{cell}"
+    aligned.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{aligned}: row 1 has index {cell!r}" in err
 
 
 def test_missing_dataset_column_exits_2(tmp_path, capsys):
@@ -256,7 +284,7 @@ def test_run_party_pair_matches_simulate(tmp_path):
         for src, out in zip(own_rows, aligned_rows):
             assert out.startswith(src)
     summary = json.loads((tmp_path / "net_out" / "run_party0.json").read_text())
-    assert summary["unmatched"] == 0
+    assert summary["matched"] == 5  # every one of party 0's records
     sent, sizes = summary["sent_messages"], summary["sent_bytes"]
     assert sent == {
         "ABORT": 0,

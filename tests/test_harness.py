@@ -267,26 +267,13 @@ def test_aligned_csv_roundtrip(tmp_path):
     from psualign.config import DatasetSpec
 
     loaded = load_dataset(DatasetSpec(csv_path=src, id_columns=("name",)))
-    index_map = UniversalIndexMap(0, {0: 4, 2: 1}, [1])
+    index_map = UniversalIndexMap(0, {0: 4, 1: 0, 2: 1})
     out = tmp_path / "aligned.csv"
     write_aligned_csv(out, loaded, index_map)
     text = out.read_text()
-    assert text.splitlines() == ["name,universal_index", "ann,4", "bob,", "cid,1"]
-    back = read_aligned_csv(out, 0)
-    assert back.local_to_universal == {0: 4, 2: 1}
-    assert back.unmatched == [1]
-
-
-def test_aligned_csv_fresh_indices(tmp_path):
-    src = tmp_path / "d.csv"
-    src.write_text("name\nann\nbob\n")
-    from psualign.config import DatasetSpec
-
-    loaded = load_dataset(DatasetSpec(csv_path=src, id_columns=("name",)))
-    index_map = UniversalIndexMap(0, {0: 2}, [1])
-    out = tmp_path / "aligned.csv"
-    write_aligned_csv(out, loaded, index_map, fresh_start=10)
-    assert out.read_text().splitlines()[2] == "bob,10"
+    assert text.splitlines() == ["name,universal_index", "ann,4", "bob,0", "cid,1"]
+    back = read_aligned_csv(out, 0, loaded.spec)
+    assert back == index_map
 
 
 # --- evaluation ---------------------------------------------------------------

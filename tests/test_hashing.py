@@ -106,7 +106,7 @@ def test_hash_identifier_matches_a_per_token_reference(record):
     expected = EncryptedIdentifier(
         tuple(
             tuple(reference_hash_token(token, group) for token in feature)
-            for feature in tokens.features
+            for feature in tokens
         )
     )
     assert hash_identifier(tokens, group) == expected

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psualign import (
     EncryptedIdentifier,
     FeatureSpec,
     MatchConfig,
     MessageType,
+    NoMatchInUnion,
     Party,
     TransportFailure,
     decode_set,
@@ -15,6 +18,7 @@ from psualign import (
     encode_set,
     make_group_params,
 )
+from psualign.corpus import generate_corpus
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub, total_message_counts
 
@@ -81,7 +85,7 @@ def test_threshold_one_still_links_identical_records():
 
 
 def test_no_match_lands_in_unmatched_not_error():
-    """A record that cannot reach any entry is recorded, not fatal."""
+    """Records too far apart to merge each keep an entry of their own."""
     match = MatchConfig(
         features=(FeatureSpec("name", 12, 3),), threshold=Fraction(9, 10), ordered=False
     )
@@ -152,15 +156,15 @@ def test_four_party_run_is_stable_under_delivery_jitter():
     assert plain.results[0].union_table == jittered[0].union_table
     for a, b in zip(plain.results, jittered):
         assert a.index_map.local_to_universal == b.index_map.local_to_universal
-        assert a.index_map.unmatched == b.index_map.unmatched
 
 
-def test_asymmetric_duplicate_grams_leave_a_record_unmatched():
+def test_asymmetric_duplicate_grams_keep_the_orphan_its_own_entry():
     """The overlap count is index-based and thus asymmetric.
 
-    'abababababab' has only two distinct gram values, so it can absorb a
-    record during dedup that cannot find its way back above the floor in
-    the matching phase; that record must land in unmatched, not abort.
+    'abababababab' has only two distinct gram values, so it reaches a
+    record that does not reach it back.  Dedup merges only records that
+    reach each other, so the orphan keeps an entry of its own and finds
+    it in the matching phase.
     """
     absorber = "abababababab"
     orphan = "ababzzzzzzzz"
@@ -168,10 +172,11 @@ def test_asymmetric_duplicate_grams_leave_a_record_unmatched():
     assert overlap_count(grams(orphan), grams(absorber)) == 2
     raw = [[(absorber,)], [(orphan,), ("distinct name",)]]
     _, _, outcome = run_noisy(raw, seed=12)
-    assert outcome.results[0].union_table.size == 2
-    assert outcome.results[0].index_map.unmatched == []
-    assert outcome.results[1].index_map.unmatched == [0]
-    assert 1 in outcome.results[1].index_map.local_to_universal
+    assert outcome.results[0].union_table.size == 3
+    phi0 = outcome.results[0].index_map.local_to_universal
+    phi1 = outcome.results[1].index_map.local_to_universal
+    assert sorted(phi0) == [0] and sorted(phi1) == [0, 1]
+    assert phi1[0] != phi0[0]
 
 
 def test_three_party_chain_uses_fixed_scan_order():
@@ -189,8 +194,7 @@ def test_three_party_chain_uses_fixed_scan_order():
     n = outcome.results[0].union_table.size
     assert 1 <= n <= 3
     for result in outcome.results:
-        total = len(result.index_map.local_to_universal) + len(result.index_map.unmatched)
-        assert total == 1
+        assert list(result.index_map.local_to_universal) == [0]
 
 
 def _with_extra_feature(ident):
@@ -217,6 +221,37 @@ NAME_AND_CITY_NOISY = MatchConfig(
     threshold=Fraction(7, 10),
     ordered=False,
 )
+
+
+def run_planted(match, msg_type, change):
+    """A 2-party session in which party 0 rewrites the first item of each
+    ``msg_type`` payload it sends."""
+
+    class PlantingParty(Party):
+        def _send(self, transport, to, sent_type, origin, hop, payload):
+            if sent_type is msg_type:
+                payload = _plant_in_set(payload, self.group, change)
+            super()._send(transport, to, sent_type, origin, hop, payload)
+
+    cfg = session_config(2, match, seed=3, recv_timeout=5)
+    group = cfg.group()
+    fields = len(match.features)
+    hashed = [
+        hash_rows([("mary kettler", "oslo")[:fields]], match, group),
+        hash_rows([("mary kettlar", "oslo")[:fields]], match, group),
+    ]
+    parties = build_parties(cfg, hashed)
+    parties[0] = PlantingParty(
+        party_id=0,
+        party_count=2,
+        group=group,
+        match_cfg=cfg.match,
+        hashed_records=hashed[0],
+        rng=cfg.party_rng(0),
+        session_digest=cfg.digest(),
+    )
+    hub = InProcessHub(2, recv_timeout=5)
+    return run_session(parties, [hub.transport(0), hub.transport(1)])
 
 
 @pytest.mark.parametrize(
@@ -252,33 +287,73 @@ NAME_AND_CITY_NOISY = MatchConfig(
 def test_wrong_shape_identifier_is_rejected_on_receipt(match, msg_type, change, error):
     """A decoded identifier with the wrong feature or token count fails the session.
 
-    Matching would otherwise find no candidate for it and report it as
-    unmatched, as if it were a record that met no union entry.
+    Matching would otherwise find no candidate for it and fail with
+    NoMatchInUnion, which names the wrong cause.
     """
-
-    class PlantingParty(Party):
-        def _send(self, transport, to, sent_type, origin, hop, payload):
-            if sent_type is msg_type:
-                payload = _plant_in_set(payload, self.group, change)
-            super()._send(transport, to, sent_type, origin, hop, payload)
-
-    cfg = session_config(2, match, seed=3, recv_timeout=5)
-    group = cfg.group()
-    fields = len(match.features)
-    hashed = [
-        hash_rows([("mary kettler", "oslo")[:fields]], match, group),
-        hash_rows([("mary kettlar", "oslo")[:fields]], match, group),
-    ]
-    parties = build_parties(cfg, hashed)
-    parties[0] = PlantingParty(
-        party_id=0,
-        party_count=2,
-        group=group,
-        match_cfg=cfg.match,
-        hashed_records=hashed[0],
-        rng=cfg.party_rng(0),
-        session_digest=cfg.digest(),
-    )
-    hub = InProcessHub(2, recv_timeout=5)
     with pytest.raises(TransportFailure, match=error):
-        run_session(parties, [hub.transport(0), hub.transport(1)])
+        run_planted(match, msg_type, change)
+
+
+def test_foreign_elements_in_a_token_return_raise_no_match():
+    """An unordered record that reaches no entry fails the session, as an ordered one does."""
+    foreign = hash_rows([("qwxqwxqwxqwx",)], SINGLE_FEATURE_NOISY, G512)[0]
+    with pytest.raises(NoMatchInUnion, match="party 1: record 0 reaches no union entry"):
+        run_planted(SINGLE_FEATURE_NOISY, MessageType.TOKEN_RETURN, lambda _: foreign)
+
+
+@st.composite
+def small_sessions(draw):
+    """2 or 3 parties of 1 to 4 names over a tiny alphabet, so grams repeat."""
+    threshold = draw(st.sampled_from((Fraction(1, 2), Fraction(7, 10), Fraction(9, 10))))
+    match = MatchConfig(
+        features=(FeatureSpec("name", 8, 2),), threshold=threshold, ordered=False
+    )
+    name = st.text(alphabet="ab z", max_size=8).map(lambda text: (text,))
+    raw = [
+        draw(st.lists(name, min_size=1, max_size=4))
+        for _ in range(draw(st.sampled_from((2, 3))))
+    ]
+    return match, raw, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_sessions())
+def test_every_record_of_a_small_session_is_indexed(session):
+    match, raw, seed = session
+    _, _, outcome = run_noisy(raw, match=match, seed=seed)
+    size = outcome.results[0].union_table.size
+    for rows, result in zip(raw, outcome.results):
+        mapping = result.index_map.local_to_universal
+        assert sorted(mapping) == list(range(len(rows)))
+        assert all(0 <= index < size for index in mapping.values())
+
+
+@pytest.mark.parametrize(
+    "corpus_seed, session_seed, union_size", [(20, 20001, 225), (209, 209001, 225)]
+)
+def test_noisy_names_corpus_indexes_every_record(corpus_seed, session_seed, union_size):
+    """The noisy-names-p512 benchmark corpus, at seeds whose sessions once lost records."""
+    columns = ("name", "street")
+    corpus = generate_corpus(
+        [150, 150],
+        overlap=0.5,
+        typo_rate=0.2,
+        seed=corpus_seed,
+        style="words",
+        columns=columns,
+        id_length=12,
+    )
+    match = MatchConfig(
+        features=tuple(FeatureSpec(column, 12, 3) for column in columns),
+        threshold=Fraction(7, 10),
+        ordered=False,
+    )
+    cfg = session_config(2, match, seed=session_seed)
+    hashed = [
+        hash_rows([row.fields for row in rows], match, cfg.group())
+        for rows in corpus.parties
+    ]
+    outcome = run_local_session(cfg, hashed)
+    assert outcome.results[0].union_table.size == union_size
+    for rows, result in zip(corpus.parties, outcome.results):
+        assert sorted(result.index_map.local_to_universal) == list(range(len(rows)))

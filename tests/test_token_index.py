@@ -1,8 +1,9 @@
 """The token index against the brute-force all-pairs ``compare`` scan.
 
 The references below are the scans the index replaced: every later item
-against every earlier survivor in dedup, and every union entry in
-ascending order in matching, each pair decided by ``compare`` alone.
+against every earlier survivor in dedup, in both directions, and every
+union entry in ascending order in matching, each pair decided by
+``compare`` alone.
 """
 
 import random
@@ -55,7 +56,11 @@ def brute_dedup(items, cfg, rng):
         if not alive[i]:
             continue
         for j in range(i + 1, len(items)):
-            if alive[j] and compare(items[i], items[j], cfg).is_match:
+            if (
+                alive[j]
+                and compare(items[i], items[j], cfg).is_match
+                and compare(items[j], items[i], cfg).is_match
+            ):
                 alive[j] = False
                 absorbed_any[i] = True
     return [
