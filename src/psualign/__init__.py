@@ -23,6 +23,7 @@ from .errors import (
     NoMatchInUnion,
     NotPrimeError,
     NotSafePrimeError,
+    PeerSilent,
     PeerUnreachable,
     PhaseViolation,
     ProtocolAbort,
@@ -37,8 +38,6 @@ from .evaluate import EvaluationReport, build_report
 from .groups import GroupParams, PRESETS, is_probable_prime, make_group_params
 from .hashing import hash_identifier, hash_token
 from .masking import (
-    ORDERED,
-    UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
     compose,
@@ -90,10 +89,10 @@ __all__ = [
     "NoMatchInUnion",
     "NotPrimeError",
     "NotSafePrimeError",
-    "ORDERED",
     "PRESETS",
     "Party",
     "PartyResult",
+    "PeerSilent",
     "PeerUnreachable",
     "Phase",
     "PhaseViolation",
@@ -108,7 +107,6 @@ __all__ = [
     "TcpTransport",
     "TooSmallPrimeError",
     "TransportFailure",
-    "UNORDERED",
     "UnionTable",
     "UniversalIndexMap",
     "assign_universal_indices",

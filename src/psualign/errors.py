@@ -54,6 +54,10 @@ class PeerUnreachable(TransportFailure):
     """The destination party id is unknown or its endpoint is gone."""
 
 
+class PeerSilent(TransportFailure):
+    """No message arrived before the receive deadline."""
+
+
 class FramingError(TransportFailure):
     """A wire frame could not be parsed."""
 

@@ -7,14 +7,13 @@ commute, and equal inputs stay equal, which is exactly what
 union-by-equality needs.  Hashed and masked identifiers are one value
 type, :class:`EncryptedIdentifier`, so that test is plain value equality.
 
-Two modes exist.  "ordered" keeps token positions fixed so identifiers
-stay comparable tokenwise.  "unordered" additionally draws a fresh
-uniform permutation of token positions per identifier per feature, so
-only the per-feature multiset survives an encryption pass.  In both
-modes, set-level masking shuffles the order of identifiers.  An ordered
-session's identifier is one element per record (see ``tokenization``),
-so a pass there raises one base per distinct record, not one per
-distinct n-gram.
+A pass draws a fresh uniform permutation of token positions per
+identifier per feature, so only the per-feature multiset survives it;
+set-level masking also shuffles the order of identifiers.  An ordered
+session's identifier is one feature of one element per record (see
+``tokenization``): shuffling one token draws nothing from the
+randomness source, and a pass there raises one base per distinct
+record, not one per distinct n-gram.
 
 Within one pass -- one call of :func:`encrypt_identifiers`, the tokens a
 party raises to one secret exponent in one sweep -- each distinct base is
@@ -35,10 +34,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .groups import GroupParams
-
-ORDERED = "ordered"
-UNORDERED = "unordered"
-MODES = (ORDERED, UNORDERED)
 
 
 @dataclass(frozen=True)
@@ -65,24 +60,15 @@ class EncryptedSet:
 
 
 def encrypt_identifiers(
-    idents,
-    exponent: int,
-    group: GroupParams,
-    mode: str = ORDERED,
-    rng=None,
+    idents, exponent: int, group: GroupParams, rng
 ) -> list[EncryptedIdentifier]:
     """One masking pass: raise every token to ``exponent``, in item order.
 
     The distinct bases are raised first, in first-occurrence order and in
     one ``exp_many`` batch, into the pass's memo of base -> power under
-    ``exponent``.  Then each item is mapped through it, drawing the
-    unordered permutation fresh per feature.  Feature order is never
-    permuted.
+    ``exponent``.  Then each item is mapped through it, and ``rng``
+    shuffles each feature's tokens.  Feature order is never permuted.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == UNORDERED and rng is None:
-        raise ValueError("unordered masking needs a randomness source")
     tokens = [value for ident in idents for feature in ident.features for value in feature]
     bases = list(dict.fromkeys(tokens))
     powers = dict(zip(bases, group.exp_many(bases, exponent)))
@@ -91,40 +77,28 @@ def encrypt_identifiers(
         features = []
         for feature in ident.features:
             powered = [powers[value] for value in feature]
-            if mode == UNORDERED:
-                rng.shuffle(powered)
+            rng.shuffle(powered)
             features.append(tuple(powered))
         masked.append(EncryptedIdentifier(tuple(features)))
     return masked
 
 
 def encrypt_identifier(
-    ident: EncryptedIdentifier,
-    exponent: int,
-    group: GroupParams,
-    mode: str = ORDERED,
-    rng=None,
+    ident: EncryptedIdentifier, exponent: int, group: GroupParams, rng
 ) -> EncryptedIdentifier:
     """:func:`encrypt_identifiers` on one identifier."""
-    return encrypt_identifiers([ident], exponent, group, mode, rng)[0]
+    return encrypt_identifiers([ident], exponent, group, rng)[0]
 
 
 def encrypt_set(
-    enc_set: EncryptedSet,
-    exponent: int,
-    group: GroupParams,
-    mode: str = ORDERED,
-    rng=None,
+    enc_set: EncryptedSet, exponent: int, group: GroupParams, rng
 ) -> EncryptedSet:
     """Mask every identifier with the same exponent, then shuffle the set.
 
-    The item shuffle happens in both modes (it hides dataset ordering);
-    unordered mode additionally permutes tokens inside each identifier.
-    The call is one pass of :func:`encrypt_identifiers`.
+    The item shuffle hides dataset ordering.  The call is one pass of
+    :func:`encrypt_identifiers`.
     """
-    if rng is None:
-        raise ValueError("set masking needs a randomness source for the shuffle")
-    items = encrypt_identifiers(enc_set.items, exponent, group, mode, rng)
+    items = encrypt_identifiers(enc_set.items, exponent, group, rng)
     rng.shuffle(items)
     return EncryptedSet(items)
 
@@ -134,11 +108,13 @@ def compose(
 ) -> EncryptedIdentifier:
     """Apply a list of exponents in order; equals one pass with their product.
 
-    An empty list is the identity.  Test utility for the commutativity
-    property, not a protocol message.
+    Tokens keep their positions.  An empty list is the identity.  Test
+    utility for the commutativity property, not a protocol message.
     """
     for exponent in exponents:
-        ident = encrypt_identifier(ident, exponent, group, ORDERED)
+        ident = EncryptedIdentifier(
+            tuple(tuple(group.exp_many(feature, exponent)) for feature in ident.features)
+        )
     return ident
 
 

@@ -25,20 +25,22 @@ A session runs five phases in fixed order:
    whether an origin relays at all depends only on N_k, which every peer
    learns in round one.
 
-Messages that do not belong to the current phase, messages from a party
-id outside ``[0, P)``, a HELLO whose sender is not its origin, a ring
-message (set, union, broadcast, relay or return) whose sender is not
-the party its origin and hop imply, a fully
-masked set for origin 0 arriving over the wire, a second relay from one
-origin or a relay whose record count is not the origin's round-one set
-size, and a token return that is repeated or does not hold exactly the
-origin's records raise PhaseViolation.  A received identifier whose
-feature count or per-feature token count the session cannot produce
-raises TransportFailure.  Receive deadlines belong to the transport.
-Two interleavings are legal and buffered: a SET_TRANSFER arriving while
-a slower peer is still handshaking, and a TOKEN_RELAY / TOKEN_RETURN
-arriving while the union broadcast is still in flight; both stem from
-senders that are one phase ahead, not from protocol violations.
+Every message has one fixed sender, given by its type, origin and hop
+(``Party._sender``).  Each phase receives from a table of the (type,
+origin, hop) it still awaits, each mapped to that sender, until the table
+is empty.  A message that is not in the table, or not from its sender,
+raises PhaseViolation before its payload is decoded; a received entry is
+struck out, so no message is taken twice.  A relay or return whose record
+count is not its origin's round-one set size also raises PhaseViolation,
+and a received identifier whose feature count or per-feature token count
+the session cannot produce raises TransportFailure.  Receive deadlines
+belong to the transport; when one passes, the party raises PeerSilent
+naming its phase and the peers its table still awaits.  Two interleavings
+are legal and parked: a SET_TRANSFER arriving while a slower peer is
+still handshaking, and a TOKEN_RELAY / TOKEN_RETURN arriving while the
+union broadcast is still in flight; both stem from senders that are one
+phase ahead.  Parked messages are judged by the table of the next phase,
+like any other.
 """
 
 from __future__ import annotations
@@ -51,14 +53,13 @@ from enum import Enum
 from .errors import (
     ConfigDigestMismatch,
     NoMatchInUnion,
+    PeerSilent,
     PhaseViolation,
     ProtocolAbort,
     TransportFailure,
 )
 from .groups import GroupParams
 from .masking import (
-    ORDERED,
-    UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
     decode_set,
@@ -75,6 +76,17 @@ from .union import (
     dedup_noisy,
     entry_locator,
 )
+
+
+# How a PhaseViolation names a message that came from the wrong sender.
+_WHAT = {
+    MessageType.HELLO: "hello for party {origin}",
+    MessageType.SET_TRANSFER: "set for origin {origin} at hop {hop}",
+    MessageType.UNION_TRANSFER: "union at hop {hop}",
+    MessageType.UID_BROADCAST: "union broadcast",
+    MessageType.TOKEN_RELAY: "relay from origin {origin} at hop {hop}",
+    MessageType.TOKEN_RETURN: "token return",
+}
 
 
 class Phase(Enum):
@@ -141,7 +153,6 @@ class Party:
         self.hashed_records = list(hashed_records)
         self.rng = rng
         self.session_digest = session_digest
-        self.mode = ORDERED if match_cfg.ordered else UNORDERED
         # (least, most) tokens per feature.  An ordered record is one
         # element.  Unordered sets and relays carry every gram, and union
         # entries may be trimmed to the match floor.
@@ -183,44 +194,64 @@ class Party:
     def _send(self, transport, to: int, msg_type: MessageType, origin: int, hop: int, payload: bytes) -> None:
         transport.send(to, ProtocolMessage(msg_type, origin, hop, payload))
 
-    def _recv(self, transport, expected, buffer=frozenset()):
-        """Next message whose type is in ``expected``.
+    def _sender(self, msg_type: MessageType, origin: int, hop: int) -> int:
+        """The one party that sends ``msg_type`` for ``origin`` at ``hop``.
 
-        Types in ``buffer`` are legal early arrivals from peers one phase
-        ahead; they are parked and replayed once the phase advances.
-        Anything else is a phase violation, as is any message from a party
-        id outside ``[0, P)``.  ABORT always raises.
+        Set hop h of origin k comes from k + h - 1, the party that applied
+        layer h; union hop h, and the broadcast at hop P, from P - h; a
+        hello (hop 0), relay or return at hop h from k + h; all mod P.
         """
-        for index, (sender, msg) in enumerate(self._deferred):
-            if msg.msg_type in expected:
-                del self._deferred[index]
-                return sender, msg
-        while True:
-            sender, msg = transport.recv()
-            if not 0 <= msg.origin < self.party_count:
-                raise PhaseViolation(
-                    f"party {self.party_id} in phase {self.phase.value} got "
-                    f"{msg.msg_type.name} from unknown party {msg.origin}"
-                )
-            if msg.msg_type is MessageType.ABORT:
-                reason = msg.payload.decode("utf-8", "replace")
-                raise ProtocolAbort(f"party {msg.origin} aborted: {reason}")
-            if msg.msg_type in expected:
-                return sender, msg
-            if msg.msg_type in buffer:
-                self._deferred.append((sender, msg))
-                continue
-            raise PhaseViolation(
-                f"party {self.party_id} in phase {self.phase.value} "
-                f"cannot accept {msg.msg_type.name}"
-            )
+        if msg_type is MessageType.SET_TRANSFER:
+            return (origin + hop - 1) % self.party_count
+        if msg_type in (MessageType.UNION_TRANSFER, MessageType.UID_BROADCAST):
+            return self.party_count - hop
+        return (origin + hop) % self.party_count
 
-    def _check_sender(self, sender: int, expected: int, what: str) -> None:
-        """Reject a ring message that did not come from the party its place implies."""
-        if sender != expected:
-            raise PhaseViolation(
-                f"{what} came from party {sender}, expected party {expected}"
-            )
+    def _expect(self, keys) -> dict[tuple[MessageType, int, int], int]:
+        """A phase's receive table: each awaited (type, origin, hop) and its sender."""
+        return {key: self._sender(*key) for key in keys}
+
+    def _recv(self, transport, expected, buffer=frozenset()):
+        """Take the next message ``expected`` awaits and strike it from the table.
+
+        ``expected`` maps each (type, origin, hop) the phase may still
+        receive to the party that sends it; anything else, or a message
+        from another party, is a phase violation.  Types in ``buffer`` are
+        legal early arrivals from peers one phase ahead: they are parked,
+        and the first receive that parks nothing replays them, in arrival
+        order, before reading the transport.  An ABORT from its own sender
+        raises ProtocolAbort; a receive deadline raises PeerSilent naming
+        the parties the table still waits on.
+        """
+        while True:
+            if self._deferred and not buffer:
+                sender, msg = self._deferred.popleft()
+            else:
+                try:
+                    sender, msg = transport.recv()
+                except PeerSilent as exc:
+                    raise PeerSilent(
+                        f"party {self.party_id} in phase {self.phase.value} heard "
+                        f"nothing from parties {sorted(set(expected.values()))} ({exc})"
+                    ) from exc
+                if msg.msg_type is MessageType.ABORT and sender == msg.origin:
+                    reason = msg.payload.decode("utf-8", "replace")
+                    raise ProtocolAbort(f"party {msg.origin} aborted: {reason}")
+                if msg.msg_type in buffer:
+                    self._deferred.append((sender, msg))
+                    continue
+            expected_sender = expected.pop((msg.msg_type, msg.origin, msg.hop), None)
+            if expected_sender is None:
+                raise PhaseViolation(
+                    f"party {self.party_id} in phase {self.phase.value} cannot accept "
+                    f"{msg.msg_type.name} for origin {msg.origin} at hop {msg.hop}"
+                )
+            if sender != expected_sender:
+                what = _WHAT[msg.msg_type].format(origin=msg.origin, hop=msg.hop)
+                raise PhaseViolation(
+                    f"{what} came from party {sender}, expected party {expected_sender}"
+                )
+            return msg
 
     def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
         try:
@@ -291,29 +322,23 @@ class Party:
     def _handshake(self, transport) -> None:
         transport.establish()
         hello = ProtocolMessage(MessageType.HELLO, self.party_id, 0, self.session_digest)
-        for peer in range(self.party_count):
-            if peer != self.party_id:
-                transport.send(peer, hello)
-        seen: set[int] = set()
-        while len(seen) < self.party_count - 1:
-            sender, msg = self._recv(
-                transport, {MessageType.HELLO}, buffer={MessageType.SET_TRANSFER}
-            )
-            self._check_sender(sender, msg.origin, f"hello for party {msg.origin}")
-            if msg.origin in seen or msg.origin == self.party_id:
-                raise PhaseViolation(f"duplicate hello from party {msg.origin}")
+        peers = [peer for peer in range(self.party_count) if peer != self.party_id]
+        for peer in peers:
+            transport.send(peer, hello)
+        expected = self._expect((MessageType.HELLO, peer, 0) for peer in peers)
+        while expected:
+            msg = self._recv(transport, expected, buffer={MessageType.SET_TRANSFER})
             if msg.payload != self.session_digest:
                 raise ConfigDigestMismatch(
                     f"party {msg.origin} runs a different session configuration"
                 )
-            seen.add(msg.origin)
         self.phase = Phase.ROUND_ONE
 
     # -- phase 2: first masking round -------------------------------------------
 
     def _round_one(self, transport) -> None:
         own = EncryptedSet(self.hashed_records)
-        masked = encrypt_set(own, self.exponents[0], self.group, self.mode, self.rng)
+        masked = encrypt_set(own, self.exponents[0], self.group, self.rng)
         self._send(
             transport,
             self.next_id,
@@ -322,56 +347,44 @@ class Party:
             hop=1,
             payload=encode_set(masked, self.group),
         )
-        pending_hops = self.party_count - 1
-        want_finals = self.party_count if self.is_active else 0
-        while pending_hops > 0 or len(self._finals) < want_finals:
-            sender, msg = self._recv(transport, {MessageType.SET_TRANSFER})
-            # Hop h of a set is sent by the party that applied layer h.
-            expected_sender = (msg.origin + msg.hop - 1) % self.party_count
-            what = f"set for origin {msg.origin} at hop {msg.hop}"
-            if msg.hop == self.party_count:
-                if not self.is_active:
-                    raise PhaseViolation("fully masked set delivered to a passive party")
-                if expected_sender == self.party_id:
-                    raise PhaseViolation(
-                        f"{what} arrived over the wire, but party {self.party_id} "
-                        "applies its last layer and keeps it"
-                    )
-                self._check_sender(sender, expected_sender, what)
-                if msg.origin in self._finals:
-                    raise PhaseViolation(f"second final set for origin {msg.origin}")
-                self._finals[msg.origin] = self._decode_set(msg.payload, self._item_shape)
-            elif 1 <= msg.hop < self.party_count:
-                expected_holder = (msg.origin + msg.hop) % self.party_count
-                if expected_holder != self.party_id:
-                    raise PhaseViolation(
-                        f"{what} reached party {self.party_id}, expected {expected_holder}"
-                    )
-                self._check_sender(sender, expected_sender, what)
-                incoming = self._decode_set(msg.payload, self._item_shape)
-                self.peer_sizes[msg.origin] = len(incoming.items)
-                outgoing = encrypt_set(
-                    incoming, self.exponents[0], self.group, self.mode, self.rng
-                )
-                next_hop = msg.hop + 1
-                pending_hops -= 1
-                if next_hop == self.party_count and self.is_active:
-                    # Origin 0's set takes its last layer here and is kept.
-                    self._finals[msg.origin] = outgoing
-                    continue
-                # After the P-th layer the set is complete and goes to the
-                # active party.
-                dest = self.active_id if next_hop == self.party_count else self.next_id
-                self._send(
-                    transport,
-                    dest,
-                    MessageType.SET_TRANSFER,
-                    origin=msg.origin,
-                    hop=next_hop,
-                    payload=encode_set(outgoing, self.group),
-                )
-            else:
-                raise PhaseViolation(f"set transfer with illegal hop {msg.hop}")
+        count = self.party_count
+        # Every other origin's set passes through here once, at the hop
+        # that makes this party its holder.
+        keys = [
+            (MessageType.SET_TRANSFER, origin, (self.party_id - origin) % count)
+            for origin in range(count)
+            if origin != self.party_id
+        ]
+        if self.is_active:
+            # Every final set but origin 0's, whose last layer is applied here.
+            keys += [(MessageType.SET_TRANSFER, origin, count) for origin in range(1, count)]
+        expected = self._expect(keys)
+        # Nothing parks in this phase, so the loop also drains what the
+        # handshake parked.
+        while expected or self._deferred:
+            msg = self._recv(transport, expected)
+            incoming = self._decode_set(msg.payload, self._item_shape)
+            if msg.hop == count:
+                self._finals[msg.origin] = incoming
+                continue
+            self.peer_sizes[msg.origin] = len(incoming.items)
+            outgoing = encrypt_set(incoming, self.exponents[0], self.group, self.rng)
+            next_hop = msg.hop + 1
+            if next_hop == count and self.is_active:
+                # Origin 0's set takes its last layer here and is kept.
+                self._finals[msg.origin] = outgoing
+                continue
+            # After the P-th layer the set is complete and goes to the
+            # active party.
+            dest = self.active_id if next_hop == count else self.next_id
+            self._send(
+                transport,
+                dest,
+                MessageType.SET_TRANSFER,
+                origin=msg.origin,
+                hop=next_hop,
+                payload=encode_set(outgoing, self.group),
+            )
         self.phase = Phase.ROUND_TWO
 
     # -- phase 3: union construction ---------------------------------------------
@@ -391,26 +404,16 @@ class Party:
     def _round_two(self, transport) -> None:
         if self.is_active:
             provisional = EncryptedSet(self._provisional_union())
-            masked = encrypt_set(
-                provisional, self._union_exponent(), self.group, self.mode, self.rng
-            )
+            masked = encrypt_set(provisional, self._union_exponent(), self.group, self.rng)
             self._forward_union(transport, masked, hop=1)
         else:
-            sender, msg = self._recv(transport, {MessageType.UNION_TRANSFER})
-            if not 1 <= msg.hop < self.party_count:
-                raise PhaseViolation(f"union transfer with illegal hop {msg.hop}")
-            expected_holder = self.active_id - msg.hop
-            if expected_holder != self.party_id:
-                raise PhaseViolation(
-                    f"union at hop {msg.hop} reached party {self.party_id}, "
-                    f"expected {expected_holder}"
-                )
-            self._check_sender(sender, self.party_id + 1, f"union at hop {msg.hop}")
-            incoming = self._decode_set(msg.payload, self._entry_shape)
-            masked = encrypt_set(
-                incoming, self._union_exponent(), self.group, self.mode, self.rng
+            hop = self.active_id - self.party_id
+            msg = self._recv(
+                transport, self._expect([(MessageType.UNION_TRANSFER, self.active_id, hop)])
             )
-            self._forward_union(transport, masked, hop=msg.hop + 1)
+            incoming = self._decode_set(msg.payload, self._entry_shape)
+            masked = encrypt_set(incoming, self._union_exponent(), self.group, self.rng)
+            self._forward_union(transport, masked, hop=hop + 1)
         self.phase = Phase.AWAIT_UNION
 
     def _forward_union(self, transport, masked: EncryptedSet, hop: int) -> None:
@@ -441,19 +444,14 @@ class Party:
     # -- phase 4: index derivation -------------------------------------------------
 
     def _await_union(self, transport) -> None:
-        if self.union_table is not None:  # party 0 built it while broadcasting
-            self.phase = Phase.MATCHING
-            return
-        sender, msg = self._recv(
-            transport,
-            {MessageType.UID_BROADCAST},
-            buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN},
-        )
-        if msg.origin != 0 or msg.hop != self.party_count:
-            raise PhaseViolation("union broadcast from an unexpected source")
-        self._check_sender(sender, 0, "union broadcast")
-        entries = self._decode_set(msg.payload, self._entry_shape)
-        self.union_table = assign_universal_indices(entries.items, self.group)
+        if self.union_table is None:  # party 0 built it while broadcasting
+            msg = self._recv(
+                transport,
+                self._expect([(MessageType.UID_BROADCAST, 0, self.party_count)]),
+                buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN},
+            )
+            entries = self._decode_set(msg.payload, self._entry_shape)
+            self.union_table = assign_universal_indices(entries.items, self.group)
         self.phase = Phase.MATCHING
 
     # -- phase 5: private matching ---------------------------------------------------
@@ -469,11 +467,20 @@ class Party:
     def _masked(self, records, exponent: int) -> EncryptedSet:
         """``records`` raised to ``exponent`` in record order, as one pass."""
         return EncryptedSet(
-            encrypt_identifiers(records, exponent, self.group, self.mode, self.rng)
+            encrypt_identifiers(records, exponent, self.group, self.rng)
         )
 
     def _matching(self, transport) -> None:
         assert self.union_table is not None
+        count = self.party_count
+        # One relay from every other origin with records, at the hop that
+        # makes this party its next holder.
+        keys = [
+            (MessageType.TOKEN_RELAY, origin, (self.party_id - origin - 1) % count)
+            for origin, size in self.peer_sizes.items()
+            if origin != self.party_id and size
+        ]
+        index_map = UniversalIndexMap(self.party_id)
         if self.hashed_records:
             # The opened records and their memo die once encoded.
             self._send(
@@ -486,55 +493,28 @@ class Party:
                     self._masked(self.hashed_records, self.exponents[1]), self.group
                 ),
             )
+            keys.append((MessageType.TOKEN_RETURN, self.party_id, count - 1))
             # Built while the peers open their own records.
             locate = entry_locator(self.union_table, self.match_cfg)
-        # Origins whose one relay this party has still to serve.
-        to_serve = {
-            origin
-            for origin, size in self.peer_sizes.items()
-            if origin != self.party_id and size
-        }
-        index_map = None if self.hashed_records else UniversalIndexMap(self.party_id)
-        while to_serve or index_map is None:
-            sender, msg = self._recv(
-                transport, {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
-            )
+        expected = self._expect(keys)
+        # Nothing parks in this phase, so the loop also drains what the
+        # union broadcast's wait parked, even with nothing left to await.
+        while expected or self._deferred:
+            msg = self._recv(transport, expected)
             if msg.msg_type is MessageType.TOKEN_RELAY:
-                self._serve_relay(transport, sender, msg, to_serve)
-            elif index_map is not None:
-                raise PhaseViolation(
-                    f"second token return for party {self.party_id}: "
-                    "its records are not pending"
-                )
+                self._serve_relay(transport, msg)
             else:
-                index_map = self._close_return(sender, msg, locate)
+                index_map = self._close_return(msg, locate)
         self.index_map = index_map
 
-    def _serve_relay(self, transport, sender: int, msg, to_serve: set[int]) -> None:
+    def _serve_relay(self, transport, msg) -> None:
         """Add this party's layer to one origin's relay, as a pass of its own, and pass it on."""
-        if not 0 <= msg.hop <= self.party_count - 2:
-            raise PhaseViolation(f"token relay with illegal hop {msg.hop}")
-        expected_holder = (msg.origin + msg.hop + 1) % self.party_count
-        if expected_holder != self.party_id:
-            raise PhaseViolation(
-                f"relay from origin {msg.origin} at hop {msg.hop} "
-                f"reached party {self.party_id}"
-            )
-        # Hop h of a relay is sent by party origin + h.
-        self._check_sender(
-            sender,
-            (msg.origin + msg.hop) % self.party_count,
-            f"relay from origin {msg.origin} at hop {msg.hop}",
-        )
-        if msg.origin not in to_serve:
-            raise PhaseViolation(f"second relay from origin {msg.origin}")
         relay = self._decode_set(msg.payload, self._item_shape)
         if len(relay.items) != self.peer_sizes[msg.origin]:
             raise PhaseViolation(
                 f"relay of {len(relay.items)} records from origin {msg.origin}, "
                 f"whose set held {self.peer_sizes[msg.origin]}"
             )
-        to_serve.remove(msg.origin)
         masked = self._masked(relay.items, self._relay_exponent())
         next_hop = msg.hop + 1
         done = next_hop == self.party_count - 1
@@ -547,15 +527,8 @@ class Party:
             payload=encode_set(masked, self.group),
         )
 
-    def _close_return(self, sender: int, msg, locate) -> UniversalIndexMap:
+    def _close_return(self, msg, locate) -> UniversalIndexMap:
         """Remove this party's own layers and look every record up in the union."""
-        if msg.origin != self.party_id:
-            raise PhaseViolation("token return for a foreign origin")
-        if msg.hop != self.party_count - 1:
-            raise PhaseViolation(
-                f"token return after {msg.hop} hops, expected {self.party_count - 1}"
-            )
-        self._check_sender(sender, (self.party_id - 1) % self.party_count, "token return")
         returned = self._decode_set(msg.payload, self._item_shape)
         if len(returned.items) != len(self.hashed_records):
             raise PhaseViolation(

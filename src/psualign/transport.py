@@ -14,8 +14,9 @@ to one's own id, like one to an id outside ``[0, P)``, raises
 its frame was read into, not a copy.
 
 Each transport owns its receive deadline, a required constructor
-argument: ``recv`` with no argument waits at most that long, and over
-TCP ``establish`` with no argument spends at most that long connecting.
+argument: ``recv`` with no argument waits at most that long, then raises
+``PeerSilent``, and over TCP ``establish`` with no argument spends at
+most that long connecting.
 
 Failures are fatal by design: protocol phases are not idempotent under
 the deterministic masking, so there is no retry or resume; callers abort
@@ -36,6 +37,7 @@ from collections import Counter
 from .errors import (
     FramingError,
     HandshakeTimeout,
+    PeerSilent,
     PeerUnreachable,
     TransportFailure,
 )
@@ -122,7 +124,7 @@ class InProcessTransport:
         try:
             return self.hub.queues[self.my_id].get(timeout=deadline)
         except queue.Empty:
-            raise TransportFailure(
+            raise PeerSilent(
                 f"party {self.my_id}: no message within {deadline:.1f}s"
             ) from None
 
@@ -317,7 +319,7 @@ class TcpTransport:
                     timeout=max(0.0, deadline - time.monotonic())
                 )
             except queue.Empty:
-                raise TransportFailure(
+                raise PeerSilent(
                     f"party {self.my_id}: no message within {wait:.1f}s"
                 ) from None
             if item is _PEER_CLOSED:

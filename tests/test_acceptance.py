@@ -17,7 +17,6 @@ from psualign import (
     EncryptedIdentifier,
     FeatureSpec,
     MatchConfig,
-    UNORDERED,
     bloom_encode,
     bloom_prefilter,
     compare,
@@ -342,7 +341,7 @@ def test_criterion_07_bloom_properties():
     rng = random.Random("acceptance7b")
     exponent = rng.randrange(1, G512.q)
     masked = [
-        encrypt_identifier(ident, exponent, G512, UNORDERED, rng)
+        encrypt_identifier(ident, exponent, G512, rng)
         for rows in [[r.fields for r in party] for party in corpus.parties]
         for ident in hash_rows(rows, match, G512)
     ]

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from psualign import (
     FeatureSpec,
     MatchConfig,
-    ORDERED,
-    UNORDERED,
     EncryptedIdentifier,
     EncryptedSet,
     compose,
@@ -27,7 +25,6 @@ from psualign import (
     masking,
     protocol,
 )
-from psualign.masking import MODES
 from psualign.simulate import run_local_session
 
 from helpers import (
@@ -49,50 +46,61 @@ def ident(*features):
     return EncryptedIdentifier(tuple(tuple(f) for f in features))
 
 
+def feature_multisets(item):
+    return tuple(tuple(sorted(feature)) for feature in item.features)
+
+
 def test_identity_exponent_ordered():
-    x = ident([2, 3, 4], [9, 13])
-    assert encrypt_identifier(x, 1, G23, ORDERED).features == x.features
+    """An ordered identifier (one token per feature) passes unchanged, and
+    shuffling its one-token features draws nothing from the rng."""
+    x = ident([2], [13])
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert encrypt_identifier(x, 1, G23, rng).features == x.features
+    assert rng.getstate() == state
 
 
 def test_toy_exponentiation():
     x = ident([2, 3])
-    out = encrypt_identifier(x, 5, G23, ORDERED)
-    assert out.features == ((9, 13),)  # 2^5=32%23=9, 3^5=243%23=13
+    # 2^5=32%23=9, 3^5=243%23=13; compose keeps token positions
+    assert compose(x, [5], G23).features == ((9, 13),)
+    out = encrypt_identifier(x, 5, G23, random.Random(0))
+    assert feature_multisets(out) == ((9, 13),)
 
 
 def test_ordered_mode_preserves_equality():
-    """Equal inputs stay tokenwise equal under the same exponent."""
-    x = ident([2, 3, 13], [8])
-    y = ident([2, 3, 13], [8])
-    ex = encrypt_identifier(x, 7, G23, ORDERED)
-    ey = encrypt_identifier(y, 7, G23, ORDERED)
+    """Equal one-token identifiers stay equal under the same exponent."""
+    x = ident([13], [8])
+    y = ident([13], [8])
+    ex = encrypt_identifier(x, 7, G23, random.Random(1))
+    ey = encrypt_identifier(y, 7, G23, random.Random(2))
     assert ex.features == ey.features
 
 
 def test_unordered_preserves_multisets():
     rng = random.Random(0)
     x = ident([2, 3, 4, 6, 8])
-    out = encrypt_identifier(x, 1, G23, UNORDERED, rng)
+    out = encrypt_identifier(x, 1, G23, rng)
     assert sorted(out.features[0]) == [2, 3, 4, 6, 8]
 
 
 def test_unordered_requires_rng():
-    with pytest.raises(ValueError):
-        encrypt_identifier(ident([2]), 1, G23, UNORDERED)
+    with pytest.raises(TypeError):
+        encrypt_identifier(ident([2]), 1, G23)
 
 
 def test_encrypt_set_singleton():
     rng = random.Random(1)
     s = EncryptedSet([ident([2, 3])])
-    out = encrypt_set(s, 1, G23, ORDERED, rng)
+    out = encrypt_set(s, 1, G23, rng)
     assert len(out.items) == 1
-    assert out.items[0].features == ((2, 3),)
+    assert feature_multisets(out.items[0]) == ((2, 3),)
 
 
 def test_encrypt_set_identity_is_item_permutation():
     rng = random.Random(2)
     items = [ident([v]) for v in (2, 3, 4, 6)]
-    out = encrypt_set(EncryptedSet(list(items)), 1, G23, ORDERED, rng)
+    out = encrypt_set(EncryptedSet(list(items)), 1, G23, rng)
     assert sorted(i.features for i in out.items) == sorted(i.features for i in items)
 
 
@@ -101,9 +109,9 @@ def test_set_exponent_order_is_irrelevant_as_multisets():
 
     def run(first, second, seed):
         rng = random.Random(seed)
-        step = encrypt_set(EncryptedSet(list(items)), first, G23, ORDERED, rng)
-        step = encrypt_set(step, second, G23, ORDERED, rng)
-        return sorted(i.features for i in step.items)
+        step = encrypt_set(EncryptedSet(list(items)), first, G23, rng)
+        step = encrypt_set(step, second, G23, rng)
+        return sorted(map(feature_multisets, step.items))
 
     assert run(5, 7, 1) == run(7, 5, 2)
 
@@ -113,10 +121,10 @@ def test_unordered_commutation_as_feature_multisets():
     x = ident([2, 3, 4, 6], [8, 9, 12])
     for s1, s2 in [(3, 7), (5, 5), (2, 9)]:
         one = encrypt_identifier(
-            encrypt_identifier(x, s1, G23, UNORDERED, rng), s2, G23, UNORDERED, rng
+            encrypt_identifier(x, s1, G23, rng), s2, G23, rng
         )
         two = encrypt_identifier(
-            encrypt_identifier(x, s2, G23, UNORDERED, rng), s1, G23, UNORDERED, rng
+            encrypt_identifier(x, s2, G23, rng), s1, G23, rng
         )
         for fa, fb in zip(one.features, two.features):
             assert sorted(fa) == sorted(fb)
@@ -150,7 +158,7 @@ def test_shuffle_slot_frequencies():
     runs = 4000
     landed = Counter()
     for _ in range(runs):
-        out = encrypt_set(EncryptedSet(list(items)), 1, G23, ORDERED, rng)
+        out = encrypt_set(EncryptedSet(list(items)), 1, G23, rng)
         for slot, item in enumerate(out.items):
             landed[(item.features, slot)] += 1
     expected = runs / 4
@@ -356,24 +364,23 @@ def test_set_codec_rejects_non_canonical_payloads(raw, reason):
 # --- one exponentiation per distinct base per pass -------------------------
 
 
-def reference_identifier(ident, exponent, group, mode=ORDERED, rng=None):
+def reference_identifier(ident, exponent, group, rng):
     """``pow`` on every token, with the shuffles the masking pass draws."""
     masked = []
     for feature in ident.features:
         powered = [pow(value, exponent, group.p) for value in feature]
-        if mode == UNORDERED:
-            rng.shuffle(powered)
+        rng.shuffle(powered)
         masked.append(tuple(powered))
     return EncryptedIdentifier(tuple(masked))
 
 
-def reference_identifiers(idents, exponent, group, mode=ORDERED, rng=None):
+def reference_identifiers(idents, exponent, group, rng):
     """A memo-free pass; stands in for ``encrypt_identifiers`` at every call site."""
-    return [reference_identifier(i, exponent, group, mode, rng) for i in idents]
+    return [reference_identifier(i, exponent, group, rng) for i in idents]
 
 
-def reference_set(enc_set, exponent, group, mode, rng):
-    items = [reference_identifier(i, exponent, group, mode, rng) for i in enc_set.items]
+def reference_set(enc_set, exponent, group, rng):
+    items = [reference_identifier(i, exponent, group, rng) for i in enc_set.items]
     rng.shuffle(items)
     return EncryptedSet(items)
 
@@ -411,9 +418,8 @@ def memo_instances(draw):
         )
     )
     exponent = draw(st.integers(1, group.q - 1))
-    mode = draw(st.sampled_from(MODES))
     seed = draw(st.integers(0, 2**32))
-    return group, [ident(*features) for features in items], exponent, mode, seed
+    return group, [ident(*features) for features in items], exponent, seed
 
 
 def distinct_bases(items):
@@ -423,12 +429,12 @@ def distinct_bases(items):
 @settings(max_examples=300, deadline=None)
 @given(memo_instances())
 def test_encrypt_set_raises_each_distinct_base_once(instance):
-    group, items, exponent, mode, seed = instance
+    group, items, exponent, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
     with mock.patch.object(groups, "powmod_many", counting):
-        got = encrypt_set(EncryptedSet(list(items)), exponent, group, mode, rng)
-    expected = reference_set(EncryptedSet(list(items)), exponent, group, mode, ref_rng)
+        got = encrypt_set(EncryptedSet(list(items)), exponent, group, rng)
+    expected = reference_set(EncryptedSet(list(items)), exponent, group, ref_rng)
     assert got == expected
     assert rng.getstate() == ref_rng.getstate()
     assert sorted(counting.bases()) == sorted(distinct_bases(items))
@@ -437,23 +443,23 @@ def test_encrypt_set_raises_each_distinct_base_once(instance):
 
 @settings(max_examples=300, deadline=None)
 @given(memo_instances())
-@example((G23, [ident([2, 3, 2], [3, 2, 4]), ident([4, 2])], 5, ORDERED, 0))
+@example((G23, [ident([2, 3, 2], [3, 2, 4]), ident([4, 2])], 5, 0))
 def test_encrypt_identifier_memo_is_scoped_to_one_call(instance):
     """Each call raises its own distinct bases once, in first-occurrence order.
 
     Calls one item at a time share nothing; one call on every item shares
     the repeats across items.
     """
-    group, items, exponent, mode, seed = instance
+    group, items, exponent, seed = instance
     rng, ref_rng = random.Random(seed), random.Random(seed)
     counting = CountingPowmod()
     with mock.patch.object(groups, "powmod_many", counting):
-        alone = [encrypt_identifier(i, exponent, group, mode, rng) for i in items]
+        alone = [encrypt_identifier(i, exponent, group, rng) for i in items]
         alone_calls = counting.bases()
         counting.calls.clear()
-        together = masking.encrypt_identifiers(items, exponent, group, mode, rng)
+        together = masking.encrypt_identifiers(items, exponent, group, rng)
     expected = [
-        reference_identifier(i, exponent, group, mode, ref_rng) for i in items + items
+        reference_identifier(i, exponent, group, ref_rng) for i in items + items
     ]
     assert alone + together == expected
     assert rng.getstate() == ref_rng.getstate()
@@ -469,7 +475,7 @@ NOISY_TWO_FEATURES = MatchConfig(
 )
 
 
-@pytest.mark.parametrize("match", [TWO_FEATURES, NOISY_TWO_FEATURES], ids=MODES)
+@pytest.mark.parametrize("match", [TWO_FEATURES, NOISY_TWO_FEATURES], ids=["ordered", "unordered"])
 def test_session_raises_no_base_twice_per_party_and_exponent(match):
     """A seeded 3-party session against the oracles and a memo-free rerun.
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import threading
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from psualign import (
     MatchConfig,
     NoMatchInUnion,
     Party,
+    PeerSilent,
     PhaseViolation,
     ProtocolAbort,
     compose,
@@ -25,7 +27,7 @@ from psualign import (
 from psualign import groups
 from psualign.messages import MessageType, ProtocolMessage
 from psualign.simulate import build_parties, run_local_session, run_session
-from psualign.transport import InProcessHub, total_message_counts
+from psualign.transport import InProcessHub, TcpTransport, total_message_counts
 
 from helpers import (
     TWO_FEATURES,
@@ -361,9 +363,11 @@ def test_out_of_phase_message_raises():
 
 
 def test_recv_replays_buffered_early_arrivals_in_order():
-    """Messages from peers one phase ahead are parked, not rejected."""
-    from psualign.messages import MessageType, ProtocolMessage
+    """Messages from peers one phase ahead are parked, not rejected.
 
+    The first receive that parks nothing replays them in arrival order,
+    each struck from its table like a fresh arrival.
+    """
     cfg = session_config(2, TWO_FEATURES, seed=3)
     group = cfg.group()
     hub = InProcessHub(2, recv_timeout=2)
@@ -379,18 +383,20 @@ def test_recv_replays_buffered_early_arrivals_in_order():
     transport = hub.transport(1)
     sender = hub.transport(0)
     early_a = ProtocolMessage(MessageType.TOKEN_RELAY, 0, 0, b"\0\0\0\1")
-    early_b = ProtocolMessage(MessageType.TOKEN_RELAY, 0, 0, b"\0\0\0\2")
+    early_b = ProtocolMessage(MessageType.TOKEN_RETURN, 1, 1, b"\0\0\0\2")
     awaited = ProtocolMessage(MessageType.UID_BROADCAST, 0, 2, b"")
     sender.send(1, early_a)
     sender.send(1, early_b)
     sender.send(1, awaited)
-    kinds = {MessageType.UID_BROADCAST}
+    broadcast = {(MessageType.UID_BROADCAST, 0, 2): 0}
     buffered = {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
-    _, got = party._recv(transport, kinds, buffer=buffered)
-    assert got == awaited
-    _, replay_a = party._recv(transport, buffered)
-    _, replay_b = party._recv(transport, buffered)
+    assert party._recv(transport, broadcast, buffer=buffered) == awaited
+    assert broadcast == {}
+    matching = {(MessageType.TOKEN_RETURN, 1, 1): 0, (MessageType.TOKEN_RELAY, 0, 0): 0}
+    replay_a = party._recv(transport, matching)
+    replay_b = party._recv(transport, matching)
     assert (replay_a, replay_b) == (early_a, early_b)
+    assert matching == {}
 
 
 def test_abort_propagates_to_peers():
@@ -434,7 +440,7 @@ def test_message_from_an_unknown_party_id_is_rejected_at_once():
     for origin in (0, 7):
         intruder.send(1, ProtocolMessage(MessageType.HELLO, origin, 0, cfg.digest()))
     started = time.monotonic()
-    with pytest.raises(PhaseViolation, match="unknown party 7"):
+    with pytest.raises(PhaseViolation, match="cannot accept HELLO for origin 7 at hop 0"):
         party.run(hub.transport(1))
     assert time.monotonic() - started < 1.0
     assert party.phase is Phase.HANDSHAKE
@@ -536,8 +542,151 @@ def test_a_final_set_for_origin_0_over_the_wire_is_rejected(claimed):
     )
     hub.queues[1].put((0, ProtocolMessage(MessageType.HELLO, 0, 0, cfg.digest())))
     hub.queues[1].put((claimed, ProtocolMessage(MessageType.SET_TRANSFER, 0, 2, b"")))
-    with pytest.raises(PhaseViolation, match="set for origin 0 at hop 2 arrived over the wire"):
+    started = time.monotonic()
+    with pytest.raises(
+        PhaseViolation, match="round_one cannot accept SET_TRANSFER for origin 0 at hop 2"
+    ):
         party.run(hub.transport(1))
+    assert time.monotonic() - started < 1.0
+
+
+def _parked_cases():
+    """Frames queued for party 1 of 2, which holds no records, and the violation each ends in."""
+    empty = encode_set(EncryptedSet([]), G512)
+    hello = (MessageType.HELLO, 0, 0, None)
+    both_sets = [(MessageType.SET_TRANSFER, 0, 1, empty), (MessageType.SET_TRANSFER, 1, 2, empty)]
+    return [
+        # Hop 5 does not exist in a 2-party ring.
+        ([(MessageType.SET_TRANSFER, 0, 5, b""), hello],
+         "round_one cannot accept SET_TRANSFER for origin 0 at hop 5"),
+        # Parked behind the two sets that empty round one's table.
+        (both_sets + [(MessageType.SET_TRANSFER, 0, 1, empty), hello],
+         "round_one cannot accept SET_TRANSFER for origin 0 at hop 1"),
+        # Parked during the broadcast wait; with no records anywhere,
+        # matching awaits nothing.
+        ([hello] + both_sets + [
+            (MessageType.TOKEN_RELAY, 0, 0, empty),
+            (MessageType.UID_BROADCAST, 0, 2, empty),
+        ], "matching cannot accept TOKEN_RELAY for origin 0 at hop 0"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "queued, error", _parked_cases(), ids=["illegal-hop", "left-over-set", "left-over-relay"]
+)
+def test_a_parked_early_arrival_is_still_judged(queued, error):
+    """An early arrival is parked, then judged by the next phase's table,
+    even once that table is empty."""
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    hub = InProcessHub(2, recv_timeout=2)
+    party = Party(
+        party_id=1,
+        party_count=2,
+        group=cfg.group(),
+        match_cfg=cfg.match,
+        hashed_records=[],
+        rng=cfg.party_rng(1),
+        session_digest=cfg.digest(),
+    )
+    for msg_type, origin, hop, payload in queued:
+        payload = cfg.digest() if payload is None else payload
+        hub.queues[1].put((0, ProtocolMessage(msg_type, origin, hop, payload)))
+    started = time.monotonic()
+    with pytest.raises(PhaseViolation, match=error):
+        party.run(hub.transport(1))
+    assert time.monotonic() - started < 1.0
+
+
+class Endpoint:
+    """A hub endpoint with a receive deadline of its own.
+
+    A ``mute`` endpoint sends its HELLOs and swallows every later frame.
+    """
+
+    def __init__(self, inner, recv_timeout: float, mute: bool = False):
+        self.inner = inner
+        self.recv_timeout = recv_timeout
+        self.mute = mute
+
+    def establish(self, timeout=None) -> None:
+        self.inner.establish(timeout)
+
+    def send(self, to, message) -> None:
+        if not self.mute or message.msg_type is MessageType.HELLO:
+            self.inner.send(to, message)
+
+    def recv(self, timeout=None):
+        return self.inner.recv(self.recv_timeout)
+
+
+def _errors_of(parties, transports):
+    """Run every party on its own thread; return each one's exception, or None."""
+    errors = [None] * len(parties)
+
+    def drive(index):
+        try:
+            parties[index].run(transports[index])
+        except Exception as exc:
+            errors[index] = exc
+
+    threads = [threading.Thread(target=drive, args=(k,)) for k in range(len(parties))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return errors
+
+
+def test_a_silent_peer_is_named():
+    """Party 0 greets, then sends nothing; party 1 names it within 2 x recv_timeout.
+
+    Party 1's deadline is 0.5 s and its peers' 5 s, so party 1 is the
+    first to give up and the others end on its abort.
+    """
+    raw = [[("a", "x")], [("b", "y")], [("a", "x"), ("c", "z")]]
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    hashed = [hash_rows(rows, TWO_FEATURES, cfg.group()) for rows in raw]
+    hub = InProcessHub(3, recv_timeout=5)
+    transports = [hub.transport(k) for k in range(3)]
+    transports[0] = Endpoint(transports[0], 5, mute=True)
+    transports[1] = Endpoint(transports[1], 0.5)
+    started = time.monotonic()
+    errors = _errors_of(build_parties(cfg, hashed), transports)
+    assert time.monotonic() - started < 2 * 0.5
+    assert isinstance(errors[1], PeerSilent), errors
+    assert "party 1 in phase round_one heard nothing from parties [0]" in str(errors[1])
+    assert all(isinstance(error, ProtocolAbort) for error in (errors[0], errors[2])), errors
+
+
+def test_a_silent_tcp_peer_is_named():
+    """Over TCP, party 0 greets and never sends its set; party 1 names it."""
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    transports = [
+        TcpTransport(k, 2, ("127.0.0.1", 0), {}, recv_timeout=0.5) for k in range(2)
+    ]
+    for transport in transports:
+        transport.listen()
+    for k, transport in enumerate(transports):
+        transport.peer_addrs = {1 - k: transports[1 - k].listen_addr}
+
+    def greet():
+        transports[0].establish()
+        transports[0].send(1, ProtocolMessage(MessageType.HELLO, 0, 0, cfg.digest()))
+
+    greeter = threading.Thread(target=greet)
+    party = build_parties(cfg, [[], hash_rows([("b", "y")], TWO_FEATURES, cfg.group())])[1]
+    try:
+        greeter.start()
+        started = time.monotonic()
+        with pytest.raises(
+            PeerSilent, match=r"party 1 in phase round_one heard nothing from parties \[0\]"
+        ):
+            party.run(transports[1])
+        assert time.monotonic() - started < 2 * 0.5
+    finally:
+        greeter.join()
+        for transport in transports:
+            transport.close()
 
 
 def _record_added(payload, group, send):
@@ -559,7 +708,7 @@ def _record_dropped(payload, group, send):
     "tamper, error",
     [
         (_record_added, "token return of 5 records for party 1, which has 4 pending"),
-        (_repeated, "second token return for party 1: its records are not pending"),
+        (_repeated, "matching cannot accept TOKEN_RETURN for origin 1 at hop 1"),
         (_record_dropped, "token return of 3 records for party 1, which has 4 pending"),
     ],
     ids=["out-of-range-record", "repeated-record", "wrong-record-count"],
