@@ -150,7 +150,10 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_params(args) -> int:
     if args.check is not None:
-        value = int(args.check, 0)
+        try:
+            value = int(args.check, 0)
+        except ValueError:
+            raise ConfigError(f"--check {args.check!r} is not an integer") from None
         group = make_group_params(value)
         print(f"valid safe prime: {group.p.bit_length()} bits, q has "
               f"{group.q.bit_length()} bits")

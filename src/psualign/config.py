@@ -145,10 +145,13 @@ def _parse_dataset(raw, base: Path, index: int) -> DatasetSpec:
     listen = raw.get("listen")
     if listen is not None and not isinstance(listen, str):
         raise ConfigError(f"{where}: 'listen' must be a host:port string")
+    delimiter = raw.get("delimiter", ",")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"{where}: 'delimiter' must be one character")
     return DatasetSpec(
         csv_path=base / _expect(raw, "csv", str, where),
         id_columns=tuple(columns),
-        delimiter=raw.get("delimiter", ","),
+        delimiter=delimiter,
         has_header=bool(raw.get("has_header", True)),
         listen=listen,
     )
@@ -166,7 +169,12 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
     if "group_hex" in document:
-        group_source = "hex:" + _expect(document, "group_hex", str, where)
+        digits = _expect(document, "group_hex", str, where)
+        try:
+            int(digits, 16)
+        except ValueError:
+            raise ConfigError(f"'group_hex' {digits!r} is not a hexadecimal number") from None
+        group_source = "hex:" + digits
     else:
         group_source = document.get("group", DEFAULT_PRESET)
         if not isinstance(group_source, str):
@@ -197,7 +205,12 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
     if not isinstance(timeout, (int, float)) or timeout <= 0:
         raise ConfigError("'timeout_s' must be a positive number")
 
+    output_dir = document.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("'output_dir' must be a path string")
     provenance = document.get("provenance")
+    if provenance is not None and not isinstance(provenance, str):
+        raise ConfigError("'provenance' must be a path string")
 
     return SessionConfig(
         party_count=party_count,
@@ -207,7 +220,7 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
         datasets=datasets,
         seed=seed,
         recv_timeout=float(timeout),
-        output_dir=base / document.get("output_dir", "out"),
+        output_dir=base / output_dir,
         provenance_path=(base / provenance) if provenance else None,
     )
 

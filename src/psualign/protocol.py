@@ -25,10 +25,11 @@ A session runs five phases in fixed order:
    whether an origin relays at all depends only on N_k, which every peer
    learns in round one.
 
-Every message has one fixed sender, given by its type, origin and hop
-(``Party._sender``).  Each phase receives from a table of the (type,
-origin, hop) it still awaits, each mapped to that sender, until the table
-is empty.  A message that is not in the table, or not from its sender,
+Every message has one fixed sender and receiver, given by its type, origin
+and hop (``ring_route``).  Each phase receives from a table of the (type,
+origin, hop) routed to the party that it still awaits, each mapped to its
+sender, until the table is empty, and sends each message where its route
+says.  A message that is not in the table, or not from its sender,
 raises PhaseViolation before its payload is decoded; a received entry is
 struck out, so no message is taken twice.  A relay or return whose record
 count is not its origin's round-one set size also raises PhaseViolation,
@@ -87,6 +88,29 @@ _WHAT = {
     MessageType.TOKEN_RELAY: "relay from origin {origin} at hop {hop}",
     MessageType.TOKEN_RETURN: "token return",
 }
+
+
+def ring_route(party_count: int, msg_type: MessageType, origin: int, hop: int):
+    """Who sends hop ``hop`` of ``origin``'s ``msg_type``, and to whom.
+
+    Returns ``(sender, receiver)``; receiver None means every peer.  A
+    hello (hop 0) goes from its origin to every peer.  Set hop h of origin
+    k carries layer h from k + h - 1 to k + h, and the full set (hop P) to
+    the active party, P - 1; so origin 0's full set stays where it was
+    masked.  The union walks down the ring, hop h from P - h to P - h - 1,
+    and party 0 broadcasts hop P.  A relay walks up the ring, hop h from
+    k + h to k + h + 1, so hop P - 1 is the return to its origin.  All mod P.
+    """
+    if msg_type is MessageType.HELLO:
+        return origin, None
+    if msg_type is MessageType.SET_TRANSFER:
+        sender = (origin + hop - 1) % party_count
+        return sender, (sender + 1) % party_count if hop < party_count else party_count - 1
+    if msg_type in (MessageType.UNION_TRANSFER, MessageType.UID_BROADCAST):
+        sender = party_count - hop
+        return sender, sender - 1 if hop < party_count else None
+    sender = (origin + hop) % party_count
+    return sender, (sender + 1) % party_count
 
 
 class Phase(Enum):
@@ -179,37 +203,39 @@ class Party:
 
     # -- helpers -------------------------------------------------------------
 
-    @property
-    def is_active(self) -> bool:
-        return self.party_id == self.party_count - 1
-
-    @property
-    def active_id(self) -> int:
-        return self.party_count - 1
-
-    @property
-    def next_id(self) -> int:
-        return (self.party_id + 1) % self.party_count
-
     def _send(self, transport, to: int, msg_type: MessageType, origin: int, hop: int, payload: bytes) -> None:
         transport.send(to, ProtocolMessage(msg_type, origin, hop, payload))
 
-    def _sender(self, msg_type: MessageType, origin: int, hop: int) -> int:
-        """The one party that sends ``msg_type`` for ``origin`` at ``hop``.
-
-        Set hop h of origin k comes from k + h - 1, the party that applied
-        layer h; union hop h, and the broadcast at hop P, from P - h; a
-        hello (hop 0), relay or return at hop h from k + h; all mod P.
-        """
-        if msg_type is MessageType.SET_TRANSFER:
-            return (origin + hop - 1) % self.party_count
-        if msg_type in (MessageType.UNION_TRANSFER, MessageType.UID_BROADCAST):
-            return self.party_count - hop
-        return (origin + hop) % self.party_count
-
     def _expect(self, keys) -> dict[tuple[MessageType, int, int], int]:
-        """A phase's receive table: each awaited (type, origin, hop) and its sender."""
-        return {key: self._sender(*key) for key in keys}
+        """A phase's receive table: each of ``keys`` routed here from a peer, and its sender."""
+        table = {}
+        for key in keys:
+            sender, receiver = ring_route(self.party_count, *key)
+            if sender != self.party_id and receiver in (self.party_id, None):
+                table[key] = sender
+        return table
+
+    def _pass_on(self, transport, msg_type: MessageType, origin: int, hop: int, masked: EncryptedSet) -> bool:
+        """Send ``masked`` as hop ``hop`` of ``origin``'s ``msg_type`` where it is routed.
+
+        A relay routed back to its origin goes as its TOKEN_RETURN, and a
+        union routed to every peer as the UID_BROADCAST from its sender.
+        Returns whether this party keeps ``masked`` too: the broadcast
+        union, and origin 0's full set, routed from the active party to
+        itself, which is not sent.
+        """
+        sender, receiver = ring_route(self.party_count, msg_type, origin, hop)
+        if receiver == sender:
+            return True
+        if receiver is None:
+            msg_type, origin = MessageType.UID_BROADCAST, sender
+        elif msg_type is MessageType.TOKEN_RELAY and receiver == origin:
+            msg_type = MessageType.TOKEN_RETURN
+        payload = encode_set(masked, self.group)
+        for peer in range(self.party_count) if receiver is None else (receiver,):
+            if peer != sender:
+                self._send(transport, peer, msg_type, origin, hop, payload)
+        return receiver is None
 
     def _recv(self, transport, expected, buffer=frozenset()):
         """Take the next message ``expected`` awaits and strike it from the table.
@@ -240,16 +266,16 @@ class Party:
                 if msg.msg_type in buffer:
                     self._deferred.append((sender, msg))
                     continue
-            expected_sender = expected.pop((msg.msg_type, msg.origin, msg.hop), None)
-            if expected_sender is None:
+            routed_from = expected.pop((msg.msg_type, msg.origin, msg.hop), None)
+            if routed_from is None:
                 raise PhaseViolation(
                     f"party {self.party_id} in phase {self.phase.value} cannot accept "
                     f"{msg.msg_type.name} for origin {msg.origin} at hop {msg.hop}"
                 )
-            if sender != expected_sender:
+            if sender != routed_from:
                 what = _WHAT[msg.msg_type].format(origin=msg.origin, hop=msg.hop)
                 raise PhaseViolation(
-                    f"{what} came from party {sender}, expected party {expected_sender}"
+                    f"{what} came from party {sender}, expected party {routed_from}"
                 )
             return msg
 
@@ -322,10 +348,10 @@ class Party:
     def _handshake(self, transport) -> None:
         transport.establish()
         hello = ProtocolMessage(MessageType.HELLO, self.party_id, 0, self.session_digest)
-        peers = [peer for peer in range(self.party_count) if peer != self.party_id]
-        for peer in peers:
-            transport.send(peer, hello)
-        expected = self._expect((MessageType.HELLO, peer, 0) for peer in peers)
+        for peer in range(self.party_count):
+            if peer != self.party_id:
+                transport.send(peer, hello)
+        expected = self._expect((MessageType.HELLO, origin, 0) for origin in range(self.party_count))
         while expected:
             msg = self._recv(transport, expected, buffer={MessageType.SET_TRANSFER})
             if msg.payload != self.session_digest:
@@ -339,26 +365,15 @@ class Party:
     def _round_one(self, transport) -> None:
         own = EncryptedSet(self.hashed_records)
         masked = encrypt_set(own, self.exponents[0], self.group, self.rng)
-        self._send(
-            transport,
-            self.next_id,
-            MessageType.SET_TRANSFER,
-            origin=self.party_id,
-            hop=1,
-            payload=encode_set(masked, self.group),
-        )
+        self._pass_on(transport, MessageType.SET_TRANSFER, self.party_id, 1, masked)
         count = self.party_count
-        # Every other origin's set passes through here once, at the hop
-        # that makes this party its holder.
-        keys = [
-            (MessageType.SET_TRANSFER, origin, (self.party_id - origin) % count)
+        # Every other origin's set passes through here once; the active
+        # party also receives every full set it did not mask last.
+        expected = self._expect(
+            (MessageType.SET_TRANSFER, origin, hop)
             for origin in range(count)
-            if origin != self.party_id
-        ]
-        if self.is_active:
-            # Every final set but origin 0's, whose last layer is applied here.
-            keys += [(MessageType.SET_TRANSFER, origin, count) for origin in range(1, count)]
-        expected = self._expect(keys)
+            for hop in range(1, count + 1)
+        )
         # Nothing parks in this phase, so the loop also drains what the
         # handshake parked.
         while expected or self._deferred:
@@ -369,22 +384,8 @@ class Party:
                 continue
             self.peer_sizes[msg.origin] = len(incoming.items)
             outgoing = encrypt_set(incoming, self.exponents[0], self.group, self.rng)
-            next_hop = msg.hop + 1
-            if next_hop == count and self.is_active:
-                # Origin 0's set takes its last layer here and is kept.
+            if self._pass_on(transport, MessageType.SET_TRANSFER, msg.origin, msg.hop + 1, outgoing):
                 self._finals[msg.origin] = outgoing
-                continue
-            # After the P-th layer the set is complete and goes to the
-            # active party.
-            dest = self.active_id if next_hop == count else self.next_id
-            self._send(
-                transport,
-                dest,
-                MessageType.SET_TRANSFER,
-                origin=msg.origin,
-                hop=next_hop,
-                payload=encode_set(outgoing, self.group),
-            )
         self.phase = Phase.ROUND_TWO
 
     # -- phase 3: union construction ---------------------------------------------
@@ -402,53 +403,29 @@ class Party:
         return (self.exponents[2] * self.exponents[1]) % self.group.q
 
     def _round_two(self, transport) -> None:
-        if self.is_active:
-            provisional = EncryptedSet(self._provisional_union())
-            masked = encrypt_set(provisional, self._union_exponent(), self.group, self.rng)
-            self._forward_union(transport, masked, hop=1)
+        active = self.party_count - 1
+        # The union starts its walk at the active party, the one no hop is routed to.
+        expected = self._expect(
+            (MessageType.UNION_TRANSFER, active, hop) for hop in range(1, self.party_count)
+        )
+        if expected:
+            msg = self._recv(transport, expected)
+            hop, union = msg.hop, self._decode_set(msg.payload, self._entry_shape)
         else:
-            hop = self.active_id - self.party_id
-            msg = self._recv(
-                transport, self._expect([(MessageType.UNION_TRANSFER, self.active_id, hop)])
-            )
-            incoming = self._decode_set(msg.payload, self._entry_shape)
-            masked = encrypt_set(incoming, self._union_exponent(), self.group, self.rng)
-            self._forward_union(transport, masked, hop=hop + 1)
-        self.phase = Phase.AWAIT_UNION
-
-    def _forward_union(self, transport, masked: EncryptedSet, hop: int) -> None:
-        payload = encode_set(masked, self.group)
-        if hop == self.party_count:
-            # Every layer applied; publish the finished union to everyone.
-            assert self.party_id == 0
-            for peer in range(1, self.party_count):
-                self._send(
-                    transport,
-                    peer,
-                    MessageType.UID_BROADCAST,
-                    origin=self.party_id,
-                    hop=hop,
-                    payload=payload,
-                )
+            hop, union = 0, EncryptedSet(self._provisional_union())
+        masked = encrypt_set(union, self._union_exponent(), self.group, self.rng)
+        if self._pass_on(transport, MessageType.UNION_TRANSFER, active, hop + 1, masked):
             self.union_table = assign_universal_indices(masked.items, self.group)
-        else:
-            self._send(
-                transport,
-                self.party_id - 1,
-                MessageType.UNION_TRANSFER,
-                origin=self.active_id,
-                hop=hop,
-                payload=payload,
-            )
+        self.phase = Phase.AWAIT_UNION
 
     # -- phase 4: index derivation -------------------------------------------------
 
     def _await_union(self, transport) -> None:
-        if self.union_table is None:  # party 0 built it while broadcasting
+        # Empty for party 0, which built the union while broadcasting it.
+        expected = self._expect([(MessageType.UID_BROADCAST, 0, self.party_count)])
+        if expected:
             msg = self._recv(
-                transport,
-                self._expect([(MessageType.UID_BROADCAST, 0, self.party_count)]),
-                buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN},
+                transport, expected, buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
             )
             entries = self._decode_set(msg.payload, self._entry_shape)
             self.union_table = assign_universal_indices(entries.items, self.group)
@@ -473,30 +450,25 @@ class Party:
     def _matching(self, transport) -> None:
         assert self.union_table is not None
         count = self.party_count
-        # One relay from every other origin with records, at the hop that
-        # makes this party its next holder.
-        keys = [
-            (MessageType.TOKEN_RELAY, origin, (self.party_id - origin - 1) % count)
-            for origin, size in self.peer_sizes.items()
-            if origin != self.party_id and size
-        ]
+        # Every origin with records relays them for P - 1 hops and gets
+        # them back at hop P - 1.
+        origins = [origin for origin, size in self.peer_sizes.items() if size]
+        expected = self._expect(
+            [(MessageType.TOKEN_RELAY, origin, hop) for origin in origins for hop in range(count - 1)]
+            + [(MessageType.TOKEN_RETURN, origin, count - 1) for origin in origins]
+        )
         index_map = UniversalIndexMap(self.party_id)
         if self.hashed_records:
-            # The opened records and their memo die once encoded.
-            self._send(
+            # The opened records and their memo die once sent.
+            self._pass_on(
                 transport,
-                self.next_id,
                 MessageType.TOKEN_RELAY,
-                origin=self.party_id,
-                hop=0,
-                payload=encode_set(
-                    self._masked(self.hashed_records, self.exponents[1]), self.group
-                ),
+                self.party_id,
+                0,
+                self._masked(self.hashed_records, self.exponents[1]),
             )
-            keys.append((MessageType.TOKEN_RETURN, self.party_id, count - 1))
             # Built while the peers open their own records.
             locate = entry_locator(self.union_table, self.match_cfg)
-        expected = self._expect(keys)
         # Nothing parks in this phase, so the loop also drains what the
         # union broadcast's wait parked, even with nothing left to await.
         while expected or self._deferred:
@@ -516,16 +488,7 @@ class Party:
                 f"whose set held {self.peer_sizes[msg.origin]}"
             )
         masked = self._masked(relay.items, self._relay_exponent())
-        next_hop = msg.hop + 1
-        done = next_hop == self.party_count - 1
-        self._send(
-            transport,
-            msg.origin if done else self.next_id,
-            MessageType.TOKEN_RETURN if done else MessageType.TOKEN_RELAY,
-            origin=msg.origin,
-            hop=next_hop,
-            payload=encode_set(masked, self.group),
-        )
+        self._pass_on(transport, MessageType.TOKEN_RELAY, msg.origin, msg.hop + 1, masked)
 
     def _close_return(self, msg, locate) -> UniversalIndexMap:
         """Remove this party's own layers and look every record up in the union."""

@@ -201,6 +201,42 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def with_delimiter(delimiter):
+    return {
+        "parties": [
+            {"csv": "party0.csv", "id_columns": ["name"], "delimiter": delimiter},
+            {"csv": "party1.csv", "id_columns": ["name"]},
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (with_delimiter(";;"), "parties[0]: 'delimiter' must be one character"),
+        (with_delimiter(9), "parties[0]: 'delimiter' must be one character"),
+        ({"group_hex": "zz"}, "'group_hex' 'zz' is not a hexadecimal number"),
+        ({"output_dir": 5}, "'output_dir' must be a path string"),
+        ({"provenance": ["truth.json"]}, "'provenance' must be a path string"),
+        (["params", "--check", "zz"], "--check 'zz' is not an integer"),
+    ],
+    ids=[
+        "two-character-delimiter",
+        "numeric-delimiter",
+        "non-hex-group",
+        "numeric-output-dir",
+        "list-provenance",
+        "non-integer-check",
+    ],
+)
+def test_malformed_input_is_a_configuration_error(tmp_path, capsys, command, error):
+    """Malformed outside input exits 2 with its cause, not with a traceback."""
+    if isinstance(command, dict):
+        command = ["simulate", "--config", str(write_config(tmp_path, **command))]
+    assert main(command) == 2
+    assert f"configuration error: {error}" in capsys.readouterr().err
+
+
 def test_evaluate_without_outputs_exits_4(tmp_path):
     (tmp_path / "party0.csv").write_text("name\nx\n")
     (tmp_path / "party1.csv").write_text("name\ny\n")

@@ -147,7 +147,7 @@ UNORDERED_TWO_FEATURES = MatchConfig(
 )
 
 
-@pytest.mark.parametrize("party_count", [2, 3, 4])
+@pytest.mark.parametrize("party_count", [2, 3, 4, 5])
 @pytest.mark.parametrize(
     "match", [TWO_FEATURES, UNORDERED_TWO_FEATURES], ids=["ordered", "unordered"]
 )
