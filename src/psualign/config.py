@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .groups import DEFAULT_PRESET, GroupParams, make_group_params
-from .masking import WIRE_LAYOUT_VERSION
+from .masking import MAX_FEATURE_TOKENS, WIRE_LAYOUT_VERSION
 from .tokenization import FeatureSpec, MatchConfig
 
 VARIANTS = ("ordered", "unordered")
@@ -91,10 +91,16 @@ def _expect(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
     value = mapping[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int, but are no number.
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
+    return value
+
+
+def _flag(mapping: dict, key: str, default: bool, where: str) -> bool:
+    value = mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: key {key!r} must be true or false")
     return value
 
 
@@ -124,13 +130,22 @@ def _parse_match(raw, variant: str, where: str) -> MatchConfig:
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{where}: unparseable threshold {threshold!r}") from None
     try:
-        return MatchConfig(
+        match = MatchConfig(
             features=_parse_features(raw.get("features"), where),
             threshold=fraction,
             ordered=(variant == "ordered"),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    for spec in match.features:
+        if not match.ordered and spec.gram_count > MAX_FEATURE_TOKENS:
+            raise ConfigError(
+                f"{where}: feature {spec.name!r} cuts {spec.gram_count} grams, "
+                f"more than the {MAX_FEATURE_TOKENS} a feature can carry"
+            )
+    return match
 
 
 def _parse_dataset(raw, base: Path, index: int) -> DatasetSpec:
@@ -152,7 +167,7 @@ def _parse_dataset(raw, base: Path, index: int) -> DatasetSpec:
         csv_path=base / _expect(raw, "csv", str, where),
         id_columns=tuple(columns),
         delimiter=delimiter,
-        has_header=bool(raw.get("has_header", True)),
+        has_header=_flag(raw, "has_header", True, where),
         listen=listen,
     )
 
@@ -196,13 +211,13 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
             )
 
     seed = document.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ConfigError("'seed' must be an integer")
-    if document.get("production", False) and seed is not None:
+    if _flag(document, "production", False, where) and seed is not None:
         raise ConfigError("production mode refuses a configured seed")
 
     timeout = document.get("timeout_s", DEFAULT_TIMEOUT)
-    if not isinstance(timeout, (int, float)) or timeout <= 0:
+    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
         raise ConfigError("'timeout_s' must be a positive number")
 
     output_dir = document.get("output_dir", "out")

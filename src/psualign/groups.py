@@ -36,17 +36,17 @@ from .errors import (
 # raises a batch of bases to one exponent: a masking pass is one call, and
 # ``powmod`` is a batch of one.  Wide exponents modulo a wide odd modulus
 # go to OpenSSL's BN_mod_exp_mont_consttime through ctypes, so the secret
-# masking exponents are raised by a constant-time routine.  Only that call
-# drops the GIL; the byte conversions around it keep it (``ctypes.PyDLL``),
-# since they are shorter than a GIL hand-over.
+# masking exponents are raised by a constant-time routine.  Every libcrypto
+# call drops the GIL (one ``ctypes.CDLL`` handle), and each slice sets up
+# and frees its own Montgomery context, so slices share no library state.
 #
 # A batch of at least 2 x _SLICE_MIN bases is split into contiguous
 # slices, one per CPU this process may run on.  The calling thread raises
 # the first slice and short-lived ``psu-exp-*`` threads the others; they
 # are joined before the batch returns, and a helper's exception is raised
-# in the caller.  Each slice loads the exponent once into BIGNUMs of its
-# own, flagged constant-time, and clears them when it ends, so no BIGNUM
-# holding a secret exponent outlives its pass.
+# in the caller.  Each slice loads the exponent and the modulus once into
+# BIGNUMs of its own, the exponent flagged constant-time, and clears them
+# when it ends, so no BIGNUM holding a secret exponent outlives its pass.
 #
 # Everything else -- short public exponents, the toy moduli, even or
 # non-positive arguments, or a missing library -- uses built-in ``pow`` on
@@ -67,79 +67,53 @@ _POW_MAX_BITS = 64
 _SLICE_MIN = 16
 
 
-class _Montgomery:
-    """A modulus as a BIGNUM plus its Montgomery context, shared read-only."""
-
-    def __init__(self, lib: "_Libcrypto", modulus: int):
-        self.lib = lib
-        self.width = (modulus.bit_length() + 7) // 8
-        self.mont = lib.mont_new()
-        self.bn = lib.bin2bn(modulus.to_bytes(self.width, "big"), self.width, None)
-        ctx = lib.ctx_new()
-        ok = self.mont and self.bn and ctx and lib.mont_set(self.mont, self.bn, ctx)
-        lib.ctx_free(ctx)
-        if not ok:
-            raise MemoryError("libcrypto could not set up a Montgomery context")
-
-    def __del__(self):
-        self.lib.mont_free(self.mont)
-        self.lib.bn_clear_free(self.bn)
-
-
 class _Libcrypto:
-    """ctypes bindings for the few BIGNUM calls ``powmod_many`` needs.
+    """ctypes bindings for the few BIGNUM calls ``powmod_many`` needs."""
 
-    ``exp`` comes from ``released`` (a ``CDLL``, which drops the GIL for
-    the call); every other binding from ``held`` (a ``PyDLL`` of the same
-    library, which keeps it).
-    """
-
-    def __init__(self, released: ctypes.CDLL, held: ctypes.PyDLL):
+    def __init__(self, lib: ctypes.CDLL):
         ptr, c_int, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
 
-        def bind(lib, name, restype, *argtypes):
+        def bind(name, restype, *argtypes):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
             return fn
 
-        self.exp = bind(
-            released, "BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr
-        )
-        self.ctx_new = bind(held, "BN_CTX_new", ptr)
-        self.ctx_free = bind(held, "BN_CTX_free", None, ptr)
-        self.bn_new = bind(held, "BN_new", ptr)
-        self.bn_clear_free = bind(held, "BN_clear_free", None, ptr)
-        self.set_flags = bind(held, "BN_set_flags", None, ptr, c_int)
-        self.bin2bn = bind(held, "BN_bin2bn", ptr, buf, c_int, ptr)
-        self.bn2binpad = bind(held, "BN_bn2binpad", c_int, ptr, buf, c_int)
-        self.mont_new = bind(held, "BN_MONT_CTX_new", ptr)
-        self.mont_set = bind(held, "BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
-        self.mont_free = bind(held, "BN_MONT_CTX_free", None, ptr)
-        self.montgomery = functools.lru_cache(maxsize=16)(
-            functools.partial(_Montgomery, self)
-        )
+        self.exp = bind("BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr)
+        self.ctx_new = bind("BN_CTX_new", ptr)
+        self.ctx_free = bind("BN_CTX_free", None, ptr)
+        self.bn_new = bind("BN_new", ptr)
+        self.bn_clear_free = bind("BN_clear_free", None, ptr)
+        self.set_flags = bind("BN_set_flags", None, ptr, c_int)
+        self.bin2bn = bind("BN_bin2bn", ptr, buf, c_int, ptr)
+        self.bn2binpad = bind("BN_bn2binpad", c_int, ptr, buf, c_int)
+        self.mont_new = bind("BN_MONT_CTX_new", ptr)
+        self.mont_set = bind("BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
+        self.mont_free = bind("BN_MONT_CTX_free", None, ptr)
 
     def powmod_many(self, values: list[int], exponent: int, modulus: int) -> list[int]:
         """One slice on this thread, for an odd modulus."""
-        mont = self.montgomery(modulus)
-        width = mont.width
-        ctx = self.ctx_new()
-        bns = (self.bn_new(), self.bn_new(), self.bn_new())
-        result, base, power = bns
+        width = (modulus.bit_length() + 7) // 8
+        ctx, mont = self.ctx_new(), self.mont_new()
+        bns = (self.bn_new(), self.bn_new(), self.bn_new(), self.bn_new())
+        result, base, power, mod = bns
         try:
-            if not (ctx and all(bns)):
+            if not (ctx and mont and all(bns)):
                 raise MemoryError("libcrypto could not allocate BIGNUMs")
             self.set_flags(power, _BN_FLG_CONSTTIME)
             raw = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
-            if not self.bin2bn(raw, len(raw), power):
-                raise ArithmeticError("libcrypto could not load the exponent")
+            if not (
+                self.bin2bn(raw, len(raw), power)
+                and self.bin2bn(modulus.to_bytes(width, "big"), width, mod)
+                and self.mont_set(mont, mod, ctx)
+            ):
+                raise ArithmeticError("libcrypto could not load the exponent and modulus")
             bin2bn, bn2binpad, exp = self.bin2bn, self.bn2binpad, self.exp
             out = ctypes.create_string_buffer(width)
             powers = []
             for value in values:
                 if not (
                     bin2bn((value % modulus).to_bytes(width, "big"), width, base)
-                    and exp(result, base, power, mont.bn, ctx, mont.mont)
+                    and exp(result, base, power, mod, ctx, mont)
                     and bn2binpad(result, out, width) == width
                 ):
                     raise ArithmeticError("libcrypto modular exponentiation failed")
@@ -148,6 +122,7 @@ class _Libcrypto:
         finally:
             for bn in bns:
                 self.bn_clear_free(bn)
+            self.mont_free(mont)
             self.ctx_free(ctx)
 
 
@@ -155,7 +130,7 @@ def _load_libcrypto() -> _Libcrypto | None:
     # By soname: ctypes.util.find_library would start a subprocess.  The
     # hashlib module has normally mapped this library already.
     try:
-        return _Libcrypto(ctypes.CDLL("libcrypto.so.3"), ctypes.PyDLL("libcrypto.so.3"))
+        return _Libcrypto(ctypes.CDLL("libcrypto.so.3"))
     except (OSError, AttributeError):
         return None
 

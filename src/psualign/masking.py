@@ -154,6 +154,10 @@ def compose(
 # element), fail at the handshake instead of on their first payload.
 WIRE_LAYOUT_VERSION = 6
 
+# Most tokens one feature of an identifier or a set item can carry: its
+# token count is a 2-byte field.
+MAX_FEATURE_TOKENS = 0xFFFF
+
 
 def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
     if len(ident.features) > 0xFF:
@@ -161,8 +165,8 @@ def encode_identifier(ident: EncryptedIdentifier, group: GroupParams) -> bytes:
     out = bytearray()
     out.append(len(ident.features))
     for feature in ident.features:
-        if len(feature) > 0xFFFF:
-            raise ValueError("more than 65535 tokens per feature cannot be serialized")
+        if len(feature) > MAX_FEATURE_TOKENS:
+            raise ValueError(f"more than {MAX_FEATURE_TOKENS} tokens per feature cannot be serialized")
         out += len(feature).to_bytes(2, "big")
         for value in feature:
             out += group.encode_element(value)
@@ -229,8 +233,8 @@ def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
     for shape in shapes:
         if len(shape) > 0xFF:
             raise ValueError("more than 255 features cannot be serialized")
-        if shape and max(shape) > 0xFFFF:
-            raise ValueError("more than 65535 tokens per feature cannot be serialized")
+        if shape and max(shape) > MAX_FEATURE_TOKENS:
+            raise ValueError(f"more than {MAX_FEATURE_TOKENS} tokens per feature cannot be serialized")
     if len(shapes) > 0xFFFF:
         raise ValueError("more than 65535 item shapes cannot be serialized")
     table = list(dict.fromkeys(values))

@@ -210,6 +210,11 @@ def with_delimiter(delimiter):
     }
 
 
+def with_feature(variant="ordered", **changes):
+    feature = {"name": "name", "length": 12, "ngram": 3, **changes}
+    return {"variant": variant, "match": {"threshold": "0.7", "features": [feature]}}
+
+
 @pytest.mark.parametrize(
     "command, error",
     [
@@ -219,6 +224,19 @@ def with_delimiter(delimiter):
         ({"output_dir": 5}, "'output_dir' must be a path string"),
         ({"provenance": ["truth.json"]}, "'provenance' must be a path string"),
         (["params", "--check", "zz"], "--check 'zz' is not an integer"),
+        ({"timeout_s": True}, "'timeout_s' must be a positive number"),
+        ({"seed": True}, "'seed' must be an integer"),
+        (with_feature(length=True), "config.features[0]: key 'length' must be int"),
+        (with_feature(ngram=True), "config.features[0]: key 'ngram' must be int"),
+        (
+            {"parties": [{"csv": "party0.csv", "id_columns": ["name"], "has_header": "false"}] * 2},
+            "parties[0]: key 'has_header' must be true or false",
+        ),
+        ({"production": "no", "seed": None}, "config: key 'production' must be true or false"),
+        (
+            with_feature("unordered", length=70_000),
+            "config: feature 'name' cuts 69998 grams, more than the 65535 a feature can carry",
+        ),
     ],
     ids=[
         "two-character-delimiter",
@@ -227,6 +245,13 @@ def with_delimiter(delimiter):
         "numeric-output-dir",
         "list-provenance",
         "non-integer-check",
+        "boolean-timeout",
+        "boolean-seed",
+        "boolean-length",
+        "boolean-ngram",
+        "string-has-header",
+        "string-production",
+        "unordered-feature-over-the-token-cap",
     ],
 )
 def test_malformed_input_is_a_configuration_error(tmp_path, capsys, command, error):

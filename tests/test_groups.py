@@ -3,6 +3,7 @@ import ctypes
 import random
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -267,7 +268,7 @@ def _powmod_cases(p, rng):
 
 
 def _check_powmod_interleaved(seed):
-    # Alternate moduli so threads share the cached Montgomery contexts.
+    # Alternate moduli so threads raise under different moduli at once.
     rng = random.Random(seed)
     for i in range(24):
         p = P2048 if i % 6 == 0 else P512
@@ -407,7 +408,7 @@ def test_exp_many_slices_by_cpu_count(count, cpus, started):
 
 
 def _check_exp_many_interleaved(seed):
-    # Alternate moduli so threads share the cached Montgomery contexts.
+    # Alternate moduli so threads raise under different moduli at once.
     rng = random.Random(seed)
     for i in range(6):
         group, sizes = (G2048, [5]) if i % 3 == 0 else (G512, [5, 33, 70])
@@ -460,6 +461,57 @@ def test_set_up_calls_no_batch_and_starts_no_thread(monkeypatch, started):
     assert len(parties) == 3 and started == []
 
 
+# What one slice allocates: the result, base, exponent and modulus
+# BIGNUMs, one BN_CTX and one Montgomery context.
+SLICE_OBJECTS = (("BIGNUM", 4), ("BN_CTX", 1), ("BN_MONT_CTX", 1))
+
+
+@pytest.fixture
+def allocations(monkeypatch):
+    """Check that each slice's thread freed every libcrypto object it made.
+
+    Records the thread, kind and pointer of every allocation and free; the
+    returned check takes the names of the threads that raised a slice.
+    """
+    lib = groups._libcrypto
+    if lib is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    made, freed = [], []
+    lock = threading.Lock()
+
+    def new(kind, real):
+        def call():
+            obj = real()
+            with lock:
+                made.append((threading.current_thread().name, kind, obj))
+            return obj
+
+        return call
+
+    def free(kind, real):
+        def call(obj):
+            with lock:
+                freed.append((threading.current_thread().name, kind, obj))
+            real(obj)
+
+        return call
+
+    for kind, new_name, free_name in (
+        ("BIGNUM", "bn_new", "bn_clear_free"),
+        ("BN_CTX", "ctx_new", "ctx_free"),
+        ("BN_MONT_CTX", "mont_new", "mont_free"),
+    ):
+        monkeypatch.setattr(lib, new_name, new(kind, getattr(lib, new_name)))
+        monkeypatch.setattr(lib, free_name, free(kind, getattr(lib, free_name)))
+
+    def check(threads):
+        counts = Counter((name, kind) for name, kind, _ in made)
+        assert counts == {(name, kind): n for name in threads for kind, n in SLICE_OBJECTS}
+        assert sorted(freed) == sorted(made)
+
+    return check
+
+
 def _failing_exp(lib, fail_on):
     real = lib.exp
 
@@ -472,7 +524,7 @@ def _failing_exp(lib, fail_on):
 
 
 @pytest.mark.parametrize("where", ["helper", "caller"])
-def test_failing_exponentiation_raises_in_the_caller(monkeypatch, cpus, where):
+def test_failing_exponentiation_raises_in_the_caller(monkeypatch, cpus, allocations, where):
     lib = groups._libcrypto
     if lib is None:
         pytest.skip("libcrypto.so.3 could not be loaded")
@@ -485,16 +537,19 @@ def test_failing_exponentiation_raises_in_the_caller(monkeypatch, cpus, where):
     with pytest.raises(ArithmeticError, match="exponentiation failed"):
         G512.exp_many(batch, G512.q - 1)
     assert _exp_threads() == []
+    allocations([threading.current_thread().name, "psu-exp-1", "psu-exp-2", "psu-exp-3"])
 
 
-def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(monkeypatch, cpus):
+def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(
+    monkeypatch, cpus, allocations
+):
     lib = groups._libcrypto
     if lib is None:
         pytest.skip("libcrypto.so.3 could not be loaded")
     get_flags = ctypes.CDLL("libcrypto.so.3").BN_get_flags
     get_flags.restype, get_flags.argtypes = ctypes.c_int, (ctypes.c_void_p, ctypes.c_int)
-    real_exp, real_new, real_free = lib.exp, lib.bn_new, lib.bn_clear_free
-    flags, allocated, cleared = {}, [], []
+    real_exp = lib.exp
+    flags = {}
     lock = threading.Lock()
 
     def exp(result, base, power, modulus, ctx, mont):
@@ -503,27 +558,14 @@ def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(monkeyp
             flags.setdefault(name, set()).add(get_flags(power, 0x04))
         return real_exp(result, base, power, modulus, ctx, mont)
 
-    def bn_new():
-        bn = real_new()
-        with lock:
-            allocated.append(bn)
-        return bn
-
-    def bn_clear_free(bn):
-        with lock:
-            cleared.append(bn)
-        real_free(bn)
-
     monkeypatch.setattr(lib, "exp", exp)
-    monkeypatch.setattr(lib, "bn_new", bn_new)
-    monkeypatch.setattr(lib, "bn_clear_free", bn_clear_free)
     cpus(4)
     batch = list(range(2, 66))
     exponent = G512.q - 1
     assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
-    caller = threading.current_thread().name
-    assert flags == {name: {0x04} for name in (caller, "psu-exp-1", "psu-exp-2", "psu-exp-3")}
-    assert len(allocated) == 4 * 3 and sorted(cleared) == sorted(allocated)
+    threads = [threading.current_thread().name, "psu-exp-1", "psu-exp-2", "psu-exp-3"]
+    assert flags == {name: {0x04} for name in threads}
+    allocations(threads)
     assert _exp_threads() == []
 
 
