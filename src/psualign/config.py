@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,8 +159,10 @@ def _parse_dataset(raw, base: Path, index: int) -> DatasetSpec:
     if not columns:
         raise ConfigError(f"{where}: 'id_columns' must not be empty")
     listen = raw.get("listen")
-    if listen is not None and not isinstance(listen, str):
-        raise ConfigError(f"{where}: 'listen' must be a host:port string")
+    if listen is not None:
+        if not isinstance(listen, str):
+            raise ConfigError(f"{where}: 'listen' must be a host:port string")
+        parse_endpoint(listen)
     delimiter = raw.get("delimiter", ",")
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"{where}: 'delimiter' must be one character")
@@ -217,7 +220,7 @@ def parse_config(document: dict, base: Path) -> SessionConfig:
         raise ConfigError("production mode refuses a configured seed")
 
     timeout = document.get("timeout_s", DEFAULT_TIMEOUT)
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
+    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or not 0 < timeout < math.inf:
         raise ConfigError("'timeout_s' must be a positive number")
 
     output_dir = document.get("output_dir", "out")
@@ -258,6 +261,9 @@ def parse_endpoint(value: str) -> tuple[str, int]:
     if not sep or not host:
         raise ConfigError(f"endpoint {value!r} is not host:port")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ConfigError(f"endpoint {value!r} has a non-numeric port") from None
+    if not 0 <= number <= 0xFFFF:
+        raise ConfigError(f"endpoint {value!r} has a port outside 0-65535")
+    return host, number

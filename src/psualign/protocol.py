@@ -1,6 +1,6 @@
 """Party state machines driving both protocol variants.
 
-A session runs five phases in fixed order:
+A session runs four phases in fixed order:
 
 1. handshake -- every pair exchanges a config digest (HELLO).
 2. first masking round -- each dataset circulates the ring; every party
@@ -13,41 +13,44 @@ A session runs five phases in fixed order:
    provisional union with its (third * second) exponent, and the union
    walks down the ring gathering every party's layer; the final holder
    (party 0) broadcasts the finished union.
-4. index derivation -- every party sorts the broadcast entries by their
-   canonical serialization; position = universal index.
-5. private matching -- each party with at least one record relays them
-   around the ring as one set payload in record order (not shuffled):
-   one TOKEN_RELAY frame per hop, one TOKEN_RETURN.  The relay gathers
-   the remaining exponents, and every record in it is looked up in the
-   union on return, its position in the payload being its relay id.
-   Nothing new leaks: record order was already public through relay ids,
-   the table's equality pattern through deterministic masking, and
-   whether an origin relays at all depends only on N_k, which every peer
-   learns in round one.
+4. matching -- every party sorts the broadcast entries by their
+   canonical serialization (position = universal index), and each party
+   with at least one record relays them around the ring as one set
+   payload in record order (not shuffled): one TOKEN_RELAY frame per
+   hop, one TOKEN_RETURN.  The relay gathers the remaining exponents,
+   and every record in it is looked up in the union on return, its
+   position in the payload being its relay id.  Nothing new leaks:
+   record order was already public through relay ids, the table's
+   equality pattern through deterministic masking, and whether an
+   origin relays at all depends only on N_k, which every peer learns in
+   round one.
 
 Every message has one fixed sender and receiver, given by its type, origin
-and hop (``ring_route``).  Each phase receives from a table of the (type,
-origin, hop) routed to the party that it still awaits, each mapped to its
+and hop (``ring_route``).  The party receives from a table of the (type,
+origin, hop) routed to it that it still awaits, each mapped to its
 sender, until the table is empty, and sends each message where its route
-says.  A message that is not in the table, or not from its sender,
-raises PhaseViolation before its payload is decoded; a received entry is
+says.  There are three tables: the hellos with round one's sets, the
+union hop, and the union broadcast with the relays and the party's own
+return, which joins once its relay is out.  Every message is judged on
+arrival: one that is not in the table, or not from its sender, raises
+PhaseViolation before its payload is decoded; a received entry is
 struck out, so no message is taken twice.  A relay or return whose record
 count is not its origin's round-one set size also raises PhaseViolation,
 and a received identifier whose feature count or per-feature token count
 the session cannot produce raises TransportFailure.  Receive deadlines
 belong to the transport; when one passes, the party raises PeerSilent
-naming its phase and the peers its table still awaits.  Two interleavings
-are legal and parked: a SET_TRANSFER arriving while a slower peer is
-still handshaking, and a TOKEN_RELAY / TOKEN_RETURN arriving while the
-union broadcast is still in flight; both stem from senders that are one
-phase ahead.  Parked messages are judged by the table of the next phase,
-like any other.
+naming its phase and the peers its table still awaits.  One thing waits:
+a set that arrives before the last hello is held until this party has
+masked and sent its own set, then taken in arrival order.  Every set a
+party masks after its own comes from its ring predecessor, in order, so
+the rng is drawn in the same order whatever the interleaving.  A relay
+is served whenever it arrives, and a party opens its own relay once it
+holds the union, so no relay reaches a party before its own union hop.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -117,7 +120,6 @@ class Phase(Enum):
     HANDSHAKE = "handshake"
     ROUND_ONE = "round_one"
     ROUND_TWO = "round_two"
-    AWAIT_UNION = "await_union"
     MATCHING = "matching"
     DONE = "done"
 
@@ -198,7 +200,6 @@ class Party:
         self.peer_sizes: dict[int, int] = {party_id: len(self.hashed_records)}
         self.union_table: UnionTable | None = None
         self.index_map: UniversalIndexMap | None = None
-        self._deferred: deque[tuple[int, ProtocolMessage]] = deque()
         self._finals: dict[int, EncryptedSet] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -237,47 +238,37 @@ class Party:
                 self._send(transport, peer, msg_type, origin, hop, payload)
         return receiver is None
 
-    def _recv(self, transport, expected, buffer=frozenset()):
-        """Take the next message ``expected`` awaits and strike it from the table.
+    def _recv(self, transport, expected):
+        """Take the next message, check it against ``expected`` and strike it from the table.
 
-        ``expected`` maps each (type, origin, hop) the phase may still
+        ``expected`` maps each (type, origin, hop) the party may still
         receive to the party that sends it; anything else, or a message
-        from another party, is a phase violation.  Types in ``buffer`` are
-        legal early arrivals from peers one phase ahead: they are parked,
-        and the first receive that parks nothing replays them, in arrival
-        order, before reading the transport.  An ABORT from its own sender
-        raises ProtocolAbort; a receive deadline raises PeerSilent naming
-        the parties the table still waits on.
+        from another party, is a phase violation.  An ABORT from its own
+        sender raises ProtocolAbort; a receive deadline raises PeerSilent
+        naming the parties the table still waits on.
         """
-        while True:
-            if self._deferred and not buffer:
-                sender, msg = self._deferred.popleft()
-            else:
-                try:
-                    sender, msg = transport.recv()
-                except PeerSilent as exc:
-                    raise PeerSilent(
-                        f"party {self.party_id} in phase {self.phase.value} heard "
-                        f"nothing from parties {sorted(set(expected.values()))} ({exc})"
-                    ) from exc
-                if msg.msg_type is MessageType.ABORT and sender == msg.origin:
-                    reason = msg.payload.decode("utf-8", "replace")
-                    raise ProtocolAbort(f"party {msg.origin} aborted: {reason}")
-                if msg.msg_type in buffer:
-                    self._deferred.append((sender, msg))
-                    continue
-            routed_from = expected.pop((msg.msg_type, msg.origin, msg.hop), None)
-            if routed_from is None:
-                raise PhaseViolation(
-                    f"party {self.party_id} in phase {self.phase.value} cannot accept "
-                    f"{msg.msg_type.name} for origin {msg.origin} at hop {msg.hop}"
-                )
-            if sender != routed_from:
-                what = _WHAT[msg.msg_type].format(origin=msg.origin, hop=msg.hop)
-                raise PhaseViolation(
-                    f"{what} came from party {sender}, expected party {routed_from}"
-                )
-            return msg
+        try:
+            sender, msg = transport.recv()
+        except PeerSilent as exc:
+            raise PeerSilent(
+                f"party {self.party_id} in phase {self.phase.value} heard "
+                f"nothing from parties {sorted(set(expected.values()))} ({exc})"
+            ) from exc
+        if msg.msg_type is MessageType.ABORT and sender == msg.origin:
+            reason = msg.payload.decode("utf-8", "replace")
+            raise ProtocolAbort(f"party {msg.origin} aborted: {reason}")
+        routed_from = expected.pop((msg.msg_type, msg.origin, msg.hop), None)
+        if routed_from is None:
+            raise PhaseViolation(
+                f"party {self.party_id} in phase {self.phase.value} cannot accept "
+                f"{msg.msg_type.name} for origin {msg.origin} at hop {msg.hop}"
+            )
+        if sender != routed_from:
+            what = _WHAT[msg.msg_type].format(origin=msg.origin, hop=msg.hop)
+            raise PhaseViolation(
+                f"{what} came from party {sender}, expected party {routed_from}"
+            )
+        return msg
 
     def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
         try:
@@ -323,10 +314,8 @@ class Party:
     def run(self, transport) -> PartyResult:
         started = time.monotonic()
         try:
-            self._handshake(transport)
             self._round_one(transport)
             self._round_two(transport)
-            self._await_union(transport)
             self._matching(transport)
         except ProtocolAbort:
             raise
@@ -343,50 +332,55 @@ class Party:
             wall_time=time.monotonic() - started,
         )
 
-    # -- phase 1: handshake ----------------------------------------------------
+    # -- phases 1 and 2: handshake and first masking round ----------------------
 
-    def _handshake(self, transport) -> None:
+    def _round_one(self, transport) -> None:
         transport.establish()
         hello = ProtocolMessage(MessageType.HELLO, self.party_id, 0, self.session_digest)
         for peer in range(self.party_count):
             if peer != self.party_id:
                 transport.send(peer, hello)
-        expected = self._expect((MessageType.HELLO, origin, 0) for origin in range(self.party_count))
+        count = self.party_count
+        # Every peer's hello and every other origin's set, once; the active
+        # party also receives every full set it did not mask last.
+        expected = self._expect(
+            [(MessageType.HELLO, origin, 0) for origin in range(count)]
+            + [(MessageType.SET_TRANSFER, origin, hop)
+               for origin in range(count) for hop in range(1, count + 1)]
+        )
+        hellos, held = count - 1, []
         while expected:
-            msg = self._recv(transport, expected, buffer={MessageType.SET_TRANSFER})
-            if msg.payload != self.session_digest:
+            msg = self._recv(transport, expected)
+            if msg.msg_type is MessageType.SET_TRANSFER:
+                held.append(msg)
+            elif msg.payload != self.session_digest:
                 raise ConfigDigestMismatch(
                     f"party {msg.origin} runs a different session configuration"
                 )
-        self.phase = Phase.ROUND_ONE
-
-    # -- phase 2: first masking round -------------------------------------------
-
-    def _round_one(self, transport) -> None:
-        own = EncryptedSet(self.hashed_records)
-        masked = encrypt_set(own, self.exponents[0], self.group, self.rng)
-        self._pass_on(transport, MessageType.SET_TRANSFER, self.party_id, 1, masked)
-        count = self.party_count
-        # Every other origin's set passes through here once; the active
-        # party also receives every full set it did not mask last.
-        expected = self._expect(
-            (MessageType.SET_TRANSFER, origin, hop)
-            for origin in range(count)
-            for hop in range(1, count + 1)
-        )
-        # Nothing parks in this phase, so the loop also drains what the
-        # handshake parked.
-        while expected or self._deferred:
-            msg = self._recv(transport, expected)
-            incoming = self._decode_set(msg.payload, self._item_shape)
-            if msg.hop == count:
-                self._finals[msg.origin] = incoming
-                continue
-            self.peer_sizes[msg.origin] = len(incoming.items)
-            outgoing = encrypt_set(incoming, self.exponents[0], self.group, self.rng)
-            if self._pass_on(transport, MessageType.SET_TRANSFER, msg.origin, msg.hop + 1, outgoing):
-                self._finals[msg.origin] = outgoing
+            else:
+                hellos -= 1
+                if not hellos:
+                    # Every hello has matched: this party's own set goes first.
+                    self.phase = Phase.ROUND_ONE
+                    own = EncryptedSet(self.hashed_records)
+                    masked = encrypt_set(own, self.exponents[0], self.group, self.rng)
+                    self._pass_on(transport, MessageType.SET_TRANSFER, self.party_id, 1, masked)
+            if not hellos:
+                for early in held:
+                    self._take_set(transport, early)
+                held.clear()
         self.phase = Phase.ROUND_TWO
+
+    def _take_set(self, transport, msg) -> None:
+        """Keep a full set, or add this party's layer to one and pass it on."""
+        incoming = self._decode_set(msg.payload, self._item_shape)
+        if msg.hop == self.party_count:
+            self._finals[msg.origin] = incoming
+            return
+        self.peer_sizes[msg.origin] = len(incoming.items)
+        outgoing = encrypt_set(incoming, self.exponents[0], self.group, self.rng)
+        if self._pass_on(transport, MessageType.SET_TRANSFER, msg.origin, msg.hop + 1, outgoing):
+            self._finals[msg.origin] = outgoing
 
     # -- phase 3: union construction ---------------------------------------------
 
@@ -416,22 +410,9 @@ class Party:
         masked = encrypt_set(union, self._union_exponent(), self.group, self.rng)
         if self._pass_on(transport, MessageType.UNION_TRANSFER, active, hop + 1, masked):
             self.union_table = assign_universal_indices(masked.items, self.group)
-        self.phase = Phase.AWAIT_UNION
-
-    # -- phase 4: index derivation -------------------------------------------------
-
-    def _await_union(self, transport) -> None:
-        # Empty for party 0, which built the union while broadcasting it.
-        expected = self._expect([(MessageType.UID_BROADCAST, 0, self.party_count)])
-        if expected:
-            msg = self._recv(
-                transport, expected, buffer={MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
-            )
-            entries = self._decode_set(msg.payload, self._entry_shape)
-            self.union_table = assign_universal_indices(entries.items, self.group)
         self.phase = Phase.MATCHING
 
-    # -- phase 5: private matching ---------------------------------------------------
+    # -- phase 4: matching -----------------------------------------------------------
 
     def _relay_exponent(self) -> int:
         e1, e2, e3 = self.exponents
@@ -448,36 +429,40 @@ class Party:
         )
 
     def _matching(self, transport) -> None:
-        assert self.union_table is not None
+        # Party 0 built the union while broadcasting it; the others await it
+        # here.  Every origin with records relays them for P - 1 hops.
         count = self.party_count
-        # Every origin with records relays them for P - 1 hops and gets
-        # them back at hop P - 1.
         origins = [origin for origin, size in self.peer_sizes.items() if size]
         expected = self._expect(
-            [(MessageType.TOKEN_RELAY, origin, hop) for origin in origins for hop in range(count - 1)]
-            + [(MessageType.TOKEN_RETURN, origin, count - 1) for origin in origins]
+            [(MessageType.UID_BROADCAST, 0, count)]
+            + [(MessageType.TOKEN_RELAY, origin, hop) for origin in origins for hop in range(count - 1)]
         )
-        index_map = UniversalIndexMap(self.party_id)
-        if self.hashed_records:
-            # The opened records and their memo die once sent.
-            self._pass_on(
-                transport,
-                MessageType.TOKEN_RELAY,
-                self.party_id,
-                0,
-                self._masked(self.hashed_records, self.exponents[1]),
-            )
-            # Built while the peers open their own records.
-            locate = entry_locator(self.union_table, self.match_cfg)
-        # Nothing parks in this phase, so the loop also drains what the
-        # union broadcast's wait parked, even with nothing left to await.
-        while expected or self._deferred:
+        self.index_map = UniversalIndexMap(self.party_id)
+        if self.union_table is not None:
+            locate = self._open_relay(transport, expected)
+        while expected:
             msg = self._recv(transport, expected)
             if msg.msg_type is MessageType.TOKEN_RELAY:
                 self._serve_relay(transport, msg)
+            elif msg.msg_type is MessageType.TOKEN_RETURN:
+                self.index_map = self._close_return(msg, locate)
             else:
-                index_map = self._close_return(msg, locate)
-        self.index_map = index_map
+                entries = self._decode_set(msg.payload, self._entry_shape)
+                self.union_table = assign_universal_indices(entries.items, self.group)
+                locate = self._open_relay(transport, expected)
+
+    def _open_relay(self, transport, expected):
+        """Send this party's records on their relay, if any; return the locator for their return."""
+        if not self.hashed_records:
+            return None
+        # The opened records and their memo die once sent.
+        masked = self._masked(self.hashed_records, self.exponents[1])
+        self._pass_on(transport, MessageType.TOKEN_RELAY, self.party_id, 0, masked)
+        expected.update(
+            self._expect([(MessageType.TOKEN_RETURN, self.party_id, self.party_count - 1)])
+        )
+        # Built while the peers add their layers.
+        return entry_locator(self.union_table, self.match_cfg)
 
     def _serve_relay(self, transport, msg) -> None:
         """Add this party's layer to one origin's relay, as a pass of its own, and pass it on."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import socket
+import threading
 import time
 from fractions import Fraction
 
@@ -253,3 +254,53 @@ def relayed_records(cfg: SessionConfig, taps) -> dict[str, int]:
             if message.msg_type.name in carried:
                 carried[message.msg_type.name] += len(decode_set(message.payload, group).items)
     return carried
+
+
+class HoldingHub:
+    """An in-process hub whose endpoints hold chosen frames back.
+
+    ``holds`` maps the (type, sender, receiver) of a frame to the message
+    types that release it: the frame is delivered right after the first
+    frame of one of those types reaches the same receiver, which thus
+    reads that frame first.  Every endpoint sends under one lock, and
+    ``taken[k]`` lists the types of the frames party k received, in order.
+    """
+
+    def __init__(self, party_count: int, recv_timeout: float, holds):
+        self.hub = InProcessHub(party_count, recv_timeout=recv_timeout)
+        self.holds = holds
+        self.lock = threading.Lock()
+        self.held = []
+        self.taken = [[] for _ in range(party_count)]
+        self.endpoints = [self.hub.transport(k) for k in range(party_count)]
+
+    def transport(self, party_id: int) -> "HoldingEndpoint":
+        return HoldingEndpoint(self, self.endpoints[party_id])
+
+
+class HoldingEndpoint:
+    """One party's endpoint on a :class:`HoldingHub`."""
+
+    def __init__(self, owner: HoldingHub, inner):
+        self.owner = owner
+        self.inner = inner
+
+    def establish(self, timeout=None) -> None:
+        self.inner.establish(timeout)
+
+    def send(self, to, message) -> None:
+        owner = self.owner
+        with owner.lock:
+            release = owner.holds.get((message.msg_type, self.inner.my_id, to))
+            if release is not None:
+                owner.held.append((self.inner, to, message, release))
+                return
+            self.inner.send(to, message)
+            for held in [h for h in owner.held if h[1] == to and message.msg_type in h[3]]:
+                owner.held.remove(held)
+                held[0].send(to, held[2])
+
+    def recv(self, timeout=None):
+        sender, message = self.inner.recv(timeout)
+        self.owner.taken[self.inner.my_id].append(message.msg_type)
+        return sender, message

@@ -225,6 +225,12 @@ def with_feature(variant="ordered", **changes):
         ({"provenance": ["truth.json"]}, "'provenance' must be a path string"),
         (["params", "--check", "zz"], "--check 'zz' is not an integer"),
         ({"timeout_s": True}, "'timeout_s' must be a positive number"),
+        ({"timeout_s": float("nan")}, "'timeout_s' must be a positive number"),
+        ({"timeout_s": float("inf")}, "'timeout_s' must be a positive number"),
+        (
+            {"parties": [{"csv": "party0.csv", "id_columns": ["name"], "listen": "127.0.0.1:70000"}] * 2},
+            "endpoint '127.0.0.1:70000' has a port outside 0-65535",
+        ),
         ({"seed": True}, "'seed' must be an integer"),
         (with_feature(length=True), "config.features[0]: key 'length' must be int"),
         (with_feature(ngram=True), "config.features[0]: key 'ngram' must be int"),
@@ -246,6 +252,9 @@ def with_feature(variant="ordered", **changes):
         "list-provenance",
         "non-integer-check",
         "boolean-timeout",
+        "nan-timeout",
+        "infinite-timeout",
+        "port-out-of-range",
         "boolean-seed",
         "boolean-length",
         "boolean-ngram",

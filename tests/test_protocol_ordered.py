@@ -362,43 +362,6 @@ def test_out_of_phase_message_raises():
         party.run(hub.transport(1))
 
 
-def test_recv_replays_buffered_early_arrivals_in_order():
-    """Messages from peers one phase ahead are parked, not rejected.
-
-    The first receive that parks nothing replays them in arrival order,
-    each struck from its table like a fresh arrival.
-    """
-    cfg = session_config(2, TWO_FEATURES, seed=3)
-    group = cfg.group()
-    hub = InProcessHub(2, recv_timeout=2)
-    party = Party(
-        party_id=1,
-        party_count=2,
-        group=group,
-        match_cfg=cfg.match,
-        hashed_records=[],
-        rng=cfg.party_rng(1),
-        session_digest=cfg.digest(),
-    )
-    transport = hub.transport(1)
-    sender = hub.transport(0)
-    early_a = ProtocolMessage(MessageType.TOKEN_RELAY, 0, 0, b"\0\0\0\1")
-    early_b = ProtocolMessage(MessageType.TOKEN_RETURN, 1, 1, b"\0\0\0\2")
-    awaited = ProtocolMessage(MessageType.UID_BROADCAST, 0, 2, b"")
-    sender.send(1, early_a)
-    sender.send(1, early_b)
-    sender.send(1, awaited)
-    broadcast = {(MessageType.UID_BROADCAST, 0, 2): 0}
-    buffered = {MessageType.TOKEN_RELAY, MessageType.TOKEN_RETURN}
-    assert party._recv(transport, broadcast, buffer=buffered) == awaited
-    assert broadcast == {}
-    matching = {(MessageType.TOKEN_RETURN, 1, 1): 0, (MessageType.TOKEN_RELAY, 0, 0): 0}
-    replay_a = party._recv(transport, matching)
-    replay_b = party._recv(transport, matching)
-    assert (replay_a, replay_b) == (early_a, early_b)
-    assert matching == {}
-
-
 def test_abort_propagates_to_peers():
     cfg = session_config(2, TWO_FEATURES, seed=3)
     group = cfg.group()
@@ -550,33 +513,40 @@ def test_a_final_set_for_origin_0_over_the_wire_is_rejected(claimed):
     assert time.monotonic() - started < 1.0
 
 
-def _parked_cases():
-    """Frames queued for party 1 of 2, which holds no records, and the violation each ends in."""
+def _early_arrival_cases():
+    """Frames queued for party 1 of 2, which holds one record, and the violation each ends in."""
     empty = encode_set(EncryptedSet([]), G512)
     hello = (MessageType.HELLO, 0, 0, None)
     both_sets = [(MessageType.SET_TRANSFER, 0, 1, empty), (MessageType.SET_TRANSFER, 1, 2, empty)]
     return [
         # Hop 5 does not exist in a 2-party ring.
         ([(MessageType.SET_TRANSFER, 0, 5, b""), hello],
-         "round_one cannot accept SET_TRANSFER for origin 0 at hop 5"),
-        # Parked behind the two sets that empty round one's table.
+         "handshake cannot accept SET_TRANSFER for origin 0 at hop 5"),
+        # A second copy of a set held during the handshake.
         (both_sets + [(MessageType.SET_TRANSFER, 0, 1, empty), hello],
-         "round_one cannot accept SET_TRANSFER for origin 0 at hop 1"),
-        # Parked during the broadcast wait; with no records anywhere,
-        # matching awaits nothing.
+         "handshake cannot accept SET_TRANSFER for origin 0 at hop 1"),
+        # Ahead of the union broadcast; party 0 holds no records, so
+        # matching awaits only the broadcast.
         ([hello] + both_sets + [
             (MessageType.TOKEN_RELAY, 0, 0, empty),
             (MessageType.UID_BROADCAST, 0, 2, empty),
         ], "matching cannot accept TOKEN_RELAY for origin 0 at hop 0"),
+        # Party 1 awaits its return only once its relay is out, which
+        # takes the union.
+        ([hello] + both_sets + [
+            (MessageType.TOKEN_RETURN, 1, 1, empty),
+            (MessageType.UID_BROADCAST, 0, 2, empty),
+        ], "matching cannot accept TOKEN_RETURN for origin 1 at hop 1"),
     ]
 
 
 @pytest.mark.parametrize(
-    "queued, error", _parked_cases(), ids=["illegal-hop", "left-over-set", "left-over-relay"]
+    "queued, error",
+    _early_arrival_cases(),
+    ids=["illegal-hop", "left-over-set", "left-over-relay", "early-return"],
 )
 def test_a_parked_early_arrival_is_still_judged(queued, error):
-    """An early arrival is parked, then judged by the next phase's table,
-    even once that table is empty."""
+    """An early arrival is judged on arrival, by the table of the phase it reaches."""
     cfg = session_config(2, TWO_FEATURES, seed=3)
     hub = InProcessHub(2, recv_timeout=2)
     party = Party(
@@ -584,7 +554,7 @@ def test_a_parked_early_arrival_is_still_judged(queued, error):
         party_count=2,
         group=cfg.group(),
         match_cfg=cfg.match,
-        hashed_records=[],
+        hashed_records=hash_rows([("a", "x")], TWO_FEATURES, cfg.group()),
         rng=cfg.party_rng(1),
         session_digest=cfg.digest(),
     )

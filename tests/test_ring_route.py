@@ -24,12 +24,12 @@ BROADCAST = MessageType.UID_BROADCAST
 RELAY = MessageType.TOKEN_RELAY
 RETURN = MessageType.TOKEN_RETURN
 
+# The handshake's hellos share round one's table, and the union broadcast
+# matching's.
 PHASE_TYPES = {
-    "handshake": (HELLO,),
-    "round_one": (SET,),
+    "round_one": (HELLO, SET),
     "round_two": (UNION,),
-    "await_union": (BROADCAST,),
-    "matching": (RELAY, RETURN),
+    "matching": (BROADCAST, RELAY, RETURN),
 }
 
 
@@ -65,12 +65,12 @@ def reference_tables(P: int, me: int, relaying: list[int]) -> dict[str, dict]:
     matching = [(RELAY, k, (me - k - 1) % P) for k in relaying if k != me]
     if me in relaying:
         matching.append((RETURN, me, P - 1))
+    hellos = [(HELLO, k, 0) for k in range(P) if k != me]
+    broadcast = [] if me == 0 else [(BROADCAST, 0, P)]
     return {
-        "handshake": table((HELLO, k, 0) for k in range(P) if k != me),
-        "round_one": table(round_one),
+        "round_one": table(hellos + round_one),
         "round_two": table([] if me == active else [(UNION, active, active - me)]),
-        "await_union": table([] if me == 0 else [(BROADCAST, 0, P)]),
-        "matching": table(matching),
+        "matching": table(broadcast + matching),
     }
 
 
