@@ -60,7 +60,7 @@ from .tokenization import (
     tokenize_record,
 )
 from .transport import InProcessHub, InProcessTransport, TcpTransport
-from .union import UnionTable, assign_universal_indices, dedup_exact, dedup_noisy
+from .union import UnionTable, assign_universal_indices, dedup_exact, dedup_noisy, fingerprint
 
 __version__ = "0.1.0"
 
@@ -125,6 +125,7 @@ __all__ = [
     "encode_set",
     "encrypt_identifier",
     "encrypt_set",
+    "fingerprint",
     "fold_text",
     "hash_identifier",
     "hash_token",

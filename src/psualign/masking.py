@@ -53,10 +53,13 @@ class EncryptedSet:
     """A party's worth of masked identifiers.
 
     Item order carries no meaning once the set has been through a
-    shuffled masking pass.
+    shuffled masking pass.  ``fingerprints`` marks a set whose values are
+    16-byte union fingerprints (``union.fingerprint``), not group
+    elements: the finished-union broadcast, in universal-index order.
     """
 
     items: list[EncryptedIdentifier] = field(default_factory=list)
+    fingerprints: bool = False
 
 
 def encrypt_identifiers(
@@ -142,17 +145,28 @@ def compose(
 # token of every item in item order, are left out when D = T: every token
 # is then distinct, and first-occurrence order makes them 0, 1, 2, ...
 # Every table entry and every shape is used, in the order the items first
-# refer to it, so a set has exactly one encoding.  From byte 4 on a payload
+# refer to it, so a set has exactly one encoding.  Sets, the union walk and
+# matching relays share this layout, and from byte 4 on such a payload
 # reads as an identifier whose features are the chunks, so an identifier
-# reader there sees every element.  Sets and matching relays share this
-# layout.  The table shows which tokens are equal, which deterministic
-# masking shows anyway; its order follows the item order: shuffled in
-# sets, record order in relays.
+# reader there sees every element.  The table shows which tokens are
+# equal, which deterministic masking shows anyway; its order follows the
+# item order: shuffled in sets, record order in relays.
+#
+# A fingerprint payload (the union broadcast) sets the top bit of the item
+# count and writes its table entries as 16-byte fingerprints, which are
+# not range-checked.  A valid payload holds fewer than 2^28 items (each
+# costs a byte of a frame capped at 2^28), so the bit is free.
 
 # Part of the session digest, so peers on different set layouts, or on
 # different identifier shapes (version 5 made an ordered record one
-# element), fail at the handshake instead of on their first payload.
-WIRE_LAYOUT_VERSION = 6
+# element, version 7 made the union broadcast carry fingerprints), fail
+# at the handshake instead of on their first payload.
+WIRE_LAYOUT_VERSION = 7
+
+# Bytes of one union fingerprint, and the item-count bit that marks a
+# payload of them.
+FINGERPRINT_WIDTH = 16
+_FINGERPRINT_MARK = 1 << 31
 
 # Most tokens one feature of an identifier or a set item can carry: its
 # token count is a 2-byte field.
@@ -240,11 +254,15 @@ def encode_set(enc_set: EncryptedSet, group: GroupParams) -> bytes:
     table = list(dict.fromkeys(values))
     if len(table) > 0xFF * _CHUNK:
         raise ValueError(f"more than {0xFF * _CHUNK} distinct elements cannot be serialized")
-    out = bytearray(struct.pack(">IB", len(shape_ids), -(-len(table) // _CHUNK)))
+    count = len(shape_ids) | (_FINGERPRINT_MARK if enc_set.fingerprints else 0)
+    out = bytearray(struct.pack(">IB", count, -(-len(table) // _CHUNK)))
     for start in range(0, len(table), _CHUNK):
         chunk = table[start : start + _CHUNK]
         out += len(chunk).to_bytes(2, "big")
-        out += group.encode_elements(chunk)
+        if enc_set.fingerprints:
+            out += b"".join([value.to_bytes(FINGERPRINT_WIDTH, "big") for value in chunk])
+        else:
+            out += group.encode_elements(chunk)
     out += len(shapes).to_bytes(2, "big")
     for shape in shapes:
         out += struct.pack(f">B{len(shape)}H", len(shape), *shape)
@@ -270,7 +288,14 @@ def _check_first_use(indices, table_size: int, what: str) -> None:
         raise ValueError(f"{unused} set {what} table entries are never used")
 
 
-def decode_set(raw: bytes, group: GroupParams, check_shape=None) -> EncryptedSet:
+def _decode_fingerprints(raw) -> list[int]:
+    width = FINGERPRINT_WIDTH
+    return [int.from_bytes(raw[pos : pos + width], "big") for pos in range(0, len(raw), width)]
+
+
+def decode_set(
+    raw: bytes, group: GroupParams, check_shape=None, fingerprints: bool | None = None
+) -> EncryptedSet:
     """Parse a set payload, accepting only its one canonical encoding.
 
     Raises ``ValueError`` on any malformed input, before decoding a table
@@ -278,12 +303,20 @@ def decode_set(raw: bytes, group: GroupParams, check_shape=None) -> EncryptedSet
     read through a ``memoryview``, so its bytes are not copied.
     ``check_shape``, when given, is called once with each entry of the
     shape table (a tuple of per-feature token counts) before any item is
-    built, and what it raises is passed on.
+    built, and what it raises is passed on.  ``fingerprints``, when not
+    None, says whether the payload must be a fingerprint one; a payload of
+    the other kind raises ``ValueError`` before its table is read.
     """
     if len(raw) < 5:
         raise ValueError("truncated set: missing item count or chunk count")
     count, chunk_count = struct.unpack_from(">IB", raw)
-    width = group.element_width
+    marked = bool(count & _FINGERPRINT_MARK)
+    if fingerprints is not None and marked != fingerprints:
+        kinds = ("group element", "fingerprint")
+        raise ValueError(f"a {kinds[marked]} payload where a {kinds[fingerprints]} one is expected")
+    count &= ~_FINGERPRINT_MARK
+    width = FINGERPRINT_WIDTH if marked else group.element_width
+    decode_table = _decode_fingerprints if marked else group.decode_elements
     offset = 5
     table: list[int] = []
     with memoryview(raw) as view:
@@ -296,7 +329,7 @@ def decode_set(raw: bytes, group: GroupParams, check_shape=None) -> EncryptedSet
             start, offset = offset + 2, offset + 2 + size * width
             if offset > len(raw):
                 raise ValueError(f"set table chunk of {size} elements runs past the payload")
-            table += group.decode_elements(view[start:offset])
+            table += decode_table(view[start:offset])
     table_size = len(table)
     if len(set(table)) != table_size:
         raise ValueError("set table repeats an element")
@@ -359,4 +392,4 @@ def decode_set(raw: bytes, group: GroupParams, check_shape=None) -> EncryptedSet
             features.append(tuple(values[at : at + size]))
             at += size
         items.append(EncryptedIdentifier(tuple(features)))
-    return EncryptedSet(items)
+    return EncryptedSet(items, marked)

@@ -12,14 +12,16 @@ A session runs four phases in fixed order:
 3. union construction -- the active party deduplicates, masks the
    provisional union with its (third * second) exponent, and the union
    walks down the ring gathering every party's layer; the final holder
-   (party 0) broadcasts the finished union.
-4. matching -- every party sorts the broadcast entries by their
-   canonical serialization (position = universal index), and each party
-   with at least one record relays them around the ring as one set
-   payload in record order (not shuffled): one TOKEN_RELAY frame per
-   hop, one TOKEN_RETURN.  The relay gathers the remaining exponents,
-   and every record in it is looked up in the union on return, its
-   position in the payload being its relay id.  Nothing new leaks:
+   (party 0) sorts the finished union by its canonical serialization
+   (position = universal index) and broadcasts, in that order, each
+   entry with every element replaced by its 16-byte fingerprint.
+4. matching -- every party takes the broadcast's item order as the
+   index order, and each party with at least one record relays them
+   around the ring as one set payload in record order (not shuffled):
+   one TOKEN_RELAY frame per hop, one TOKEN_RETURN.  The relay gathers
+   the remaining exponents, and every record in it is fingerprinted and
+   looked up in the union on return, its position in the payload being
+   its relay id.  Nothing new leaks:
    record order was already public through relay ids, the table's
    equality pattern through deterministic masking, and whether an
    origin relays at all depends only on N_k, which every peer learns in
@@ -79,6 +81,7 @@ from .union import (
     dedup_exact,
     dedup_noisy,
     entry_locator,
+    fingerprint,
 )
 
 
@@ -221,9 +224,9 @@ class Party:
 
         A relay routed back to its origin goes as its TOKEN_RETURN, and a
         union routed to every peer as the UID_BROADCAST from its sender.
-        Returns whether this party keeps ``masked`` too: the broadcast
-        union, and origin 0's full set, routed from the active party to
-        itself, which is not sent.
+        Returns whether ``masked`` is routed to this party itself, which
+        keeps it instead: origin 0's full set, masked last by the active
+        party.
         """
         sender, receiver = ring_route(self.party_count, msg_type, origin, hop)
         if receiver == sender:
@@ -236,7 +239,7 @@ class Party:
         for peer in range(self.party_count) if receiver is None else (receiver,):
             if peer != sender:
                 self._send(transport, peer, msg_type, origin, hop, payload)
-        return receiver is None
+        return False
 
     def _recv(self, transport, expected):
         """Take the next message, check it against ``expected`` and strike it from the table.
@@ -270,10 +273,14 @@ class Party:
             )
         return msg
 
-    def _decode_set(self, payload: bytes, shape) -> EncryptedSet:
+    def _decode_set(self, msg, shape) -> EncryptedSet:
+        """Decode ``msg``'s payload: fingerprints on the union broadcast, group elements elsewhere."""
         try:
             return decode_set(
-                payload, self.group, lambda counts: self._check_shape(counts, shape)
+                msg.payload,
+                self.group,
+                lambda counts: self._check_shape(counts, shape),
+                fingerprints=msg.msg_type is MessageType.UID_BROADCAST,
             )
         except ValueError as exc:
             raise TransportFailure(f"undecodable set payload: {exc}") from exc
@@ -373,7 +380,7 @@ class Party:
 
     def _take_set(self, transport, msg) -> None:
         """Keep a full set, or add this party's layer to one and pass it on."""
-        incoming = self._decode_set(msg.payload, self._item_shape)
+        incoming = self._decode_set(msg, self._item_shape)
         if msg.hop == self.party_count:
             self._finals[msg.origin] = incoming
             return
@@ -404,12 +411,17 @@ class Party:
         )
         if expected:
             msg = self._recv(transport, expected)
-            hop, union = msg.hop, self._decode_set(msg.payload, self._entry_shape)
+            hop, union = msg.hop, self._decode_set(msg, self._entry_shape)
         else:
             hop, union = 0, EncryptedSet(self._provisional_union())
         masked = encrypt_set(union, self._union_exponent(), self.group, self.rng)
-        if self._pass_on(transport, MessageType.UNION_TRANSFER, active, hop + 1, masked):
-            self.union_table = assign_universal_indices(masked.items, self.group)
+        if hop + 1 == self.party_count:
+            # Party 0 holds the finished union: it orders the elements,
+            # then keeps and broadcasts their fingerprints in that order.
+            ordered = assign_universal_indices(masked.items, self.group)
+            self.union_table = UnionTable(tuple(fingerprint(ordered.entries, self.group)))
+            masked = EncryptedSet(list(self.union_table.entries), fingerprints=True)
+        self._pass_on(transport, MessageType.UNION_TRANSFER, active, hop + 1, masked)
         self.phase = Phase.MATCHING
 
     # -- phase 4: matching -----------------------------------------------------------
@@ -447,8 +459,8 @@ class Party:
             elif msg.msg_type is MessageType.TOKEN_RETURN:
                 self.index_map = self._close_return(msg, locate)
             else:
-                entries = self._decode_set(msg.payload, self._entry_shape)
-                self.union_table = assign_universal_indices(entries.items, self.group)
+                entries = self._decode_set(msg, self._entry_shape)
+                self.union_table = UnionTable(tuple(entries.items))
                 locate = self._open_relay(transport, expected)
 
     def _open_relay(self, transport, expected):
@@ -466,7 +478,7 @@ class Party:
 
     def _serve_relay(self, transport, msg) -> None:
         """Add this party's layer to one origin's relay, as a pass of its own, and pass it on."""
-        relay = self._decode_set(msg.payload, self._item_shape)
+        relay = self._decode_set(msg, self._item_shape)
         if len(relay.items) != self.peer_sizes[msg.origin]:
             raise PhaseViolation(
                 f"relay of {len(relay.items)} records from origin {msg.origin}, "
@@ -476,8 +488,8 @@ class Party:
         self._pass_on(transport, MessageType.TOKEN_RELAY, msg.origin, msg.hop + 1, masked)
 
     def _close_return(self, msg, locate) -> UniversalIndexMap:
-        """Remove this party's own layers and look every record up in the union."""
-        returned = self._decode_set(msg.payload, self._item_shape)
+        """Remove this party's own layers and look every record's fingerprint up in the union."""
+        returned = self._decode_set(msg, self._item_shape)
         if len(returned.items) != len(self.hashed_records):
             raise PhaseViolation(
                 f"token return of {len(returned.items)} records for party "
@@ -485,7 +497,7 @@ class Party:
             )
         closed = self._masked(returned.items, self._closing_exponent())
         result = UniversalIndexMap(self.party_id)
-        for relay_id, final in enumerate(closed.items):
+        for relay_id, final in enumerate(fingerprint(closed.items, self.group)):
             index = locate(final)
             if index is None:
                 raise NoMatchInUnion(

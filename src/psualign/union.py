@@ -1,13 +1,14 @@
-"""Union construction: duplicate removal and universal index assignment."""
+"""Union construction: duplicate removal, universal index assignment and fingerprints."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .compare import TokenIndex, compare
 from .groups import GroupParams
-from .masking import EncryptedIdentifier, encode_identifier
+from .masking import FINGERPRINT_WIDTH, EncryptedIdentifier, encode_identifier
 from .tokenization import MatchConfig
 
 
@@ -15,9 +16,10 @@ from .tokenization import MatchConfig
 class UnionTable:
     """Deduplicated union entries in universal-index order.
 
-    Entry ``i`` owns universal index ``i``.  Entries are sorted by their
-    canonical serialization, so any party holding the same set derives
-    the same indexing.
+    Entry ``i`` owns universal index ``i``.  :func:`assign_universal_indices`
+    sorts the fully masked entries by their canonical serialization; a
+    session's table then holds their :func:`fingerprint`, in that order,
+    which is the order of the union broadcast.
     """
 
     entries: tuple[EncryptedIdentifier, ...]
@@ -30,9 +32,41 @@ class UnionTable:
 def assign_universal_indices(
     entries: Iterable[EncryptedIdentifier], group: GroupParams
 ) -> UnionTable:
-    """Order entries by ascending serialized bytes; position = universal index."""
+    """Order entries by ascending serialized bytes; position = universal index.
+
+    Party 0 runs this once, on the full group elements of the finished
+    union; every other party takes the broadcast's item order.
+    """
     ordered = sorted(entries, key=lambda e: encode_identifier(e, group))
     return UnionTable(tuple(ordered))
+
+
+def fingerprint(
+    idents: Iterable[EncryptedIdentifier], group: GroupParams
+) -> list[EncryptedIdentifier]:
+    """Each element replaced by its 16-byte union fingerprint, read as an int.
+
+    A fingerprint is BLAKE2b of the element's fixed-width encoding, under
+    its own personalization.  Union lookups only test equality, so a
+    table of fingerprints indexes records as the elements do unless two
+    of the session's distinct elements collide: for n of them, with
+    probability at most n^2 / 2^129.  Each distinct element is hashed once
+    per call.
+    """
+    idents = list(idents)
+    digest = {
+        value: int.from_bytes(
+            hashlib.blake2b(
+                group.encode_element(value), digest_size=FINGERPRINT_WIDTH, person=b"psualign-uid"
+            ).digest(),
+            "big",
+        )
+        for value in {value for ident in idents for feature in ident.features for value in feature}
+    }.__getitem__
+    return [
+        EncryptedIdentifier(tuple(tuple(map(digest, feature)) for feature in ident.features))
+        for ident in idents
+    ]
 
 
 def dedup_exact(items: Iterable[EncryptedIdentifier]) -> list[EncryptedIdentifier]:

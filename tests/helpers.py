@@ -80,8 +80,9 @@ def set_length(enc_set, group, index_width) -> int:
     """The bytes of ``enc_set``'s payload, with S = ceil(D / 65,535):
 
     ``5 + 2S + D*w + 2 + sum over shapes of (1 + 2F) + n*s + T*i``, where
-    the shape index width s is 0 for one shape that holds a token, and
-    the token indices are left out (i = 0) when D = T.
+    w is 16 for a fingerprint set, the shape index width s is 0 for one
+    shape that holds a token, and the token indices are left out (i = 0)
+    when D = T.
     """
     shapes = list(dict.fromkeys(tuple(map(len, item.features)) for item in enc_set.items))
     values = [v for item in enc_set.items for feature in item.features for v in feature]
@@ -90,7 +91,7 @@ def set_length(enc_set, group, index_width) -> int:
     return (
         5
         + 2 * -(-distinct // 0xFFFF)
-        + distinct * group.element_width
+        + distinct * (16 if enc_set.fingerprints else group.element_width)
         + 2
         + sum(1 + 2 * len(shape) for shape in shapes)
         + len(enc_set.items) * shape_width

@@ -134,9 +134,11 @@ def test_leak_check_reads_every_record_of_a_relay_batch():
 def test_identifier_reader_at_byte_4_sees_every_element_of_a_payload(match):
     """The leak check reads relays as an identifier at byte 4; that is the table.
 
-    Over every set, relay and return frame of a 3-party session, the
-    elements read there are the payload's distinct elements, in the order
-    the items first use them.
+    Over every set, union, relay and return frame of a 3-party session,
+    the elements read there are the payload's distinct elements, in the
+    order the items first use them.  The broadcast carries fingerprints,
+    which the leak check reads through ``decode_set``: what it reads there
+    is the union table, in index order.
     """
     cfg = session_config(3, match, seed=8)
     group = cfg.group()
@@ -147,11 +149,16 @@ def test_identifier_reader_at_byte_4_sees_every_element_of_a_payload(match):
     ]
     fields = len(match.features)
     hashed = [hash_rows([r[:fields] for r in party_rows], match, group) for party_rows in rows]
-    _, _, taps = run_tapped(cfg, hashed)
+    _, results, taps = run_tapped(cfg, hashed)
     read = set()
     for tap in taps:
         for message in tap.sent:
-            if message.msg_type in checks.SET_PAYLOADS + checks.RELAY_PAYLOADS:
+            if message.msg_type is MessageType.UID_BROADCAST:
+                broadcast = decode_set(message.payload, group)
+                assert broadcast.fingerprints
+                assert tuple(broadcast.items) == results[0].union_table.entries
+                read.add(message.msg_type)
+            elif message.msg_type in checks.SET_PAYLOADS + checks.RELAY_PAYLOADS:
                 table, _ = decode_identifier(message.payload, group, 4)
                 items = decode_set(message.payload, group).items
                 distinct = dict.fromkeys(

@@ -4,7 +4,9 @@ Every decoder a peer's bytes reach is fed arbitrary bytes and damaged
 valid encodings (cut short, one byte overwritten, junk appended).  Each
 must return or raise ``FramingError``, ``ValueError`` or
 ``TransportFailure``; an ``IndexError``, ``OverflowError`` or the like
-would escape the protocol's error handling.
+would escape the protocol's error handling.  Set payloads are drawn in
+both layouts: group elements, and the 16-byte fingerprints of the union
+broadcast.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from psualign import (
     encode_set,
     make_group_params,
 )
+from psualign.masking import FINGERPRINT_WIDTH
 
 from helpers import set_length
 
@@ -32,11 +35,16 @@ GROUPS = [make_group_params(23), make_group_params("p512")]
 NAMED = (FramingError, ValueError, TransportFailure)
 
 
+def table_values(group, fingerprints: bool):
+    """Group elements, or 16-byte fingerprints, which may be any 128-bit value."""
+    if fingerprints:
+        return st.integers(0, (1 << 8 * FINGERPRINT_WIDTH) - 1)
+    return st.integers(1, group.p - 1)
+
+
 @st.composite
-def identifiers(draw, group):
-    features = draw(
-        st.lists(st.lists(st.integers(1, group.p - 1), max_size=4), max_size=3)
-    )
+def identifiers(draw, values):
+    features = draw(st.lists(st.lists(values, max_size=4), max_size=3))
     return EncryptedIdentifier(tuple(tuple(f) for f in features))
 
 
@@ -54,9 +62,9 @@ def damaged(draw, valid: bytes):
 
 @st.composite
 def set_inputs(draw):
-    group = draw(st.sampled_from(GROUPS))
-    items = draw(st.lists(identifiers(group), max_size=4))
-    valid = encode_set(EncryptedSet(items), group)
+    group, fingerprints = draw(st.sampled_from(GROUPS)), draw(st.booleans())
+    items = draw(st.lists(identifiers(table_values(group, fingerprints)), max_size=4))
+    valid = encode_set(EncryptedSet(items, fingerprints), group)
     raw = draw(st.one_of(st.binary(max_size=400), damaged(valid)))
     return group, raw
 
@@ -64,11 +72,11 @@ def set_inputs(draw):
 @st.composite
 def pooled_set_inputs(draw):
     """Damaged encodings of sets that repeat tokens, so indices get hit too."""
-    group = draw(st.sampled_from(GROUPS))
-    pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=4))
+    group, fingerprints = draw(st.sampled_from(GROUPS)), draw(st.booleans())
+    pool = draw(st.lists(table_values(group, fingerprints), min_size=1, max_size=4))
     feature = st.lists(st.sampled_from(pool), max_size=6)
     items = draw(st.lists(st.lists(feature, max_size=2), max_size=4))
-    enc_set = EncryptedSet([EncryptedIdentifier(tuple(map(tuple, f))) for f in items])
+    enc_set = EncryptedSet([EncryptedIdentifier(tuple(map(tuple, f))) for f in items], fingerprints)
     return group, draw(damaged(encode_set(enc_set, group)))
 
 
@@ -208,18 +216,18 @@ def shaped_sets(draw):
 
     Half the draws take every token apart, so D = T and the token indices
     are left out; the others draw tokens from a pool of 1 to 3 elements.
+    Group elements and fingerprints are drawn alike.
     """
-    group = draw(st.sampled_from(GROUPS))
+    group, fingerprints = draw(st.sampled_from(GROUPS)), draw(st.booleans())
     counts = st.lists(st.integers(0, 3), max_size=3)
     shapes = draw(st.lists(counts.map(tuple), min_size=1, max_size=3, unique=True))
     chosen = draw(st.lists(st.sampled_from(shapes), max_size=6))
     tokens = sum(map(sum, chosen))
+    drawn = table_values(group, fingerprints)
     if draw(st.booleans()) and tokens < group.p - 1:
-        values = draw(
-            st.lists(st.integers(1, group.p - 1), min_size=tokens, max_size=tokens, unique=True)
-        )
+        values = draw(st.lists(drawn, min_size=tokens, max_size=tokens, unique=True))
     else:
-        pool = draw(st.lists(st.integers(1, group.p - 1), min_size=1, max_size=3))
+        pool = draw(st.lists(drawn, min_size=1, max_size=3))
         values = draw(st.lists(st.sampled_from(pool), min_size=tokens, max_size=tokens))
     items, at = [], 0
     for shape in chosen:
@@ -228,14 +236,15 @@ def shaped_sets(draw):
             features.append(tuple(values[at : at + size]))
             at += size
         items.append(EncryptedIdentifier(tuple(features)))
-    return group, EncryptedSet(items)
+    return group, EncryptedSet(items, fingerprints)
 
 
 def shape_table_span(raw: bytes, group) -> tuple[int, int]:
     """Where the shape table of a valid payload starts and ends."""
+    width = FINGERPRINT_WIDTH if raw[0] & 0x80 else group.element_width
     at = 5
     for _ in range(raw[4]):
-        at += 2 + int.from_bytes(raw[at : at + 2], "big") * group.element_width
+        at += 2 + int.from_bytes(raw[at : at + 2], "big") * width
     start, at = at, at + 2
     for _ in range(int.from_bytes(raw[start:at], "big")):
         at += 1 + 2 * raw[at]
@@ -340,3 +349,34 @@ def test_shape_indices_widen_to_two_bytes_past_256_shapes():
     assert len(raw) == set_length(EncryptedSet(items), group, 1)
     assert raw[-2 * 257 :] == b"".join(k.to_bytes(2, "big") for k in range(257))
     assert decode_set(raw, group).items == items
+
+
+# --- the fingerprint marker -----------------------------------------------
+
+
+def test_a_fingerprint_payload_marks_its_count_and_writes_16_byte_entries():
+    """The top bit of the item count marks the layout; entries are not range-checked."""
+    group = GROUPS[0]
+    enc_set = EncryptedSet([EncryptedIdentifier(((1 << 127, 0),))], fingerprints=True)
+    raw = encode_set(enc_set, group)
+    assert raw[:7] == bytes([0x80, 0, 0, 1, 1, 0, 2])
+    assert raw[7:39] == (1 << 127).to_bytes(16, "big") + bytes(16)
+    assert raw[39:] == bytes([0, 1, 1, 0, 2])
+    assert decode_set(raw, group) == enc_set
+    with pytest.raises(ValueError, match=r"element outside \[1, p\)"):
+        decode_set(b"\0" + raw[1:7] + bytes([1, 0]), group)
+
+
+@pytest.mark.parametrize("fingerprints", [False, True], ids=["elements-expected", "fingerprints-expected"])
+def test_a_payload_of_the_other_layout_fails_before_any_item_is_built(fingerprints):
+    group = GROUPS[1]
+    raw = encode_set(EncryptedSet([EncryptedIdentifier(((5, 6),))], not fingerprints), group)
+    assert decode_set(raw, group).fingerprints is not fingerprints
+    seen = []
+    kinds = ("group element", "fingerprint")
+    with pytest.raises(
+        ValueError,
+        match=f"a {kinds[not fingerprints]} payload where a {kinds[fingerprints]} one is expected",
+    ):
+        decode_set(raw, group, seen.append, fingerprints=fingerprints)
+    assert seen == []

@@ -4,12 +4,14 @@ import random
 import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psualign import (
+    ConfigDigestMismatch,
     EncryptedSet,
     FeatureSpec,
     MatchConfig,
@@ -18,13 +20,15 @@ from psualign import (
     PeerSilent,
     PhaseViolation,
     ProtocolAbort,
+    TransportFailure,
     compose,
     decode_set,
     encode_identifier,
     encode_set,
+    fingerprint,
     make_group_params,
 )
-from psualign import groups
+from psualign import config, groups
 from psualign.messages import MessageType, ProtocolMessage
 from psualign.simulate import build_parties, run_local_session, run_session
 from psualign.transport import InProcessHub, TcpTransport, total_message_counts
@@ -61,7 +65,7 @@ def test_two_parties_single_shared_identifier():
 
 
 def test_white_box_exponent_product():
-    """Every union entry equals a hashed identifier powered by the full product."""
+    """Every union entry is the fingerprint of a hashed identifier powered by the full product."""
     raw = [
         [("alice", "rome"), ("bob", "oslo")],
         [("carol", "bern"), ("alice", "rome")],
@@ -75,7 +79,7 @@ def test_white_box_exponent_product():
         for exponent in party.exponents:
             total = (total * exponent) % q
     expected = {
-        encode_identifier(compose(ident, [total], G512), G512)
+        encode_identifier(fingerprint([compose(ident, [total], G512)], G512)[0], G512)
         for party in hashed
         for ident in party
     }
@@ -293,8 +297,6 @@ def test_all_parties_empty_union_is_empty_and_broadcast_happens():
 
 
 def test_digest_mismatch_aborts_before_any_identifier_flows():
-    from psualign import ConfigDigestMismatch
-
     cfg = session_config(2, TWO_FEATURES, seed=3)
     group = cfg.group()
     hashed = [
@@ -311,6 +313,21 @@ def test_digest_mismatch_aborts_before_any_identifier_flows():
     counts = total_message_counts(transports)
     assert counts["SET_TRANSFER"] == 0
     assert counts["TOKEN_RELAY"] == 0
+
+
+def test_a_peer_on_the_element_broadcast_layout_fails_at_hello():
+    """Layout 6 broadcast the union's group elements; its peers disagree at HELLO."""
+    cfg = session_config(2, TWO_FEATURES, seed=3)
+    group = cfg.group()
+    hashed = [hash_rows([("al", "ro")], TWO_FEATURES, group)] * 2
+    parties = build_parties(cfg, hashed)
+    with mock.patch.object(config, "WIRE_LAYOUT_VERSION", 6):
+        parties[0].session_digest = cfg.digest()
+    hub = InProcessHub(2, recv_timeout=5)
+    transports = [hub.transport(0), hub.transport(1)]
+    with pytest.raises(ConfigDigestMismatch, match="runs a different session configuration"):
+        run_session(parties, transports)
+    assert total_message_counts(transports)["SET_TRANSFER"] == 0
 
 
 def test_no_match_in_union_is_fatal():
@@ -486,6 +503,56 @@ def test_a_ring_message_from_the_wrong_sender_is_rejected(forger, target, claime
     transports = [hub.transport(k) for k in range(3)]
     transports[forger] = ForgingTransport(transports[forger], target, claimed)
     with pytest.raises(PhaseViolation, match=error):
+        run_session(build_parties(cfg, hashed), transports)
+
+
+class RelayoutTransport:
+    """A hub endpoint that re-encodes each payload of one type in the other set layout:
+    the fingerprints of its elements, or a broadcast's fingerprints as elements."""
+
+    def __init__(self, inner, msg_type, group):
+        self.inner = inner
+        self.msg_type = msg_type
+        self.group = group
+
+    def establish(self, timeout=None) -> None:
+        self.inner.establish(timeout)
+
+    def send(self, to, message) -> None:
+        if message.msg_type is self.msg_type:
+            decoded = decode_set(message.payload, self.group)
+            if decoded.fingerprints:
+                other = EncryptedSet(decoded.items)
+            else:
+                other = EncryptedSet(fingerprint(decoded.items, self.group), fingerprints=True)
+            payload = encode_set(other, self.group)
+            message = ProtocolMessage(message.msg_type, message.origin, message.hop, payload)
+        self.inner.send(to, message)
+
+    def recv(self, timeout=None):
+        return self.inner.recv(timeout)
+
+
+@pytest.mark.parametrize("msg_type", [
+    MessageType.SET_TRANSFER,
+    MessageType.UNION_TRANSFER,
+    MessageType.UID_BROADCAST,
+    MessageType.TOKEN_RELAY,
+    MessageType.TOKEN_RETURN,
+], ids=lambda t: t.name)
+def test_only_the_union_broadcast_carries_fingerprints(msg_type):
+    """A fingerprint payload on any other type, and an element payload on the
+    broadcast, fail the receiver with TransportFailure."""
+    raw = [[("a", "x")], [("b", "y")], [("a", "x"), ("c", "z")]]
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    group = cfg.group()
+    hashed = [hash_rows(rows, TWO_FEATURES, group) for rows in raw]
+    hub = InProcessHub(3, recv_timeout=5)
+    transports = [RelayoutTransport(hub.transport(k), msg_type, group) for k in range(3)]
+    kinds = ("group element", "fingerprint")
+    broadcast = msg_type is MessageType.UID_BROADCAST
+    error = f"a {kinds[not broadcast]} payload where a {kinds[broadcast]} one is expected"
+    with pytest.raises(TransportFailure, match=f"undecodable set payload: {error}"):
         run_session(build_parties(cfg, hashed), transports)
 
 
