@@ -29,9 +29,9 @@ s1 = group.sample_exponent(rng)
 s2 = group.sample_exponent(rng)
 x = 2
 print(f"\ncommutativity with x={x}, s1={s1}, s2={s2}:")
-print(f"  (x^s1)^s2 = {group.exp(group.exp(x, s1), s2)}")
-print(f"  (x^s2)^s1 = {group.exp(group.exp(x, s2), s1)}")
-print(f"  x^(s1*s2 mod q) = {group.exp(x, (s1 * s2) % group.q)}")
+print(f"  (x^s1)^s2 = {pow(pow(x, s1, group.p), s2, group.p)}")
+print(f"  (x^s2)^s1 = {pow(pow(x, s2, group.p), s1, group.p)}")
+print(f"  x^(s1*s2 mod q) = {pow(x, (s1 * s2) % group.q, group.p)}")
 
 ident = EncryptedIdentifier(((2, 3, 13),))
 forward = compose(ident, [s1, s2], group)

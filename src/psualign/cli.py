@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import load_config
 from .corpus import STYLES, generate_corpus, write_corpus
-from .datasets import load_dataset, read_aligned_csv, write_aligned_csv
+from .datasets import read_aligned_csv, write_aligned_csv
 from .errors import (
     ConfigDigestMismatch,
     ConfigError,
@@ -28,23 +28,24 @@ from .errors import (
     PsuAlignError,
     TransportFailure,
 )
-from .evaluate import build_report, read_report, reported_links, write_report
+from .evaluate import write_report
 from .groups import PRESETS, make_group_params
 from .simulate import (
     load_party_inputs,
-    plaintext_truth,
+    output_paths,
     run_local_session,
     run_networked_party,
+    score,
     write_outputs,
 )
+from .transport import sum_counts
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     loaded, hashed = load_party_inputs(cfg)
-    outcome = run_local_session(cfg, hashed)
-    csv_paths, report_path = write_outputs(cfg, loaded, outcome)
-    report = read_report(report_path)
+    report = write_outputs(cfg, loaded, hashed, run_local_session(cfg, hashed))
+    csv_paths, _, report_path = output_paths(Path(cfg.output_dir), cfg.party_count)
     print(f"union size: {report.n_protocol}")
     print(f"links reported: {report.reported_pairs} "
           f"(e1={report.e1_false_negatives}, e2={report.e2_false_positives})")
@@ -56,20 +57,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_run_party(args) -> int:
     cfg = load_config(args.config)
-    result, loaded, counts, sizes = run_networked_party(cfg, args.party_id, args.listen)
+    outcome, loaded = run_networked_party(cfg, args.party_id, args.listen)
     out_dir = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"aligned_party{args.party_id}.csv"
+    csv_paths, summary_paths, _ = output_paths(out_dir, cfg.party_count)
+    csv_path, summary_path = csv_paths[args.party_id], summary_paths[args.party_id]
+    result = outcome.results[0]
     write_aligned_csv(csv_path, loaded, result.index_map)
     summary = {
         "party_id": args.party_id,
         "union_size": result.union_table.size,
         "matched": len(result.index_map.local_to_universal),
-        "sent_messages": counts,
-        "sent_bytes": sizes,
+        "sent_messages": outcome.message_counts,
+        "sent_bytes": outcome.message_bytes,
         "wall_time": result.wall_time,
     }
-    summary_path = out_dir / f"run_party{args.party_id}.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
@@ -79,43 +80,31 @@ def _cmd_run_party(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
-    index_maps = []
-    for party_id, spec in enumerate(cfg.datasets):
-        path = out_dir / f"aligned_party{party_id}.csv"
+    csv_paths, summary_paths, report_path = output_paths(out_dir, cfg.party_count)
+    for path in csv_paths if report_path.exists() else csv_paths + summary_paths:
         if not path.exists():
-            raise MissingOutput(f"aligned output {path} not found; run simulate first")
-        index_maps.append(read_aligned_csv(path, party_id, spec))
-
-    loaded = [load_dataset(spec) for spec in cfg.datasets]
-    true_links, n_oracle = plaintext_truth(cfg, loaded)
-
-    union_indices = {
-        index
-        for index_map in index_maps
-        for index in index_map.local_to_universal.values()
-    }
-    previous_counts: dict = {}
-    previous_bytes: dict = {}
-    wall_time = 0.0
-    report_path = out_dir / "report.json"
+            raise MissingOutput(f"{path} not found; run simulate or run-party first")
+    index_maps = [
+        read_aligned_csv(path, party_id, spec)
+        for party_id, (path, spec) in enumerate(zip(csv_paths, cfg.datasets))
+    ]
     if report_path.exists():
-        previous = read_report(report_path)
-        previous_counts = previous.message_counts
-        previous_bytes = previous.message_bytes
-        wall_time = previous.wall_time
-        n_protocol = previous.n_protocol
+        report = json.loads(report_path.read_text("utf-8"))
+        measured = {
+            key: report[key]
+            for key in ("n_protocol", "message_counts", "message_bytes", "wall_time")
+        }
     else:
-        n_protocol = len(union_indices)
-
-    report = build_report(
-        n_protocol=n_protocol,
-        n_oracle=n_oracle,
-        true_links=true_links,
-        protocol_links=reported_links(index_maps),
-        message_counts=previous_counts,
-        message_bytes=previous_bytes,
-        wall_time=wall_time,
-    )
+        # Each summary counts one party's sends; every party holds the same union.
+        summaries = [json.loads(path.read_text("utf-8")) for path in summary_paths]
+        measured = {
+            "n_protocol": summaries[0]["union_size"],
+            "message_counts": sum_counts(s["sent_messages"] for s in summaries),
+            "message_bytes": sum_counts(s["sent_bytes"] for s in summaries),
+            "wall_time": 0.0,
+        }
+    loaded, hashed = load_party_inputs(cfg)
+    report = score(cfg, loaded, hashed, index_maps, measured)
     eval_path = out_dir / "evaluation.json"
     write_report(report, eval_path)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} "

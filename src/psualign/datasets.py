@@ -26,9 +26,6 @@ class LoadedDataset:
     rows: list[list[str]]
     id_rows: list[tuple[str, ...]]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def _column_indices(spec: DatasetSpec, header: list[str] | None, width: int) -> list[int]:
     indices = []

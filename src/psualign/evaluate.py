@@ -33,13 +33,6 @@ class EvaluationReport:
     message_bytes: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, document: dict) -> "EvaluationReport":
-        return cls(**document)
-
 
 def _pairs_from_groups(groups: dict) -> set[Link]:
     """All unordered cross-party pairs within each group of records."""
@@ -115,12 +108,7 @@ def build_report(
 
 
 def write_report(report: EvaluationReport, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def read_report(path: Path) -> EvaluationReport:
-    return EvaluationReport.from_json(json.loads(Path(path).read_text("utf-8")))

@@ -6,11 +6,11 @@ every exponent in [1, q - 1] acts as a bijection on it; that bijectivity
 is what makes the layered masking invertible-by-composition and keeps
 set cardinalities stable across encryption rounds.
 
-:class:`GroupParams` is the group: exponentiation (``exp`` for one
-element, ``exp_many`` for a masking pass's batch), hashing into the group
-(``hash_to_element``), exponent sampling (``sample_exponent``),
-membership (``contains``) and the element codec are its methods, so the
-rest of the package imports no arithmetic from here.
+:class:`GroupParams` is the group: exponentiation (``exp_many``, a
+masking pass's batch), hashing into the group (``hash_to_element``),
+exponent sampling (``sample_exponent``), membership (``contains``) and
+the element codec are its methods, so the rest of the package imports no
+arithmetic from here.
 """
 
 from __future__ import annotations
@@ -300,10 +300,6 @@ class GroupParams:
         if values and not (1 <= min(values) and max(values) < self.p):
             raise ValueError("element outside [1, p)")
         return values
-
-    def exp(self, value: int, exponent: int) -> int:
-        """Raise a subgroup element to a secret exponent modulo p."""
-        return powmod(value, exponent, self.p)
 
     def exp_many(self, values, exponent: int) -> list[int]:
         """Raise each element to one secret exponent modulo p, in order."""

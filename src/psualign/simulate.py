@@ -1,9 +1,11 @@
-"""Session orchestration: local in-process runs and networked single-party runs.
+"""Session orchestration, and the one path from a session to files and a report.
 
-Every session is parties from :func:`build_parties`, one transport per
-party, and :func:`run_session`.  ``run_local_session`` and
-``run_tcp_session`` differ only in the transports they build; each
-transport carries the config's receive deadline.
+Every in-process session is parties from :func:`build_parties`, one
+transport per party, and :func:`run_session`; ``run_local_session`` and
+``run_tcp_session`` differ only in the transports they build, and
+``run_networked_party`` runs one party over TCP on the calling thread.
+All three count sends and bytes through the same code.  :func:`score` is
+the one scoring path, for ``simulate`` and ``evaluate`` alike.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import SessionConfig, parse_endpoint
+from .corpus import load_provenance
 from .datasets import (
     LoadedDataset,
     hash_dataset,
@@ -23,7 +26,6 @@ from .datasets import (
 from .errors import ConfigError, ProtocolAbort
 from .evaluate import (
     EvaluationReport,
-    Link,
     build_report,
     exact_true_links,
     oracle_union_size,
@@ -31,7 +33,6 @@ from .evaluate import (
     reported_links,
     write_report,
 )
-from .corpus import load_provenance
 from .protocol import Party, PartyResult
 from .transport import (
     InProcessHub,
@@ -99,12 +100,11 @@ def run_session(parties: list[Party], transports) -> list[PartyResult]:
     return results  # type: ignore[return-value]
 
 
-def _run_over(cfg: SessionConfig, hashed_per_party, transports) -> SessionOutcome:
-    """Run a session over ready transports, close them, and count the sends and bytes."""
-    parties = build_parties(cfg, hashed_per_party)
+def _run_over(transports, run) -> SessionOutcome:
+    """Call ``run`` for the results, close the transports, and count the sends and bytes."""
     started = time.monotonic()
     try:
-        results = run_session(parties, transports)
+        results = run()
     finally:
         for transport in transports:
             transport.close()
@@ -118,7 +118,8 @@ def run_local_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
     """Execute all parties of a session over in-process channels."""
     hub = InProcessHub(cfg.party_count, recv_timeout=cfg.recv_timeout)
     transports = [hub.transport(k) for k in range(cfg.party_count)]
-    return _run_over(cfg, hashed_per_party, transports)
+    parties = build_parties(cfg, hashed_per_party)
+    return _run_over(transports, lambda: run_session(parties, transports))
 
 
 def run_tcp_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
@@ -138,7 +139,8 @@ def run_tcp_session(cfg: SessionConfig, hashed_per_party) -> SessionOutcome:
         transport.peer_addrs = {
             peer: transports[peer].listen_addr for peer in range(count) if peer != k
         }
-    return _run_over(cfg, hashed_per_party, transports)
+    parties = build_parties(cfg, hashed_per_party)
+    return _run_over(transports, lambda: run_session(parties, transports))
 
 
 # -- harness pipelines ------------------------------------------------------
@@ -151,62 +153,61 @@ def load_party_inputs(cfg: SessionConfig) -> tuple[list[LoadedDataset], list]:
     return loaded, hashed
 
 
-def write_outputs(
-    cfg: SessionConfig, loaded: list[LoadedDataset], outcome: SessionOutcome
-) -> tuple[list[Path], Path]:
-    """Write per-party aligned CSVs plus the session report; returns paths."""
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_paths = []
-    for party_id, result in enumerate(outcome.results):
-        path = out_dir / f"aligned_party{party_id}.csv"
-        write_aligned_csv(path, loaded[party_id], result.index_map)
-        csv_paths.append(path)
-    report = evaluate_outcome(cfg, loaded, outcome)
-    report_path = out_dir / "report.json"
-    write_report(report, report_path)
-    return csv_paths, report_path
+def output_paths(out_dir: Path, party_count: int) -> tuple[list[Path], list[Path], Path]:
+    """The aligned CSVs, run-party summaries and session report in ``out_dir``."""
+    return (
+        [out_dir / f"aligned_party{k}.csv" for k in range(party_count)],
+        [out_dir / f"run_party{k}.json" for k in range(party_count)],
+        out_dir / "report.json",
+    )
 
 
-def plaintext_truth(
-    cfg: SessionConfig, loaded: list[LoadedDataset]
-) -> tuple[set[Link], int]:
-    """True links and the oracle union size, both from every party's plaintext.
+def score(
+    cfg: SessionConfig, loaded: list[LoadedDataset], hashed: list, index_maps, measured: dict
+) -> EvaluationReport:
+    """Score index maps against every party's plaintext and hashed records.
 
-    Links come from the provenance map when the config names one (noisy
-    corpora), otherwise from exact identifier equality.
+    True links come from the provenance map when the config names one,
+    otherwise from identifier equality.  ``measured`` holds the session's
+    ``n_protocol``, ``message_counts``, ``message_bytes`` and ``wall_time``.
     """
     if cfg.provenance_path is not None:
         true_links = provenance_true_links(load_provenance(cfg.provenance_path))
     else:
         true_links = exact_true_links([data.id_rows for data in loaded])
-    group = cfg.group()
-    hashed = [hash_dataset(data, cfg.match, group) for data in loaded]
-    return true_links, oracle_union_size(hashed)
-
-
-def evaluate_outcome(
-    cfg: SessionConfig, loaded: list[LoadedDataset], outcome: SessionOutcome
-) -> EvaluationReport:
-    true_links, n_oracle = plaintext_truth(cfg, loaded)
     return build_report(
-        n_protocol=outcome.results[0].union_table.size,
-        n_oracle=n_oracle,
+        n_oracle=oracle_union_size(hashed),
         true_links=true_links,
-        protocol_links=reported_links([r.index_map for r in outcome.results]),
-        message_counts=outcome.message_counts,
-        message_bytes=outcome.message_bytes,
-        wall_time=outcome.wall_time,
+        protocol_links=reported_links(index_maps),
+        **measured,
     )
+
+
+def write_outputs(
+    cfg: SessionConfig, loaded: list[LoadedDataset], hashed: list, outcome: SessionOutcome
+) -> EvaluationReport:
+    """Write per-party aligned CSVs and the scored session report; returns the report."""
+    csv_paths, _, report_path = output_paths(Path(cfg.output_dir), cfg.party_count)
+    for path, data, result in zip(csv_paths, loaded, outcome.results):
+        write_aligned_csv(path, data, result.index_map)
+    measured = {
+        "n_protocol": outcome.results[0].union_table.size,
+        "message_counts": outcome.message_counts,
+        "message_bytes": outcome.message_bytes,
+        "wall_time": outcome.wall_time,
+    }
+    report = score(cfg, loaded, hashed, [r.index_map for r in outcome.results], measured)
+    write_report(report, report_path)
+    return report
 
 
 def run_networked_party(
     cfg: SessionConfig, party_id: int, listen_override: str | None = None
-) -> tuple[PartyResult, LoadedDataset, dict[str, int], dict[str, int]]:
-    """Run exactly one party of a networked session over TCP.
+) -> tuple[SessionOutcome, LoadedDataset]:
+    """Run exactly one party of a networked session over TCP, on this thread.
 
-    Returns the party's result, its dataset, and the frames and bytes it
-    sent per message type.
+    Returns the outcome, whose one result and counts are this party's,
+    and the party's dataset.
     """
     if not 0 <= party_id < cfg.party_count:
         raise ConfigError(f"party id {party_id} outside [0, {cfg.party_count})")
@@ -233,8 +234,4 @@ def run_networked_party(
         },
         recv_timeout=cfg.recv_timeout,
     )
-    try:
-        result = party.run(transport)
-    finally:
-        transport.close()
-    return result, loaded, transport.message_counts(), transport.message_bytes()
+    return _run_over([transport], lambda: [party.run(transport)]), loaded

@@ -59,7 +59,8 @@ def count_messages(counter: Counter) -> dict[str, int]:
     return {t.name: counter.get(t, 0) for t in MessageType}
 
 
-def _summed(snapshots) -> dict[str, int]:
+def sum_counts(snapshots) -> dict[str, int]:
+    """Counts by message-type name, summed over snapshots."""
     total: Counter = Counter()
     for snapshot in snapshots:
         total.update(snapshot)
@@ -68,12 +69,12 @@ def _summed(snapshots) -> dict[str, int]:
 
 def total_message_counts(transports) -> dict[str, int]:
     """Sends by message-type name, summed over a session's endpoints."""
-    return _summed(transport.message_counts() for transport in transports)
+    return sum_counts(transport.message_counts() for transport in transports)
 
 
 def total_message_bytes(transports) -> dict[str, int]:
     """Frame bytes sent by message-type name, summed over a session's endpoints."""
-    return _summed(transport.message_bytes() for transport in transports)
+    return sum_counts(transport.message_bytes() for transport in transports)
 
 
 class InProcessHub:

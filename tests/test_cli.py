@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from helpers import free_port
+from psualign import datasets
 from psualign.cli import main
 
 
@@ -45,6 +46,45 @@ def set_frame_bytes(names) -> int:
     distinct = {name.lower()[:12].ljust(12) for name in names}
     indices = 0 if len(distinct) == len(names) else len(names)
     return 9 + 4 + 1 + 2 + 64 * len(distinct) + 5 + indices
+
+
+def run_parties(tmp_path, **overrides):
+    """Run both parties of a TCP session, one thread each; returns the config."""
+    ports = [free_port(), free_port()]
+    config = write_config(
+        tmp_path,
+        name="net.json",
+        output_dir="net_out",
+        parties=[
+            {"csv": f"party{k}.csv", "id_columns": ["name"], "listen": f"127.0.0.1:{port}"}
+            for k, port in enumerate(ports)
+        ],
+        **overrides,
+    )
+    codes = [None, None]
+
+    def drive(party_id):
+        codes[party_id] = main(
+            ["run-party", "--config", str(config), "--party-id", str(party_id)]
+        )
+
+    threads = [threading.Thread(target=drive, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert codes == [0, 0]
+    return config
+
+
+def assert_evaluation_matches_report(net_config, report_path):
+    """``evaluate`` on run-party outputs scores as simulate did, wall time aside."""
+    assert main(["evaluate", "--config", str(net_config)]) == 0
+    evaluation = json.loads((net_config.parent / "net_out" / "evaluation.json").read_text())
+    report = json.loads(report_path.read_text())
+    assert evaluation.pop("wall_time") == 0.0
+    del report["wall_time"]
+    assert evaluation == report
 
 
 def test_gen_corpus_then_simulate_then_evaluate(tmp_path, capsys):
@@ -292,7 +332,8 @@ def test_params_check_validates_explicit_modulus(capsys):
 
 
 def test_run_party_pair_matches_simulate(tmp_path):
-    """Two TCP parties produce byte-identical aligned CSVs to simulate."""
+    """Two TCP parties produce byte-identical aligned CSVs to simulate, and
+    evaluate scores them as simulate did."""
     assert (
         main(
             [
@@ -311,38 +352,7 @@ def test_run_party_pair_matches_simulate(tmp_path):
     )
     sim_config = write_config(tmp_path, output_dir="sim_out")
     assert main(["simulate", "--config", str(sim_config)]) == 0
-
-    ports = [free_port(), free_port()]
-    net_config = write_config(
-        tmp_path,
-        name="net.json",
-        output_dir="net_out",
-        parties=[
-            {
-                "csv": "party0.csv",
-                "id_columns": ["name"],
-                "listen": f"127.0.0.1:{ports[0]}",
-            },
-            {
-                "csv": "party1.csv",
-                "id_columns": ["name"],
-                "listen": f"127.0.0.1:{ports[1]}",
-            },
-        ],
-    )
-    codes = [None, None]
-
-    def drive(party_id):
-        codes[party_id] = main(
-            ["run-party", "--config", str(net_config), "--party-id", str(party_id)]
-        )
-
-    threads = [threading.Thread(target=drive, args=(k,)) for k in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert codes == [0, 0]
+    net_config = run_parties(tmp_path)
     for k in range(2):
         sim_csv = (tmp_path / "sim_out" / f"aligned_party{k}.csv").read_bytes()
         net_csv = (tmp_path / "net_out" / f"aligned_party{k}.csv").read_bytes()
@@ -373,6 +383,46 @@ def test_run_party_pair_matches_simulate(tmp_path):
         names = [row["name"] for row in csv.DictReader(handle)]
     assert len(names) == 5
     assert sizes["TOKEN_RELAY"] == set_frame_bytes(names)
+    assert_evaluation_matches_report(net_config, tmp_path / "sim_out" / "report.json")
+
+
+def test_evaluate_after_run_party_counts_the_union_not_its_indices(tmp_path):
+    """With seed 2 the union keeps 3 entries, but the aligned rows carry
+    only 2 distinct indices; evaluate takes the size from the summaries."""
+    (tmp_path / "party0.csv").write_text("name\nabababababab\n")
+    (tmp_path / "party1.csv").write_text("name\nababzzzzzzzz\ndistinct name\n")
+    sim_config = write_config(tmp_path, variant="unordered", seed=2, output_dir="sim_out")
+    assert main(["simulate", "--config", str(sim_config)]) == 0
+    report_path = tmp_path / "sim_out" / "report.json"
+    assert json.loads(report_path.read_text())["n_protocol"] == 3
+
+    net_config = run_parties(tmp_path, variant="unordered", seed=2)
+    indices = set()
+    for k in range(2):
+        rows = (tmp_path / "net_out" / f"aligned_party{k}.csv").read_text().splitlines()
+        indices.update(row.rsplit(",", 1)[1] for row in rows[1:])
+    assert len(indices) == 2
+    assert_evaluation_matches_report(net_config, report_path)
+
+
+def test_simulate_tokenizes_and_hashes_each_record_once(tmp_path, monkeypatch):
+    calls = {"tokenize_record": 0, "hash_identifier": 0}
+
+    def counted(name):
+        original = getattr(datasets, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(datasets, name, counted(name))
+    (tmp_path / "party0.csv").write_text("name\nalpha one\nbeta two\ngamma three\n")
+    (tmp_path / "party1.csv").write_text("name\nalpha one\ndelta four\n")
+    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 0
+    assert calls == {"tokenize_record": 5, "hash_identifier": 5}
 
 
 def test_run_party_digest_mismatch_exits_2(tmp_path):

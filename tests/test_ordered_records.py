@@ -14,7 +14,7 @@ import pytest
 from psualign import FeatureSpec, MatchConfig, encode_identifier
 from psualign.config import parse_config
 from psualign.corpus import generate_corpus, write_corpus
-from psualign.simulate import load_party_inputs, run_local_session, write_outputs
+from psualign.simulate import load_party_inputs, output_paths, run_local_session, write_outputs
 
 from helpers import hash_rows, session_config
 
@@ -149,7 +149,7 @@ def test_seeded_outputs_keep_their_recorded_digest(tmp_path, variant):
     )
     loaded, hashed = load_party_inputs(cfg)
     outcome = run_local_session(cfg, hashed)
-    csv_paths, _ = write_outputs(cfg, loaded, outcome)
+    write_outputs(cfg, loaded, hashed, outcome)
     group = cfg.group()
     union, outputs = hashlib.sha256(), hashlib.sha256()
     for result in outcome.results:
@@ -157,6 +157,6 @@ def test_seeded_outputs_keep_their_recorded_digest(tmp_path, variant):
             union.update(encode_identifier(entry, group))
         index_map = result.index_map
         outputs.update(repr((sorted(index_map.local_to_universal.items()), index_map.unmatched)).encode())
-    for path in csv_paths:
+    for path in output_paths(cfg.output_dir, cfg.party_count)[0]:
         outputs.update(path.read_bytes())
     assert (union.hexdigest(), outputs.hexdigest()) == SEEDED_DIGESTS[variant]

@@ -343,7 +343,7 @@ def test_three_networked_parties_outlive_early_closers(tmp_path, variant):
 
     def drive(k):
         try:
-            results[k] = run_networked_party(cfg, k)[0]
+            results[k] = run_networked_party(cfg, k)[0].results[0]
         except Exception as exc:  # reported by the assertion below
             errors[k] = exc
 
