@@ -77,6 +77,47 @@ def _cmd_run_party(args) -> int:
     return 0
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_counts(value) -> bool:
+    return isinstance(value, dict) and all(_is_count(n) for n in value.values())
+
+
+def _is_seconds(value) -> bool:
+    return type(value) in (int, float) and value >= 0
+
+
+# The keys evaluate reads from report.json and from each run_party{k}.json,
+# with the check each value must pass.
+_COUNT = (_is_count, "a non-negative integer")
+_COUNTS = (_is_counts, "an object of non-negative integers")
+_REPORT_FIELDS = {
+    "n_protocol": _COUNT,
+    "message_counts": _COUNTS,
+    "message_bytes": _COUNTS,
+    "wall_time": (_is_seconds, "a non-negative number"),
+}
+_SUMMARY_FIELDS = {"union_size": _COUNT, "sent_messages": _COUNTS, "sent_bytes": _COUNTS}
+
+
+def _read_fields(path: Path, fields: dict) -> dict:
+    """The ``fields`` of the JSON object in ``path``; a bad file is a MissingOutput."""
+    try:
+        data = json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise MissingOutput(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise MissingOutput(f"{path} does not hold a JSON object")
+    for key, (check, kind) in fields.items():
+        if key not in data:
+            raise MissingOutput(f"{path} has no {key!r}")
+        if not check(data[key]):
+            raise MissingOutput(f"{path}: {key!r} is not {kind}")
+    return {key: data[key] for key in fields}
+
+
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
@@ -89,14 +130,10 @@ def _cmd_evaluate(args) -> int:
         for party_id, (path, spec) in enumerate(zip(csv_paths, cfg.datasets))
     ]
     if report_path.exists():
-        report = json.loads(report_path.read_text("utf-8"))
-        measured = {
-            key: report[key]
-            for key in ("n_protocol", "message_counts", "message_bytes", "wall_time")
-        }
+        measured = _read_fields(report_path, _REPORT_FIELDS)
     else:
         # Each summary counts one party's sends; every party holds the same union.
-        summaries = [json.loads(path.read_text("utf-8")) for path in summary_paths]
+        summaries = [_read_fields(path, _SUMMARY_FIELDS) for path in summary_paths]
         measured = {
             "n_protocol": summaries[0]["union_size"],
             "message_counts": sum_counts(s["sent_messages"] for s in summaries),
@@ -146,6 +183,7 @@ def _cmd_params(args) -> int:
         group = make_group_params(value)
         print(f"valid safe prime: {group.p.bit_length()} bits, q has "
               f"{group.q.bit_length()} bits")
+        _print_exponent_width(group)
         return 0
     names = [args.preset] if args.preset else sorted(PRESETS)
     for name in names:
@@ -153,7 +191,12 @@ def _cmd_params(args) -> int:
         print(f"{name}: {group.p.bit_length()}-bit safe prime")
         print(f"  p = {group.p:#x}")
         print(f"  q = {group.q:#x}")
+        _print_exponent_width(group)
     return 0
+
+
+def _print_exponent_width(group) -> None:
+    print(f"  secret exponents: {(group.exponent_bound - 1).bit_length()} bits")
 
 
 def build_parser() -> argparse.ArgumentParser:

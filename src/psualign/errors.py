@@ -102,4 +102,4 @@ class DatasetError(PsuAlignError, ValueError):
 
 
 class MissingOutput(PsuAlignError):
-    """Evaluation was requested but protocol output files are absent."""
+    """Evaluation was requested but protocol output files are absent or malformed."""

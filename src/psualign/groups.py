@@ -4,7 +4,10 @@ All protocol values live in QR(Z_p*), the subgroup of nonzero squares
 modulo a safe prime p.  It is cyclic of prime order q = (p - 1) / 2, so
 every exponent in [1, q - 1] acts as a bijection on it; that bijectivity
 is what makes the layered masking invertible-by-composition and keeps
-set cardinalities stable across encryption rounds.
+set cardinalities stable across encryption rounds.  Secret exponents are
+drawn from [1, q - 1] in groups narrower than 2,048 bits and from
+[1, 2^320) in wider ones (``GroupParams.exponent_bound``); both ranges
+lie inside [1, q - 1].
 
 :class:`GroupParams` is the group: exponentiation (``exp_many``, a
 masking pass's batch), hashing into the group (``hash_to_element``),
@@ -57,8 +60,10 @@ _BN_FLG_CONSTTIME = 0x04
 
 # Exponents or moduli of at most this many bits stay on ``pow``.  Up to
 # about 64-bit moduli a libcrypto call's fixed cost (~10 us) exceeds
-# ``pow``'s.  Secret exponents are drawn uniformly from [1, q - 1], so
-# under a wide modulus one this short is vanishingly rare.
+# ``pow``'s.  Secret exponents are drawn uniformly from [1, 2^320) under
+# a 2048-bit or wider modulus and from [1, q - 1] under a narrower one,
+# so under a wide modulus one this short is vanishingly rare: 2^-256 at
+# 2048 bits.
 _POW_MAX_BITS = 64
 
 # Fewest bases a slice gets.  Starting and joining a helper thread costs
@@ -185,6 +190,12 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
 MIN_MODULUS = 7
 MILLER_RABIN_ROUNDS = 64
 
+# Width of a secret exponent in a group of at least 2,048 bits.  RFC 3526
+# section 8 lists 220- to 320-bit exponents for its 2048-bit group; the
+# masking then rests on DDH with short exponents (Koshiba & Kurosawa, PKC
+# 2004).  Narrower groups keep full-width exponents.
+SHORT_EXPONENT_BITS = 320
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # 512-bit safe prime used by the test/acceptance suites.  Found by a
@@ -305,8 +316,19 @@ class GroupParams:
         """Raise each element to one secret exponent modulo p, in order."""
         return powmod_many(values, exponent, self.p)
 
+    @property
+    def exponent_bound(self) -> int:
+        """Exclusive upper bound of a secret exponent.
+
+        2^SHORT_EXPONENT_BITS when p has at least 2,048 bits, else q.
+        Either way it is at most q, so every exponent is nonzero mod q.
+        """
+        if self.p.bit_length() >= 2048:
+            return 1 << SHORT_EXPONENT_BITS
+        return self.q
+
     def sample_exponent(self, rng) -> int:
-        """Draw a uniform secret exponent from [1, q - 1].
+        """Draw a uniform secret exponent from [1, exponent_bound).
 
         Zero is excluded: exponent 0 collapses every element to 1 and the
         masking stops being a bijection.
@@ -314,7 +336,7 @@ class GroupParams:
         if self.q < 3:
             raise RngFailure(f"subgroup order {self.q} leaves no nonzero exponents")
         try:
-            return rng.randrange(1, self.q)
+            return rng.randrange(1, self.exponent_bound)
         except RngFailure:
             raise
         except Exception as exc:  # rng implementations may fail arbitrarily

@@ -7,6 +7,7 @@ import pytest
 from helpers import free_port
 from psualign import datasets
 from psualign.cli import main
+from psualign.groups import P2048
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -318,16 +319,52 @@ def test_evaluate_without_outputs_exits_4(tmp_path):
     assert main(["evaluate", "--config", str(config)]) == 4
 
 
+def simulated_outputs(tmp_path):
+    """A two-party simulate run's config and output directory."""
+    (tmp_path / "party0.csv").write_text("name\nalpha one\nbeta two\n")
+    (tmp_path / "party1.csv").write_text("name\nalpha one\ngamma three\n")
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    return config, tmp_path / "out"
+
+
+def test_evaluate_rejects_a_report_without_its_keys(tmp_path, capsys):
+    config, out = simulated_outputs(tmp_path)
+    (out / "report.json").write_text("{}")
+    assert main(["evaluate", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert f"evaluation error: {out / 'report.json'} has no 'n_protocol'" in err
+
+
+def test_evaluate_rejects_a_summary_with_a_non_integer_union_size(tmp_path, capsys):
+    config, out = simulated_outputs(tmp_path)
+    (out / "report.json").unlink()
+    for k, union_size in enumerate(["3", 3]):
+        summary = {"union_size": union_size, "sent_messages": {}, "sent_bytes": {}}
+        (out / f"run_party{k}.json").write_text(json.dumps(summary))
+    assert main(["evaluate", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert f"{out / 'run_party0.json'}: 'union_size' is not a non-negative integer" in err
+    assert not (out / "evaluation.json").exists()
+
+
 def test_params_lists_presets(capsys):
     assert main(["params"]) == 0
     out = capsys.readouterr().out
     assert "modp2048: 2048-bit safe prime" in out
     assert "p512: 512-bit safe prime" in out
+    # One width line per preset, in preset order: modp2048, p23, p512, p7.
+    widths = [line for line in out.splitlines() if "secret exponents" in line]
+    assert widths == [f"  secret exponents: {bits} bits" for bits in (320, 4, 511, 2)]
 
 
 def test_params_check_validates_explicit_modulus(capsys):
     assert main(["params", "--check", "23"]) == 0
-    assert "valid safe prime" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "valid safe prime" in out
+    assert "  secret exponents: 4 bits" in out
+    assert main(["params", "--check", hex(P2048)]) == 0
+    assert "  secret exponents: 320 bits" in capsys.readouterr().out
     assert main(["params", "--check", "13"]) == 2
 
 

@@ -39,6 +39,13 @@ G23 = make_group_params(23)
 G512 = make_group_params("p512")
 G2048 = make_group_params("modp2048")
 
+# A full-width p512 exponent, and a modp2048 one as sample_exponent draws
+# it (seed 1 gives one of 320 bits).
+SECRET_EXPONENTS = [
+    pytest.param(G512, G512.q - 1, id="p512-full-width"),
+    pytest.param(G2048, G2048.sample_exponent(random.Random(1)), id="modp2048-320-bit"),
+]
+
 
 def test_make_group_params_p23():
     assert trial_division_is_prime(23) and trial_division_is_prime(11)
@@ -147,6 +154,23 @@ def test_sample_exponent_range_and_determinism():
     assert all(1 <= s <= 10 for s in draws)
     rng2 = random.Random(99)
     assert draws == [G23.sample_exponent(rng2) for _ in range(500)]
+
+
+def test_modp2048_exponents_are_320_bits_wide():
+    rng = random.Random(2048)
+    draws = [G2048.sample_exponent(rng) for _ in range(500)]
+    assert all(1 <= s < 2**320 for s in draws)
+    assert max(s.bit_length() for s in draws) == 320
+    assert G2048.exponent_bound == 2**320 < G2048.q
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_p512_exponents_are_drawn_as_before(seed):
+    """p512 draws full width, call for call, so its seeded outputs do not move."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(100):
+        assert G512.sample_exponent(rng) == reference.randrange(1, G512.q)
+    assert G512.exponent_bound == G512.q
 
 
 def test_sample_exponent_tiny_group():
@@ -290,7 +314,8 @@ def test_powmod_matches_pow_across_threads(backend):
         list(pool.map(_check_powmod_interleaved, range(4)))
 
 
-def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch):
+@pytest.mark.parametrize("group, exponent", SECRET_EXPONENTS)
+def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch, group, exponent):
     lib = groups._libcrypto
     if lib is None:
         pytest.skip("libcrypto.so.3 could not be loaded")
@@ -302,13 +327,13 @@ def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch):
 
     monkeypatch.setattr(lib, "powmod_many", spy)
     g7 = make_group_params("p7")
-    for group in (G23, g7):
-        powmod(2, group.q - 1, group.p)
-    G512.hash_to_element(12345)
+    for toy in (G23, g7):
+        powmod(2, toy.q - 1, toy.p)
+    group.hash_to_element(12345)
     assert calls == []
-    exponent = G512.sample_exponent(random.Random(5))
-    assert powmod(4, exponent, G512.p) == pow(4, exponent, P512)
-    assert calls == [P512]
+    assert exponent.bit_length() > groups._POW_MAX_BITS
+    assert powmod(4, exponent, group.p) == pow(4, exponent, group.p)
+    assert calls == [group.p]
 
 
 def test_load_libcrypto_tolerates_missing_library_or_symbol(monkeypatch):
@@ -540,8 +565,9 @@ def test_failing_exponentiation_raises_in_the_caller(monkeypatch, cpus, allocati
     allocations([threading.current_thread().name, "psu-exp-1", "psu-exp-2", "psu-exp-3"])
 
 
+@pytest.mark.parametrize("group, exponent", SECRET_EXPONENTS)
 def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(
-    monkeypatch, cpus, allocations
+    monkeypatch, cpus, allocations, group, exponent
 ):
     lib = groups._libcrypto
     if lib is None:
@@ -561,8 +587,7 @@ def test_every_slice_raises_under_a_constant_time_exponent_and_clears_it(
     monkeypatch.setattr(lib, "exp", exp)
     cpus(4)
     batch = list(range(2, 66))
-    exponent = G512.q - 1
-    assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+    assert group.exp_many(batch, exponent) == [pow(v, exponent, group.p) for v in batch]
     threads = [threading.current_thread().name, "psu-exp-1", "psu-exp-2", "psu-exp-3"]
     assert flags == {name: {0x04} for name in threads}
     allocations(threads)

@@ -266,6 +266,36 @@ def test_pipeline_matches_oracle_on_arbitrary_text(pool, picks):
         )
 
 
+def test_a_party_with_full_width_exponents_interoperates_with_short_ones():
+    """The exponent width is each party's own choice: modp2048 parties draw
+    320-bit exponents, and one that redraws at full width still gives the
+    oracle's union and an index exactly where two records are equal."""
+    raw = [
+        [("alice", "rome"), ("bob", "oslo"), ("carol", "bern")],
+        [("bob", "oslo"), ("dina", "kiev")],
+        [("alice", "rome"), ("dina", "kiev"), ("eve", "lima"), ("bob", "oslo")],
+    ]
+    cfg = session_config(len(raw), TWO_FEATURES, group="modp2048", seed=4)
+    group = cfg.group()
+    hashed = [hash_rows(rows, TWO_FEATURES, group) for rows in raw]
+    parties = build_parties(cfg, hashed)
+    rng = random.Random(8)
+    parties[1].exponents = tuple(rng.randrange(1, group.q) for _ in range(3))
+    widths = [max(e.bit_length() for e in party.exponents) for party in parties]
+    assert widths[0] <= 320 and widths[2] <= 320 and widths[1] > 2000
+    hub = InProcessHub(cfg.party_count, recv_timeout=cfg.recv_timeout)
+    results = run_session(parties, [hub.transport(k) for k in range(cfg.party_count)])
+    assert results[0].union_table.size == hashed_union_oracle(hashed) == 5
+    records = [
+        (row, results[k].index_map.local_to_universal[i])
+        for k, rows in enumerate(raw)
+        for i, row in enumerate(rows)
+    ]
+    for row_a, index_a in records:
+        for row_b, index_b in records:
+            assert (index_a == index_b) == (row_a == row_b)
+
+
 def test_injectivity_for_distinct_records():
     raw = [[("a", "x"), ("b", "y"), ("c", "z")], [("d", "w")]]
     _, _, outcome = run_ordered(raw)
