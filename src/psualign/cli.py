@@ -36,6 +36,7 @@ from .simulate import (
     run_local_session,
     run_networked_party,
     score,
+    session_id,
     write_outputs,
 )
 from .transport import sum_counts
@@ -70,6 +71,7 @@ def _cmd_run_party(args) -> int:
         "sent_messages": outcome.message_counts,
         "sent_bytes": outcome.message_bytes,
         "wall_time": result.wall_time,
+        "session_id": session_id(cfg, result),
     }
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path}")
@@ -93,13 +95,20 @@ def _is_seconds(value) -> bool:
 # with the check each value must pass.
 _COUNT = (_is_count, "a non-negative integer")
 _COUNTS = (_is_counts, "an object of non-negative integers")
+_SESSION_ID = (lambda value: type(value) is str, "a string")
 _REPORT_FIELDS = {
     "n_protocol": _COUNT,
     "message_counts": _COUNTS,
     "message_bytes": _COUNTS,
     "wall_time": (_is_seconds, "a non-negative number"),
+    "session_id": _SESSION_ID,
 }
-_SUMMARY_FIELDS = {"union_size": _COUNT, "sent_messages": _COUNTS, "sent_bytes": _COUNTS}
+_SUMMARY_FIELDS = {
+    "union_size": _COUNT,
+    "sent_messages": _COUNTS,
+    "sent_bytes": _COUNTS,
+    "session_id": _SESSION_ID,
+}
 
 
 def _read_fields(path: Path, fields: dict) -> dict:
@@ -129,17 +138,25 @@ def _cmd_evaluate(args) -> int:
         read_aligned_csv(path, party_id, spec)
         for party_id, (path, spec) in enumerate(zip(csv_paths, cfg.datasets))
     ]
+    # Every summary present, and the report if any, must name one session.
+    outputs = {
+        path: _read_fields(path, _SUMMARY_FIELDS) for path in summary_paths if path.exists()
+    }
     if report_path.exists():
-        measured = _read_fields(report_path, _REPORT_FIELDS)
+        measured = outputs[report_path] = _read_fields(report_path, _REPORT_FIELDS)
     else:
         # Each summary counts one party's sends; every party holds the same union.
-        summaries = [_read_fields(path, _SUMMARY_FIELDS) for path in summary_paths]
+        summaries = list(outputs.values())
         measured = {
             "n_protocol": summaries[0]["union_size"],
             "message_counts": sum_counts(s["sent_messages"] for s in summaries),
             "message_bytes": sum_counts(s["sent_bytes"] for s in summaries),
             "wall_time": 0.0,
+            "session_id": summaries[0]["session_id"],
         }
+    if len({fields["session_id"] for fields in outputs.values()}) > 1:
+        ids = ", ".join(f"{path} ({fields['session_id']})" for path, fields in outputs.items())
+        raise MissingOutput(f"outputs from different sessions: {ids}")
     loaded, hashed = load_party_inputs(cfg)
     report = score(cfg, loaded, hashed, index_maps, measured)
     eval_path = out_dir / "evaluation.json"

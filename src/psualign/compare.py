@@ -66,7 +66,6 @@ class TokenIndex:
     """
 
     def __init__(self, entries, cfg: MatchConfig):
-        self.size = len(entries)
         self.postings: list[dict[int, list[int]]] = [{} for _ in range(cfg.d_match)]
         for entry_id, entry in enumerate(entries):
             _check_shape(entry, cfg)
@@ -78,18 +77,15 @@ class TokenIndex:
         """Ascending ids of the entries that ``x`` reaches in every feature.
 
         Hits are counted once per token index of ``x``, as ``compare``
-        counts them.  A feature whose floor is 0 adds no constraint.
+        counts them.  ``MatchConfig`` makes every floor at least 1, so a
+        feature that ``x`` shares with no entry leaves no candidate.
         """
         _check_shape(x, cfg)
         survivors: set[int] | None = None
         for postings, feature, floor in zip(self.postings, x.features, cfg.match_floors()):
-            if floor == 0:
-                continue
             hits: Counter = Counter()
             for value in feature:
                 hits.update(postings.get(value, ()))
             reached = {entry_id for entry_id, count in hits.items() if count >= floor}
             survivors = reached if survivors is None else survivors & reached
-        if survivors is None:
-            return list(range(self.size))
         return sorted(survivors)

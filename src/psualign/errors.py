@@ -102,4 +102,4 @@ class DatasetError(PsuAlignError, ValueError):
 
 
 class MissingOutput(PsuAlignError):
-    """Evaluation was requested but protocol output files are absent or malformed."""
+    """Evaluation was requested but protocol output files are absent, malformed or from different sessions."""

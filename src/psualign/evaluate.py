@@ -32,6 +32,7 @@ class EvaluationReport:
     message_counts: dict = field(default_factory=dict)
     message_bytes: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    session_id: str = ""
 
 
 def _pairs_from_groups(groups: dict) -> set[Link]:
@@ -87,6 +88,7 @@ def build_report(
     message_counts: dict | None = None,
     message_bytes: dict | None = None,
     wall_time: float = 0.0,
+    session_id: str = "",
 ) -> EvaluationReport:
     matched = len(true_links & protocol_links)
     reported = len(protocol_links)
@@ -104,6 +106,7 @@ def build_report(
         message_counts=dict(message_counts or {}),
         message_bytes=dict(message_bytes or {}),
         wall_time=wall_time,
+        session_id=session_id,
     )
 
 

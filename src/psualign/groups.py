@@ -37,9 +37,10 @@ from .errors import (
 #
 # Every exponentiation in the package goes through ``powmod_many``, which
 # raises a batch of bases to one exponent: a masking pass is one call, and
-# ``powmod`` is a batch of one.  Wide exponents modulo a wide odd modulus
-# go to OpenSSL's BN_mod_exp_mont_consttime through ctypes, so the secret
-# masking exponents are raised by a constant-time routine.  Every libcrypto
+# ``powmod`` is a batch of one.  Whenever libcrypto loads, every batch --
+# of any exponent or modulus width -- goes to OpenSSL's
+# BN_mod_exp_mont_consttime through ctypes, so every exponentiation,
+# secret masking exponents included, is constant-time.  Every libcrypto
 # call drops the GIL (one ``ctypes.CDLL`` handle), and each slice sets up
 # and frees its own Montgomery context, so slices share no library state.
 #
@@ -51,20 +52,12 @@ from .errors import (
 # BIGNUMs of its own, the exponent flagged constant-time, and clears them
 # when it ends, so no BIGNUM holding a secret exponent outlives its pass.
 #
-# Everything else -- short public exponents, the toy moduli, even or
-# non-positive arguments, or a missing library -- uses built-in ``pow`` on
-# the calling thread and starts no thread.  Both paths return identical
-# integers.
+# Built-in ``pow`` runs only where libcrypto cannot: without the library,
+# or for an even or sub-3 modulus or a negative exponent, which no package
+# caller passes.  It runs on the calling thread and starts no thread.
+# Both paths return identical integers.
 
 _BN_FLG_CONSTTIME = 0x04
-
-# Exponents or moduli of at most this many bits stay on ``pow``.  Up to
-# about 64-bit moduli a libcrypto call's fixed cost (~10 us) exceeds
-# ``pow``'s.  Secret exponents are drawn uniformly from [1, 2^320) under
-# a 2048-bit or wider modulus and from [1, q - 1] under a narrower one,
-# so under a wide modulus one this short is vanishingly rare: 2^-256 at
-# 2048 bits.
-_POW_MAX_BITS = 64
 
 # Fewest bases a slice gets.  Starting and joining a helper thread costs
 # about as much as one 512-bit exponentiation, so shorter slices do not
@@ -144,16 +137,9 @@ _libcrypto = _load_libcrypto()
 
 
 def powmod_many(values: list[int], exponent: int, modulus: int) -> list[int]:
-    """``[pow(value, exponent, modulus) for value in values]``, constant-time when wide."""
+    """``[pow(value, exponent, modulus) for value in values]``, constant-time with libcrypto."""
     lib = _libcrypto
-    if (
-        lib is None
-        or exponent.bit_length() <= _POW_MAX_BITS
-        or exponent < 0
-        or modulus.bit_length() <= _POW_MAX_BITS
-        or modulus < 0
-        or not modulus & 1
-    ):
+    if lib is None or exponent < 0 or modulus < 3 or not modulus & 1:
         return [pow(value, exponent, modulus) for value in values]
     slices = min(len(os.sched_getaffinity(0)), len(values) // _SLICE_MIN)
     if slices < 2:
@@ -290,18 +276,8 @@ class GroupParams:
         width = self.element_width
         return b"".join([value.to_bytes(width, "big") for value in values])
 
-    def decode_element(self, raw: bytes) -> int:
-        if len(raw) != self.element_width:
-            raise ValueError(
-                f"expected {self.element_width} element bytes, got {len(raw)}"
-            )
-        value = int.from_bytes(raw, "big")
-        if not 1 <= value < self.p:
-            raise ValueError("element outside [1, p)")
-        return value
-
     def decode_elements(self, raw: bytes) -> list[int]:
-        """Split ``raw`` into elements, checked like :meth:`decode_element`."""
+        """Split ``raw`` into elements of ``element_width`` bytes, each in [1, p)."""
         width = self.element_width
         if len(raw) % width:
             raise ValueError(f"{len(raw)} bytes are not a whole number of elements")

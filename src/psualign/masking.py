@@ -205,12 +205,7 @@ def decode_identifier(
         end = offset + token_count * width
         if end > len(raw):
             raise ValueError("truncated identifier: missing token bytes")
-        features.append(
-            tuple(
-                group.decode_element(raw[pos : pos + width])
-                for pos in range(offset, end, width)
-            )
-        )
+        features.append(tuple(group.decode_elements(raw[offset:end])))
         offset = end
     return EncryptedIdentifier(tuple(features)), offset
 

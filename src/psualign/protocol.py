@@ -12,9 +12,9 @@ A session runs four phases in fixed order:
 3. union construction -- the active party deduplicates, masks the
    provisional union with its (third * second) exponent, and the union
    walks down the ring gathering every party's layer; the final holder
-   (party 0) sorts the finished union by its canonical serialization
-   (position = universal index) and broadcasts, in that order, each
-   entry with every element replaced by its 16-byte fingerprint.
+   (party 0) sorts the finished union by value (position = universal
+   index) and broadcasts, in that order, each entry with every element
+   replaced by its 16-byte fingerprint.
 4. matching -- every party takes the broadcast's item order as the
    index order, and each party with at least one record relays them
    around the ring as one set payload in record order (not shuffled):
@@ -418,7 +418,7 @@ class Party:
         if hop + 1 == self.party_count:
             # Party 0 holds the finished union: it orders the elements,
             # then keeps and broadcasts their fingerprints in that order.
-            ordered = assign_universal_indices(masked.items, self.group)
+            ordered = assign_universal_indices(masked.items)
             self.union_table = UnionTable(tuple(fingerprint(ordered.entries, self.group)))
             masked = EncryptedSet(list(self.union_table.entries), fingerprints=True)
         self._pass_on(transport, MessageType.UNION_TRANSFER, active, hop + 1, masked)

@@ -10,6 +10,7 @@ the one scoring path, for ``simulate`` and ``evaluate`` alike.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .evaluate import (
     reported_links,
     write_report,
 )
+from .masking import EncryptedSet, encode_set
 from .protocol import Party, PartyResult
 from .transport import (
     InProcessHub,
@@ -169,7 +171,8 @@ def score(
 
     True links come from the provenance map when the config names one,
     otherwise from identifier equality.  ``measured`` holds the session's
-    ``n_protocol``, ``message_counts``, ``message_bytes`` and ``wall_time``.
+    ``n_protocol``, ``message_counts``, ``message_bytes``, ``wall_time``
+    and ``session_id``.
     """
     if cfg.provenance_path is not None:
         true_links = provenance_true_links(load_provenance(cfg.provenance_path))
@@ -181,6 +184,18 @@ def score(
         protocol_links=reported_links(index_maps),
         **measured,
     )
+
+
+def session_id(cfg: SessionConfig, result: PartyResult) -> str:
+    """The id every party of one session derives alike, as 32 hex digits.
+
+    BLAKE2b of the config digest and of the union broadcast's payload,
+    which every party holds at the end; ``evaluate`` compares the ids in
+    ``report.json`` and the ``run_party{k}.json`` files it reads.
+    """
+    union = EncryptedSet(list(result.union_table.entries), fingerprints=True)
+    broadcast = encode_set(union, cfg.group())
+    return hashlib.blake2b(cfg.digest() + broadcast, digest_size=16).hexdigest()
 
 
 def write_outputs(
@@ -195,6 +210,7 @@ def write_outputs(
         "message_counts": outcome.message_counts,
         "message_bytes": outcome.message_bytes,
         "wall_time": outcome.wall_time,
+        "session_id": session_id(cfg, outcome.results[0]),
     }
     report = score(cfg, loaded, hashed, [r.index_map for r in outcome.results], measured)
     write_report(report, report_path)

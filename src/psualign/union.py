@@ -8,7 +8,7 @@ from typing import Callable, Iterable
 
 from .compare import TokenIndex, compare
 from .groups import GroupParams
-from .masking import FINGERPRINT_WIDTH, EncryptedIdentifier, encode_identifier
+from .masking import FINGERPRINT_WIDTH, EncryptedIdentifier
 from .tokenization import MatchConfig
 
 
@@ -17,9 +17,9 @@ class UnionTable:
     """Deduplicated union entries in universal-index order.
 
     Entry ``i`` owns universal index ``i``.  :func:`assign_universal_indices`
-    sorts the fully masked entries by their canonical serialization; a
-    session's table then holds their :func:`fingerprint`, in that order,
-    which is the order of the union broadcast.
+    sorts the fully masked entries by value; a session's table then holds
+    their :func:`fingerprint`, in that order, which is the order of the
+    union broadcast.
     """
 
     entries: tuple[EncryptedIdentifier, ...]
@@ -29,16 +29,26 @@ class UnionTable:
         return len(self.entries)
 
 
-def assign_universal_indices(
-    entries: Iterable[EncryptedIdentifier], group: GroupParams
-) -> UnionTable:
-    """Order entries by ascending serialized bytes; position = universal index.
+def _value_key(entry: EncryptedIdentifier) -> list[int]:
+    """Feature count, then each feature's token count and tokens.
+
+    With one element width per group, this is the byte order of
+    ``masking.encode_identifier``.
+    """
+    key = [len(entry.features)]
+    for feature in entry.features:
+        key.append(len(feature))
+        key += feature
+    return key
+
+
+def assign_universal_indices(entries: Iterable[EncryptedIdentifier]) -> UnionTable:
+    """Order entries by :func:`_value_key`; position = universal index.
 
     Party 0 runs this once, on the full group elements of the finished
     union; every other party takes the broadcast's item order.
     """
-    ordered = sorted(entries, key=lambda e: encode_identifier(e, group))
-    return UnionTable(tuple(ordered))
+    return UnionTable(tuple(sorted(entries, key=_value_key)))
 
 
 def fingerprint(

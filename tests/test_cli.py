@@ -348,6 +348,24 @@ def test_evaluate_rejects_a_summary_with_a_non_integer_union_size(tmp_path, caps
     assert not (out / "evaluation.json").exists()
 
 
+def test_evaluate_rejects_outputs_of_two_sessions(tmp_path, capsys):
+    """A simulate report beside the run-party summaries of a later session."""
+    (tmp_path / "party0.csv").write_text("name\nalpha one\nbeta two\n")
+    (tmp_path / "party1.csv").write_text("name\nalpha one\ngamma three\n")
+    assert main(["simulate", "--config", str(write_config(tmp_path, output_dir="net_out"))]) == 0
+    with open(tmp_path / "party1.csv", "a") as handle:
+        handle.write("delta four\n")
+    net_config = run_parties(tmp_path)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(net_config)]) == 4
+    err = capsys.readouterr().err
+    out = tmp_path / "net_out"
+    assert "evaluation error: outputs from different sessions" in err
+    for name in ("report.json", "run_party0.json", "run_party1.json"):
+        assert str(out / name) in err
+    assert not (out / "evaluation.json").exists()
+
+
 def test_params_lists_presets(capsys):
     assert main(["params"]) == 0
     out = capsys.readouterr().out

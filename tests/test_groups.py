@@ -238,12 +238,12 @@ def test_element_codec_fixed_width():
     value = G512.hash_to_element(12345)
     raw = G512.encode_element(value)
     assert len(raw) == 64
-    assert G512.decode_element(raw) == value
+    assert G512.decode_elements(raw) == [value]
     with pytest.raises(ValueError):
-        G512.decode_element(raw[:-1])
+        G512.decode_elements(raw[:-1])
     for outside in (0, G512.p, 2 ** (8 * G512.element_width) - 1):
         with pytest.raises(ValueError):
-            G512.decode_element(outside.to_bytes(G512.element_width, "big"))
+            G512.decode_elements(outside.to_bytes(G512.element_width, "big"))
 
 
 @st.composite
@@ -315,25 +315,61 @@ def test_powmod_matches_pow_across_threads(backend):
 
 
 @pytest.mark.parametrize("group, exponent", SECRET_EXPONENTS)
-def test_powmod_routes_only_wide_exponents_to_libcrypto(monkeypatch, group, exponent):
+def test_powmod_routes_every_odd_modulus_to_libcrypto(monkeypatch, group, exponent):
+    """Toy groups and exponents 0 to 2 take the constant-time path too."""
     lib = groups._libcrypto
     if lib is None:
         pytest.skip("libcrypto.so.3 could not be loaded")
     calls = []
 
     def spy(values, exponent, modulus):
-        calls.append(modulus)
+        calls.append((modulus, exponent))
         return type(lib).powmod_many(lib, values, exponent, modulus)
 
     monkeypatch.setattr(lib, "powmod_many", spy)
     g7 = make_group_params("p7")
-    for toy in (G23, g7):
-        powmod(2, toy.q - 1, toy.p)
-    group.hash_to_element(12345)
-    assert calls == []
-    assert exponent.bit_length() > groups._POW_MAX_BITS
+    narrow = [(toy.p, e) for toy in (G23, g7) for e in (0, 1, 2, toy.q - 1)]
+    for modulus, e in narrow:
+        assert powmod(2, e, modulus) == pow(2, e, modulus)
+    assert G23.exp_many([2, 3, 4], 2) == [4, 9, 16]
+    assert calls == narrow + [(23, 2)]
+    calls.clear()
     assert powmod(4, exponent, group.p) == pow(4, exponent, group.p)
-    assert calls == [group.p]
+    assert group.exp_many([4, 9], 1) == [4, 9]
+    assert calls == [(group.p, exponent), (group.p, 1)]
+    calls.clear()
+    group.hash_to_element(12345)  # one public squaring, no exponentiation
+    assert calls == []
+
+
+def _differential_cases(seed):
+    """Odd moduli from 3 up to 65 bits, against ``pow``, edge and random operands."""
+    rng = random.Random(seed)
+    moduli = [3, 5, 7, 23, 47, 2**61 - 1, 2**64 + 13]
+    fixed = [0, 1, 2, 2**62 + 1, 2**63 + 5, 2**64 + 7]  # then 63-, 64- and 65-bit
+    cases = []
+    for m in moduli:
+        bases = [0, 1, 2, m - 1, m, m + 2, -5] + [rng.randrange(-m, 2 * m) for _ in range(4)]
+        exponents = fixed + [rng.getrandbits(rng.randrange(5, 201)) for _ in range(4)]
+        cases += [(bases, e, m) for e in exponents]
+    return cases
+
+
+def _check_libcrypto_against_pow(seed):
+    count = 0
+    for bases, exponent, modulus in _differential_cases(seed):
+        got = groups.powmod_many(bases, exponent, modulus)
+        assert got == [pow(b, exponent, modulus) for b in bases], (seed, exponent, modulus)
+        count += len(bases)
+    return count
+
+
+def test_libcrypto_agrees_with_pow_on_narrow_odd_moduli_across_threads():
+    if groups._libcrypto is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        counts = list(pool.map(_check_libcrypto_against_pow, range(4), timeout=60))
+    assert sum(counts) == 4 * 7 * 10 * 11
 
 
 def test_load_libcrypto_tolerates_missing_library_or_symbol(monkeypatch):
@@ -457,19 +493,26 @@ def test_exp_many_matches_pow_from_party_threads_at_once(backend, cpus):
     assert _exp_threads() == []
 
 
-def test_pow_backend_one_cpu_and_narrow_cases_start_no_thread(monkeypatch, cpus, started):
+def test_one_cpu_and_the_pow_backend_start_no_thread(monkeypatch, cpus, started):
     batch = list(range(1, 101))
     exponent = G512.q - 1
-    cpus(4)
-    G23.exp_many([v % 23 for v in batch], 5)
-    G512.exp_many(batch, 2)
-    G512.hash_to_element(12345)
     cpus(1)
     assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
+    assert G23.exp_many([v % 23 for v in batch], 5) == [pow(v, 5, 23) for v in batch]
     cpus(4)
     monkeypatch.setattr(groups, "_libcrypto", None)
     assert G512.exp_many(batch, exponent) == [pow(v, exponent, P512) for v in batch]
     assert started == []
+
+
+def test_toy_batches_slice_like_wide_ones(cpus, started):
+    """With libcrypto, a batch's widths no longer keep it on one thread."""
+    if groups._libcrypto is None:
+        pytest.skip("libcrypto.so.3 could not be loaded")
+    cpus(4)
+    batch = [v % 23 for v in range(1, 101)]
+    assert G23.exp_many(batch, 5) == [pow(v, 5, 23) for v in batch]
+    assert sorted(started) == ["psu-exp-1", "psu-exp-2", "psu-exp-3"]
 
 
 def test_set_up_calls_no_batch_and_starts_no_thread(monkeypatch, started):

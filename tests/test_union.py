@@ -90,7 +90,7 @@ def test_value_equality_agrees_with_the_byte_encoding(items, union_size):
     assert [key(s) for s in survivors] == list(first_by_key)
     assert all(s is first_by_key[key(s)] for s in survivors)
 
-    table = assign_universal_indices(dedup_exact(items[:union_size]), G512)
+    table = assign_universal_indices(dedup_exact(items[:union_size]))
     index_of = {key(entry): index for index, entry in enumerate(table.entries)}
     locate = entry_locator(table, EXACT)
     assert [locate(probe) for probe in items] == [index_of.get(key(probe)) for probe in items]
@@ -100,24 +100,44 @@ def test_value_equality_agrees_with_the_byte_encoding(items, union_size):
 
 
 def test_assign_empty():
-    table = assign_universal_indices([], G512)
+    table = assign_universal_indices([])
     assert table.size == 0
 
 
 def test_assign_is_bijective_and_sorted():
     rng = random.Random(2)
     items = [ident(rand_tokens(rng, 3)) for _ in range(3)]
-    table = assign_universal_indices(items, G512)
+    table = assign_universal_indices(items)
     assert table.size == 3
     keys = [encode_identifier(e, G512) for e in table.entries]
     assert keys == sorted(keys)
 
 
+@st.composite
+def union_entries(draw):
+    """Entries of 1 to 3 features of 0 to 4 tokens, over a pool holding 1 and p - 1.
+
+    The pool is small, so values repeat within and across entries, and
+    whole entries repeat.
+    """
+    pool = [1, G512.p - 1] + draw(st.lists(st.integers(2, G512.p - 2), max_size=3))
+    feature = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    entry = st.lists(feature, min_size=1, max_size=3).map(lambda fs: EncryptedIdentifier(tuple(fs)))
+    return draw(st.lists(entry, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_entries())
+def test_universal_order_is_the_byte_order_of_the_encoding(entries):
+    table = assign_universal_indices(entries)
+    assert table.entries == tuple(sorted(entries, key=key))
+
+
 def test_assign_order_insensitive():
     rng = random.Random(3)
     items = [ident(rand_tokens(rng, 3)) for _ in range(6)]
-    one = assign_universal_indices(items, G512)
-    other = assign_universal_indices(list(reversed(items)), G512)
+    one = assign_universal_indices(items)
+    other = assign_universal_indices(list(reversed(items)))
     assert one == other
 
 

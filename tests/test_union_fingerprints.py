@@ -49,7 +49,7 @@ def run_with_full_union(cfg, hashed):
         protocol, "assign_universal_indices", wraps=protocol.assign_universal_indices
     ) as assign:
         parties, results, _ = run_tapped(cfg, hashed)
-    (entries, _), = [call.args for call in assign.call_args_list]
+    (entries,), = [call.args for call in assign.call_args_list]
     return parties, results, list(entries)
 
 
