@@ -247,7 +247,7 @@ def load_config(path) -> SessionConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         document = json.loads(text)

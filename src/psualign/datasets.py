@@ -54,12 +54,18 @@ def _column_indices(spec: DatasetSpec, header: list[str] | None, width: int) -> 
     return indices
 
 
-def load_dataset(spec: DatasetSpec) -> LoadedDataset:
+def _read_rows(path, delimiter: str, what: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; an unreadable, non-UTF-8 or malformed
+    file raises DatasetError naming it."""
     try:
-        with open(spec.csv_path, newline="", encoding="utf-8") as handle:
-            records = list(csv.reader(handle, delimiter=spec.delimiter))
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {spec.csv_path}: {exc}") from exc
+        with open(path, newline="", encoding="utf-8") as handle:
+            return list(csv.reader(handle, delimiter=delimiter))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_dataset(spec: DatasetSpec) -> LoadedDataset:
+    records = _read_rows(spec.csv_path, spec.delimiter, "dataset")
 
     header: list[str] | None = None
     if spec.has_header:
@@ -113,11 +119,7 @@ def read_aligned_csv(path: Path, party_id: int, spec: DatasetSpec) -> UniversalI
     The file has the dataset's delimiter and header; every row's last
     cell must be a non-negative decimal index.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            records = list(csv.reader(handle, delimiter=spec.delimiter))
-    except OSError as exc:
-        raise DatasetError(f"cannot read aligned output {path}: {exc}") from exc
+    records = _read_rows(path, spec.delimiter, "aligned output")
     if spec.has_header:
         if not records or records[0][-1] != ALIGNED_COLUMN:
             raise DatasetError(f"{path} lacks the {ALIGNED_COLUMN} column")

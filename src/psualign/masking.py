@@ -101,9 +101,26 @@ def encrypt_set(
     The item shuffle hides dataset ordering.  The call is one pass of
     :func:`encrypt_identifiers`.
     """
-    items = encrypt_identifiers(enc_set.items, exponent, group, rng)
-    rng.shuffle(items)
-    return EncryptedSet(items)
+    return encrypt_sets([enc_set], exponent, group, rng)[0]
+
+
+def encrypt_sets(
+    enc_sets, exponent: int, group: GroupParams, rng
+) -> list[EncryptedSet]:
+    """:func:`encrypt_set` on several sets, as one pass over their items in order.
+
+    A base that two of the sets share is raised once.  Each set is
+    shuffled on its own, in order, after the pass.
+    """
+    items = encrypt_identifiers(
+        [item for enc_set in enc_sets for item in enc_set.items], exponent, group, rng
+    )
+    masked, at = [], 0
+    for enc_set in enc_sets:
+        part, at = items[at : at + len(enc_set.items)], at + len(enc_set.items)
+        rng.shuffle(part)
+        masked.append(EncryptedSet(part))
+    return masked
 
 
 def compose(
@@ -157,11 +174,13 @@ def compose(
 # not range-checked.  A valid payload holds fewer than 2^28 items (each
 # costs a byte of a frame capped at 2^28), so the bit is free.
 
-# Part of the session digest, so peers on different set layouts, or on
+# Part of the session digest, so peers on different set layouts, on
 # different identifier shapes (version 5 made an ordered record one
-# element, version 7 made the union broadcast carry fingerprints), fail
-# at the handshake instead of on their first payload.
-WIRE_LAYOUT_VERSION = 7
+# element, version 7 made the union broadcast carry fingerprints) or on
+# different round-one routes (version 8 sends every set of an origin
+# other than the active party to it last), fail at the handshake instead
+# of on their first payload.
+WIRE_LAYOUT_VERSION = 8
 
 # Bytes of one union fingerprint, and the item-count bit that marks a
 # payload of them.

@@ -3,12 +3,12 @@
 A session runs four phases in fixed order:
 
 1. handshake -- every pair exchanges a config digest (HELLO).
-2. first masking round -- each dataset circulates the ring; every party
-   applies its first exponent once; the last applier forwards the fully
-   masked set to the active party.  P sends per dataset, except for
-   origin 0, whose last layer the active party applies itself and keeps:
-   P - 1 sends.  A session sends P² - 1 set frames, and no party ever
-   sends to itself.
+2. first masking round -- each dataset gathers every party's first
+   exponent once.  The active party, P - 1, applies the last layer to
+   every set and keeps it: its own set walks the whole ring back to it
+   (P sends), and every other origin's walks the other parties in ring
+   order, then reaches it (P - 1 sends).  A session sends P² - P + 1 set
+   frames, and no party ever sends to itself.
 3. union construction -- the active party deduplicates, masks the
    provisional union with its (third * second) exponent, and the union
    walks down the ring gathering every party's layer; the final holder
@@ -42,12 +42,16 @@ and a received identifier whose feature count or per-feature token count
 the session cannot produce raises TransportFailure.  Receive deadlines
 belong to the transport; when one passes, the party raises PeerSilent
 naming its phase and the peers its table still awaits.  One thing waits:
-a set that arrives before the last hello is held until this party has
-masked and sent its own set, then taken in arrival order.  Every set a
-party masks after its own comes from its ring predecessor, in order, so
-the rng is drawn in the same order whatever the interleaving.  A relay
-is served whenever it arrives, and a party opens its own relay once it
-holds the union, so no relay reaches a party before its own union hop.
+in round one a party masks its own set once every hello has matched,
+then the sets routed to it hop by hop, in ascending hop order: a hop's
+sets in one pass, in origin order, once they have all arrived.  A set
+that arrives before its pass is held.  A hop-h set needs only hop h - 1
+work, so nothing waits on itself, and the rng is drawn in the same order
+whatever the interleaving.  The active party's last pass finishes every
+set it keeps, whose bases share one layer state, so it raises each of
+them once.  A relay is served whenever it arrives, and a party opens its
+own relay once it holds the union, so no relay reaches a party before
+its own union hop.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     ConfigDigestMismatch,
@@ -72,6 +78,7 @@ from .masking import (
     encode_set,
     encrypt_identifiers,
     encrypt_set,
+    encrypt_sets,
 )
 from .messages import MessageType, ProtocolMessage
 from .tokenization import MatchConfig
@@ -100,18 +107,26 @@ def ring_route(party_count: int, msg_type: MessageType, origin: int, hop: int):
     """Who sends hop ``hop`` of ``origin``'s ``msg_type``, and to whom.
 
     Returns ``(sender, receiver)``; receiver None means every peer.  A
-    hello (hop 0) goes from its origin to every peer.  Set hop h of origin
-    k carries layer h from k + h - 1 to k + h, and the full set (hop P) to
-    the active party, P - 1; so origin 0's full set stays where it was
-    masked.  The union walks down the ring, hop h from P - h to P - h - 1,
-    and party 0 broadcasts hop P.  A relay walks up the ring, hop h from
-    k + h to k + h + 1, so hop P - 1 is the return to its origin.  All mod P.
+    hello (hop 0) goes from its origin to every peer.  A set carries layer
+    h on hop h, and the active party, A = P - 1, masks it last and keeps
+    it.  A's own set walks the ring: hop h from A + h - 1 to A + h, mod P,
+    so hop P comes back to A.  The set of an origin k < A walks the other
+    P - 1 parties: hop h from k + h - 1 to k + h, mod P - 1, except that
+    hop P - 1 goes to A; its full set (hop P) stays at A.  The union walks
+    down the ring, hop h from P - h to P - h - 1, and party 0 broadcasts
+    hop P.  A relay walks up the ring, hop h from k + h to k + h + 1, mod
+    P, so hop P - 1 is the return to its origin.
     """
     if msg_type is MessageType.HELLO:
         return origin, None
     if msg_type is MessageType.SET_TRANSFER:
-        sender = (origin + hop - 1) % party_count
-        return sender, (sender + 1) % party_count if hop < party_count else party_count - 1
+        active = party_count - 1
+        # The parties that mask the set before its hop to the active party.
+        ring = party_count if origin == active else active
+        if hop > ring:
+            return active, active
+        sender = (origin + hop - 1) % ring
+        return sender, (sender + 1) % ring if hop < ring else active
     if msg_type in (MessageType.UNION_TRANSFER, MessageType.UID_BROADCAST):
         sender = party_count - hop
         return sender, sender - 1 if hop < party_count else None
@@ -225,8 +240,8 @@ class Party:
         A relay routed back to its origin goes as its TOKEN_RETURN, and a
         union routed to every peer as the UID_BROADCAST from its sender.
         Returns whether ``masked`` is routed to this party itself, which
-        keeps it instead: origin 0's full set, masked last by the active
-        party.
+        keeps it instead: the full set of every origin but the active
+        party, masked last by the active party.
         """
         sender, receiver = ring_route(self.party_count, msg_type, origin, hop)
         if receiver == sender:
@@ -349,17 +364,23 @@ class Party:
                 transport.send(peer, hello)
         count = self.party_count
         # Every peer's hello and every other origin's set, once; the active
-        # party also receives every full set it did not mask last.
+        # party also receives its own full set.
         expected = self._expect(
             [(MessageType.HELLO, origin, 0) for origin in range(count)]
             + [(MessageType.SET_TRANSFER, origin, hop)
                for origin in range(count) for hop in range(1, count + 1)]
         )
-        hellos, held = count - 1, []
+        # The sets routed here, one pass per hop in ascending order, each
+        # pass's sets in origin order; a set that arrives early is held.
+        routed = sorted(
+            (hop, origin) for msg_type, origin, hop in expected if msg_type is MessageType.SET_TRANSFER
+        )
+        passes = [list(keys) for _, keys in groupby(routed, key=itemgetter(0))]
+        hellos, held = count - 1, {}
         while expected:
             msg = self._recv(transport, expected)
             if msg.msg_type is MessageType.SET_TRANSFER:
-                held.append(msg)
+                held[msg.hop, msg.origin] = msg
             elif msg.payload != self.session_digest:
                 raise ConfigDigestMismatch(
                     f"party {msg.origin} runs a different session configuration"
@@ -369,25 +390,28 @@ class Party:
                 if not hellos:
                     # Every hello has matched: this party's own set goes first.
                     self.phase = Phase.ROUND_ONE
-                    own = EncryptedSet(self.hashed_records)
-                    masked = encrypt_set(own, self.exponents[0], self.group, self.rng)
-                    self._pass_on(transport, MessageType.SET_TRANSFER, self.party_id, 1, masked)
-            if not hellos:
-                for early in held:
-                    self._take_set(transport, early)
-                held.clear()
+                    self._mask_sets(transport, 0, {self.party_id: EncryptedSet(self.hashed_records)})
+            while not hellos and passes and all(key in held for key in passes[0]):
+                self._take_sets(transport, [held.pop(key) for key in passes.pop(0)])
         self.phase = Phase.ROUND_TWO
 
-    def _take_set(self, transport, msg) -> None:
-        """Keep a full set, or add this party's layer to one and pass it on."""
-        incoming = self._decode_set(msg, self._item_shape)
-        if msg.hop == self.party_count:
-            self._finals[msg.origin] = incoming
+    def _take_sets(self, transport, msgs) -> None:
+        """Keep the active party's own full set, or mask one hop's sets."""
+        hop = msgs[0].hop
+        sets = {msg.origin: self._decode_set(msg, self._item_shape) for msg in msgs}
+        if hop == self.party_count:
+            # The active party's own set, back with every layer.
+            self._finals.update(sets)
             return
-        self.peer_sizes[msg.origin] = len(incoming.items)
-        outgoing = encrypt_set(incoming, self.exponents[0], self.group, self.rng)
-        if self._pass_on(transport, MessageType.SET_TRANSFER, msg.origin, msg.hop + 1, outgoing):
-            self._finals[msg.origin] = outgoing
+        self.peer_sizes.update((origin, len(enc_set.items)) for origin, enc_set in sets.items())
+        self._mask_sets(transport, hop, sets)
+
+    def _mask_sets(self, transport, hop: int, sets: dict[int, EncryptedSet]) -> None:
+        """Add this party's layer to each origin's hop-``hop`` set, in one pass, and pass each on."""
+        masked = encrypt_sets(list(sets.values()), self.exponents[0], self.group, self.rng)
+        for origin, outgoing in zip(sets, masked):
+            if self._pass_on(transport, MessageType.SET_TRANSFER, origin, hop + 1, outgoing):
+                self._finals[origin] = outgoing
 
     # -- phase 3: union construction ---------------------------------------------
 

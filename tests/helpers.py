@@ -260,11 +260,13 @@ def relayed_records(cfg: SessionConfig, taps) -> dict[str, int]:
 class HoldingHub:
     """An in-process hub whose endpoints hold chosen frames back.
 
-    ``holds`` maps the (type, sender, receiver) of a frame to the message
-    types that release it: the frame is delivered right after the first
-    frame of one of those types reaches the same receiver, which thus
-    reads that frame first.  Every endpoint sends under one lock, and
-    ``taken[k]`` lists the types of the frames party k received, in order.
+    ``holds`` maps the (type, origin, hop, receiver) of a frame to what
+    releases it: a set of message types and (type, origin, hop) keys.  The
+    frame is delivered right after the first frame that matches one of
+    them reaches the same receiver, which thus reads that frame first; at
+    once if one already has.  Every endpoint sends under one lock, and
+    ``taken[k]`` lists the (type, origin, hop) of the frames party k
+    received, in order.
     """
 
     def __init__(self, party_count: int, recv_timeout: float, holds):
@@ -272,11 +274,16 @@ class HoldingHub:
         self.holds = holds
         self.lock = threading.Lock()
         self.held = []
+        self.reached = [set() for _ in range(party_count)]
         self.taken = [[] for _ in range(party_count)]
         self.endpoints = [self.hub.transport(k) for k in range(party_count)]
 
     def transport(self, party_id: int) -> "HoldingEndpoint":
         return HoldingEndpoint(self, self.endpoints[party_id])
+
+
+def frame_key(message) -> tuple:
+    return (message.msg_type, message.origin, message.hop)
 
 
 class HoldingEndpoint:
@@ -292,16 +299,18 @@ class HoldingEndpoint:
     def send(self, to, message) -> None:
         owner = self.owner
         with owner.lock:
-            release = owner.holds.get((message.msg_type, self.inner.my_id, to))
-            if release is not None:
+            release = owner.holds.get((*frame_key(message), to))
+            if release is not None and not release & owner.reached[to]:
                 owner.held.append((self.inner, to, message, release))
                 return
             self.inner.send(to, message)
-            for held in [h for h in owner.held if h[1] == to and message.msg_type in h[3]]:
+            matches = {message.msg_type, frame_key(message)}
+            owner.reached[to] |= matches
+            for held in [h for h in owner.held if h[1] == to and matches & h[3]]:
                 owner.held.remove(held)
                 held[0].send(to, held[2])
 
     def recv(self, timeout=None):
         sender, message = self.inner.recv(timeout)
-        self.owner.taken[self.inner.my_id].append(message.msg_type)
+        self.owner.taken[self.inner.my_id].append(frame_key(message))
         return sender, message

@@ -1,9 +1,12 @@
 """The order in which a party's frames arrive does not change its outputs.
 
-Two interleavings reach code that an in-order run never does: a set that
-reaches party 1 before the last hello, which party 1 holds until its own
-set is out, and a relay that reaches party 2 before the union broadcast,
-which party 2 serves at once.  A :class:`HoldingHub` forces both.
+Four interleavings are forced by a :class:`HoldingHub`.  Two reach code
+that an in-order run never does: a set that reaches party 1 before the
+last hello, which party 1 holds until its own set is out, and a relay
+that reaches party 2 before the union broadcast, which party 2 serves at
+once.  Two reorder round one's multi-sender receives: the active party
+takes origin 1's last-hop set before origin 0's, and party 0 takes the
+active party's hop-1 set after origin P - 2's.
 """
 
 import time
@@ -27,11 +30,12 @@ RELAY = MessageType.TOKEN_RELAY
 
 
 def first(taken, msg_type) -> int:
-    return taken.index(msg_type)
+    return [key[0] for key in taken].index(msg_type)
 
 
 def last(taken, msg_type) -> int:
-    return len(taken) - 1 - taken[::-1].index(msg_type)
+    types = [key[0] for key in taken]
+    return len(types) - 1 - types[::-1].index(msg_type)
 
 
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
@@ -49,14 +53,19 @@ def test_held_sets_and_early_relays_give_the_in_order_outputs(party_count, order
     hashed = [hash_rows([row.fields for row in rows], match, cfg.group()) for rows in corpus.parties]
     in_order = run_local_session(cfg, hashed)
 
+    active = party_count - 1
     holding = HoldingHub(
         party_count,
         cfg.recv_timeout,
         {
             # The last party's hello to party 1 waits for a set to reach party 1.
-            (HELLO, party_count - 1, 1): {SET},
+            (HELLO, active, 0, 1): {SET},
             # Party 0's broadcast to party 2 waits for a relay to reach party 2.
-            (BROADCAST, 0, 2): {RELAY},
+            (BROADCAST, 0, party_count, 2): {RELAY},
+            # Origin 0's last-hop set waits for origin 1's to reach the active party.
+            (SET, 0, active, active): {(SET, 1, active)},
+            # The active party's hop-1 set waits for origin P - 2's to reach party 0.
+            (SET, active, 1, 0): {(SET, party_count - 2, 1)},
         },
     )
     started = time.monotonic()
@@ -65,9 +74,12 @@ def test_held_sets_and_early_relays_give_the_in_order_outputs(party_count, order
     )
     assert time.monotonic() - started < 5.0
 
-    taken_1, taken_2 = holding.taken[1], holding.taken[2]
+    taken_0, taken_1, taken_2 = holding.taken[:3]
+    taken_active = holding.taken[active]
     assert first(taken_1, SET) < last(taken_1, HELLO), taken_1
     assert first(taken_2, RELAY) < first(taken_2, BROADCAST), taken_2
+    assert taken_active.index((SET, 1, active)) < taken_active.index((SET, 0, active)), taken_active
+    assert taken_0.index((SET, party_count - 2, 1)) < taken_0.index((SET, active, 1)), taken_0
     for held, reference in zip(results, in_order.results):
         assert held.union_table == reference.union_table
         assert held.index_map.local_to_universal == reference.index_map.local_to_universal

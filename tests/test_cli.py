@@ -242,6 +242,46 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_a_latin_1_party_csv_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "party0.csv").write_bytes("name\nJosé\n".encode("latin-1"))
+    (tmp_path / "party1.csv").write_text("name\ny\n")
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read dataset {tmp_path / 'party0.csv'}: 'utf-8' codec" in err
+
+
+def test_a_latin_1_config_exits_2_naming_it(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'"out"', "\"sortie-é\"".encode("latin-1")))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read config {path}: 'utf-8' codec" in err
+
+
+def test_a_latin_1_aligned_csv_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "party0.csv").write_text("name\nalpha one\n")
+    (tmp_path / "party1.csv").write_text("name\nalpha one\n")
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    aligned = tmp_path / "out" / "aligned_party0.csv"
+    aligned.write_bytes(aligned.read_bytes().replace(b"alpha", "alphé".encode("latin-1")))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read aligned output {aligned}: 'utf-8' codec" in err
+
+
+def test_a_csv_field_over_the_csv_modules_limit_exits_2_naming_the_file(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    (tmp_path / "party0.csv").write_text("name\n" + "x" * (limit + 1) + "\n")
+    (tmp_path / "party1.csv").write_text("name\ny\n")
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read dataset {tmp_path / 'party0.csv'}: field larger" in err
+
+
 def with_delimiter(delimiter):
     return {
         "parties": [

@@ -2,9 +2,12 @@
 
 The oracle here normalizes plaintext on its own (lower-case, then pad or
 truncate), so a fault in tokenization cannot hide itself.  The seeded
-digests pin every output of one session per variant: the unordered one
-is what the code gave before ordered records became one element, the
-ordered one is the baseline since.
+digests pin every output of one session per variant.  The ordered one is
+the baseline since ordered records became one element.  The unordered
+one is the baseline since round one masks each hop's sets in one pass
+and the active party finishes every set it keeps: that changed the order
+in which the parties draw from their rngs, and so which grams the active
+party's noisy dedup trims.
 """
 
 import hashlib
@@ -109,14 +112,14 @@ def test_a_party_reads_no_union_entry_it_does_not_hold():
     assert readable == []
 
 
-# (union entries, index maps and aligned CSVs) per variant.  The union
-# digest is that of the fingerprints of the full-element entries that the
-# tables held before the broadcast carried fingerprints; the other digest
-# is unchanged since then.
+# (union entries, index maps and aligned CSVs) per variant.  The ordered
+# union digest is that of the fingerprints of the full-element entries
+# that the tables held before the broadcast carried fingerprints; the
+# other ordered digest is unchanged since then.
 SEEDED_DIGESTS = {
     "unordered": (
-        "9ebcbf0b85ec517abc0211bc55e1d6a36663f79020e7c4f01522555fd9f4e809",
-        "8f701d52e00c6f83b18947da6ffbf4e0721e9eed41a62739fcd3171b24018741",
+        "7c620e57b4dbb19ec85cd7f9aae210525f91d736d2e3295b7ad192c286955a35",
+        "0ccadd7f680c8b23f297bc705940791e4011f5996d9acfd8e88d5a5ad7866125",
     ),
     "ordered": (
         "8417d52b5cf5e36da938793ead7a879f11b2c613f21a9ca520d062c77823b900",

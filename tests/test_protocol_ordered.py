@@ -133,7 +133,7 @@ def test_message_accounting_and_peer_sizes():
     counts = total_message_counts([tap.inner for tap in taps])
     sizes = [2, 1, 3]
     P = 3
-    assert counts["SET_TRANSFER"] == P * P - 1
+    assert counts["SET_TRANSFER"] == P * P - P + 1
     assert counts["UNION_TRANSFER"] == P - 1
     assert counts["UID_BROADCAST"] == P - 1
     # Each party relays its records in one frame per hop and gets one return.
@@ -156,7 +156,7 @@ UNORDERED_TWO_FEATURES = MatchConfig(
     "match", [TWO_FEATURES, UNORDERED_TWO_FEATURES], ids=["ordered", "unordered"]
 )
 def test_no_frame_goes_back_to_its_sender(match, party_count):
-    """The active party keeps origin 0's final set instead of sending it to itself."""
+    """The active party keeps every full set it masks last instead of sending it to itself."""
     raw = random_instance(random.Random(f"no-self-send/{party_count}"), party_count, 8)
     cfg = session_config(party_count, match, seed=60 + party_count)
     hashed = [hash_rows(rows, match, cfg.group()) for rows in raw]
@@ -164,8 +164,9 @@ def test_no_frame_goes_back_to_its_sender(match, party_count):
     for sender, tap in enumerate(taps):
         assert sender not in tap.receivers, (sender, tap.receivers)
     sets = [m for tap in taps for m in tap.sent if m.msg_type is MessageType.SET_TRANSFER]
-    assert len(sets) == party_count**2 - 1
-    assert (0, party_count) not in {(m.origin, m.hop) for m in sets}
+    assert len(sets) == party_count**2 - party_count + 1
+    sent = {(m.origin, m.hop) for m in sets}
+    assert not sent & {(k, party_count) for k in range(party_count - 1)}, sent
     assert results[0].union_table.size == hashed_union_oracle(hashed)
     for result in results:
         assert result.union_table == results[0].union_table
@@ -321,7 +322,7 @@ def test_all_parties_empty_union_is_empty_and_broadcast_happens():
     for result in outcome.results:
         assert result.index_map.local_to_universal == {}
     counts = outcome.message_counts
-    assert counts["SET_TRANSFER"] == 8
+    assert counts["SET_TRANSFER"] == 7
     assert counts["UID_BROADCAST"] == 2  # empty union still distributed
     assert counts["TOKEN_RELAY"] == 0
 
@@ -356,6 +357,21 @@ def test_a_peer_on_the_element_broadcast_layout_fails_at_hello():
     hub = InProcessHub(2, recv_timeout=5)
     transports = [hub.transport(0), hub.transport(1)]
     with pytest.raises(ConfigDigestMismatch, match="runs a different session configuration"):
+        run_session(parties, transports)
+    assert total_message_counts(transports)["SET_TRANSFER"] == 0
+
+
+def test_a_peer_on_the_p_squared_minus_one_route_fails_at_hello():
+    """Layout 7 routed round one's sets through the active party partway
+    round the ring; a 3-party peer on it disagrees at HELLO, before any set."""
+    cfg = session_config(3, TWO_FEATURES, seed=3)
+    hashed = [hash_rows([("al", "ro")], TWO_FEATURES, cfg.group())] * 3
+    parties = build_parties(cfg, hashed)
+    with mock.patch.object(config, "WIRE_LAYOUT_VERSION", 7):
+        parties[1].session_digest = cfg.digest()
+    hub = InProcessHub(3, recv_timeout=5)
+    transports = [hub.transport(k) for k in range(3)]
+    with pytest.raises(ConfigDigestMismatch, match="party 1 runs a different session configuration"):
         run_session(parties, transports)
     assert total_message_counts(transports)["SET_TRANSFER"] == 0
 
