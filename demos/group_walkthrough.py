@@ -7,7 +7,7 @@ the same value regardless of order.
 
 import random
 
-from psualign import EncryptedIdentifier, compose, hash_token, make_group_params
+from psualign import hash_token, make_group_params
 
 group = make_group_params(23)
 print(f"group: p={group.p}, q={group.q} ({group.p.bit_length()} bits)")
@@ -33,10 +33,10 @@ print(f"  (x^s1)^s2 = {pow(pow(x, s1, group.p), s2, group.p)}")
 print(f"  (x^s2)^s1 = {pow(pow(x, s2, group.p), s1, group.p)}")
 print(f"  x^(s1*s2 mod q) = {pow(x, (s1 * s2) % group.q, group.p)}")
 
-ident = EncryptedIdentifier(((2, 3, 13),))
-forward = compose(ident, [s1, s2], group)
-backward = compose(ident, [s2, s1], group)
-print(f"\nidentifier (2, 3, 13) masked by both orders:")
-print(f"  s1 then s2: {forward.features[0]}")
-print(f"  s2 then s1: {backward.features[0]}")
-print(f"  empty product is the identity: {compose(ident, [], group).features[0]}")
+tokens = [2, 3, 13]
+forward = group.exp_many(group.exp_many(tokens, s1), s2)
+backward = group.exp_many(group.exp_many(tokens, s2), s1)
+print(f"\ntokens {tokens} masked by both orders, one layer per pass:")
+print(f"  s1 then s2: {forward}")
+print(f"  s2 then s1: {backward}")
+print(f"  one pass with s1*s2 mod q: {group.exp_many(tokens, (s1 * s2) % group.q)}")

@@ -40,7 +40,6 @@ from .hashing import hash_identifier, hash_token
 from .masking import (
     EncryptedIdentifier,
     EncryptedSet,
-    compose,
     decode_identifier,
     decode_set,
     encode_identifier,
@@ -114,7 +113,6 @@ __all__ = [
     "bloom_prefilter",
     "build_report",
     "compare",
-    "compose",
     "decode_frame",
     "decode_identifier",
     "decode_set",

@@ -134,9 +134,10 @@ def _cmd_evaluate(args) -> int:
     for path in csv_paths if report_path.exists() else csv_paths + summary_paths:
         if not path.exists():
             raise MissingOutput(f"{path} not found; run simulate or run-party first")
+    loaded, hashed = load_party_inputs(cfg)
     index_maps = [
-        read_aligned_csv(path, party_id, spec)
-        for party_id, (path, spec) in enumerate(zip(csv_paths, cfg.datasets))
+        read_aligned_csv(path, party_id, data)
+        for party_id, (path, data) in enumerate(zip(csv_paths, loaded))
     ]
     # Every summary present, and the report if any, must name one session.
     outputs = {
@@ -157,7 +158,6 @@ def _cmd_evaluate(args) -> int:
     if len({fields["session_id"] for fields in outputs.values()}) > 1:
         ids = ", ".join(f"{path} ({fields['session_id']})" for path, fields in outputs.items())
         raise MissingOutput(f"outputs from different sessions: {ids}")
-    loaded, hashed = load_party_inputs(cfg)
     report = score(cfg, loaded, hashed, index_maps, measured)
     eval_path = out_dir / "evaluation.json"
     write_report(report, eval_path)

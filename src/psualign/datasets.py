@@ -113,23 +113,31 @@ def write_aligned_csv(path: Path, loaded: LoadedDataset, index_map: UniversalInd
             writer.writerow([*row, index_map.local_to_universal[local_index]])
 
 
-def read_aligned_csv(path: Path, party_id: int, spec: DatasetSpec) -> UniversalIndexMap:
-    """Rebuild an index map from the aligned CSV written for ``spec``'s dataset.
+def read_aligned_csv(path: Path, party_id: int, loaded: LoadedDataset) -> UniversalIndexMap:
+    """Rebuild an index map from the aligned CSV written for ``loaded``.
 
-    The file has the dataset's delimiter and header; every row's last
-    cell must be a non-negative decimal index.
+    The file has the dataset's delimiter, and its header and rows in
+    order, each with one more cell: the header's is ``universal_index``,
+    and every row's a non-negative decimal index.
     """
-    records = _read_rows(path, spec.delimiter, "aligned output")
-    if spec.has_header:
-        if not records or records[0][-1] != ALIGNED_COLUMN:
-            raise DatasetError(f"{path} lacks the {ALIGNED_COLUMN} column")
+    source = loaded.spec.csv_path
+    records = _read_rows(path, loaded.spec.delimiter, "aligned output")
+    if loaded.header is not None:
+        if not records or records[0] != [*loaded.header, ALIGNED_COLUMN]:
+            raise DatasetError(
+                f"{path}: the header is not {source}'s with a {ALIGNED_COLUMN} column"
+            )
         records = records[1:]
     index_map = UniversalIndexMap(party_id)
-    for local_index, row in enumerate(records):
-        cell = row[-1] if row else ""
+    for local_index, (row, own) in enumerate(zip(records, loaded.rows)):
+        if not row or row[:-1] != own:
+            raise DatasetError(f"{path}: row {local_index} is not row {local_index} of {source}")
+        cell = row[-1]
         if not (cell.isascii() and cell.isdigit()):
             raise DatasetError(
                 f"{path}: row {local_index} has index {cell!r}, not a non-negative integer"
             )
         index_map.local_to_universal[local_index] = int(cell)
+    if len(records) != len(loaded.rows):
+        raise DatasetError(f"{path} holds {len(records)} rows, {source} {len(loaded.rows)}")
     return index_map

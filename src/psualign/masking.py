@@ -123,21 +123,6 @@ def encrypt_sets(
     return masked
 
 
-def compose(
-    ident: EncryptedIdentifier, exponents, group: GroupParams
-) -> EncryptedIdentifier:
-    """Apply a list of exponents in order; equals one pass with their product.
-
-    Tokens keep their positions.  An empty list is the identity.  Test
-    utility for the commutativity property, not a protocol message.
-    """
-    for exponent in exponents:
-        ident = EncryptedIdentifier(
-            tuple(tuple(group.exp_many(feature, exponent)) for feature in ident.features)
-        )
-    return ident
-
-
 # --- serialization --------------------------------------------------------
 #
 # Normative layout (consumed by the wire format; Bloom hashing consumes

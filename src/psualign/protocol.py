@@ -21,37 +21,40 @@ A session runs four phases in fixed order:
    one TOKEN_RELAY frame per hop, one TOKEN_RETURN.  The relay gathers
    the remaining exponents, and every record in it is fingerprinted and
    looked up in the union on return, its position in the payload being
-   its relay id.  Nothing new leaks:
-   record order was already public through relay ids, the table's
-   equality pattern through deterministic masking, and whether an
-   origin relays at all depends only on N_k, which every peer learns in
-   round one.
+   its relay id.  Nothing new leaks: record order was already public
+   through relay ids, the table's equality pattern through deterministic
+   masking, and whether an origin relays at all depends only on N_k,
+   which every peer learns in round one.
 
 Every message has one fixed sender and receiver, given by its type, origin
-and hop (``ring_route``).  The party receives from a table of the (type,
-origin, hop) routed to it that it still awaits, each mapped to its
-sender, until the table is empty, and sends each message where its route
-says.  There are three tables: the hellos with round one's sets, the
-union hop, and the union broadcast with the relays and the party's own
-return, which joins once its relay is out.  Every message is judged on
-arrival: one that is not in the table, or not from its sender, raises
-PhaseViolation before its payload is decoded; a received entry is
-struck out, so no message is taken twice.  A relay or return whose record
-count is not its origin's round-one set size also raises PhaseViolation,
-and a received identifier whose feature count or per-feature token count
-the session cannot produce raises TransportFailure.  Receive deadlines
-belong to the transport; when one passes, the party raises PeerSilent
-naming its phase and the peers its table still awaits.  One thing waits:
-in round one a party masks its own set once every hello has matched,
-then the sets routed to it hop by hop, in ascending hop order: a hop's
-sets in one pass, in origin order, once they have all arrived.  A set
-that arrives before its pass is held.  A hop-h set needs only hop h - 1
-work, so nothing waits on itself, and the rng is drawn in the same order
-whatever the interleaving.  The active party's last pass finishes every
-set it keeps, whose bases share one layer state, so it raises each of
-them once.  A relay is served whenever it arrives, and a party opens its
-own relay once it holds the union, so no relay reaches a party before
-its own union hop.
+and hop (``ring_route``), and the party sends each message where its
+route says.  Each phase receives from a table of the (type, origin, hop)
+routed to the party that it still awaits, each mapped to its sender: the
+hellos with round one's sets, the union hop, and the union broadcast with
+the relays and the party's own return, which joins once its relay is out.
+Every message is judged on arrival: one that is not in the table, or not
+from its sender, raises PhaseViolation before its payload is decoded; a
+received entry is struck out, so no message is taken twice.  A relay or
+return whose record count is not its origin's round-one set size also
+raises PhaseViolation, and a received identifier whose feature count or
+per-feature token count the session cannot produce raises
+TransportFailure.  Receive deadlines belong to the transport; when one
+passes, the party raises PeerSilent naming its phase and the peers its
+table still awaits.
+
+On arrival a relay is served and a hello's digest checked; any other
+message is held until its phase awaits it.  Round one awaits every hello,
+masks the party's own set, then awaits and masks the sets routed to it
+one hop at a time, ascending: each hop's sets in one pass, in origin
+order.  Round two awaits the union hop.  Matching awaits the broadcast,
+opens the party's relay, awaits its return, then serves the relays still
+due.  A hop-h set needs only hop h - 1 work, so nothing waits on itself,
+and each pass runs at its place in this fixed order, not when a message
+arrives, so the rng is drawn in the same order whatever the
+interleaving.  The active party's last pass finishes every set it keeps,
+whose bases share one layer state, so it raises each of them once.  An
+origin opens its relay once it holds the union, so no relay reaches a
+party before its own union hop.
 """
 
 from __future__ import annotations
@@ -218,7 +221,8 @@ class Party:
         self.peer_sizes: dict[int, int] = {party_id: len(self.hashed_records)}
         self.union_table: UnionTable | None = None
         self.index_map: UniversalIndexMap | None = None
-        self._finals: dict[int, EncryptedSet] = {}
+        # Messages taken but not yet awaited, by (type, origin, hop).
+        self._held: dict[tuple[MessageType, int, int], ProtocolMessage] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -288,6 +292,22 @@ class Party:
             )
         return msg
 
+    def _take(self, transport, expected) -> None:
+        """Receive one message: serve a relay at once, check a hello's digest, hold the rest."""
+        msg = self._recv(transport, expected)
+        if msg.msg_type is MessageType.TOKEN_RELAY:
+            self._serve_relay(transport, msg)
+            return
+        if msg.msg_type is MessageType.HELLO and msg.payload != self.session_digest:
+            raise ConfigDigestMismatch(f"party {msg.origin} runs a different session configuration")
+        self._held[msg.msg_type, msg.origin, msg.hop] = msg
+
+    def _await(self, transport, expected, keys) -> list[ProtocolMessage]:
+        """Take messages until each of ``keys`` is held; return them in ``keys`` order."""
+        while not all(key in self._held for key in keys):
+            self._take(transport, expected)
+        return [self._held.pop(key) for key in keys]
+
     def _decode_set(self, msg, shape) -> EncryptedSet:
         """Decode ``msg``'s payload: fingerprints on the union broadcast, group elements elsewhere."""
         try:
@@ -336,8 +356,7 @@ class Party:
     def run(self, transport) -> PartyResult:
         started = time.monotonic()
         try:
-            self._round_one(transport)
-            self._round_two(transport)
+            self._round_two(transport, self._round_one(transport))
             self._matching(transport)
         except ProtocolAbort:
             raise
@@ -356,7 +375,8 @@ class Party:
 
     # -- phases 1 and 2: handshake and first masking round ----------------------
 
-    def _round_one(self, transport) -> None:
+    def _round_one(self, transport) -> dict[int, EncryptedSet]:
+        """Returns the full sets this party keeps: every origin's, at the active party."""
         transport.establish()
         hello = ProtocolMessage(MessageType.HELLO, self.party_id, 0, self.session_digest)
         for peer in range(self.party_count):
@@ -370,74 +390,61 @@ class Party:
             + [(MessageType.SET_TRANSFER, origin, hop)
                for origin in range(count) for hop in range(1, count + 1)]
         )
-        # The sets routed here, one pass per hop in ascending order, each
-        # pass's sets in origin order; a set that arrives early is held.
         routed = sorted(
-            (hop, origin) for msg_type, origin, hop in expected if msg_type is MessageType.SET_TRANSFER
+            (key for key in expected if key[0] is MessageType.SET_TRANSFER), key=itemgetter(2, 1)
         )
-        passes = [list(keys) for _, keys in groupby(routed, key=itemgetter(0))]
-        hellos, held = count - 1, {}
-        while expected:
-            msg = self._recv(transport, expected)
-            if msg.msg_type is MessageType.SET_TRANSFER:
-                held[msg.hop, msg.origin] = msg
-            elif msg.payload != self.session_digest:
-                raise ConfigDigestMismatch(
-                    f"party {msg.origin} runs a different session configuration"
-                )
+        self._await(transport, expected, [key for key in expected if key[0] is MessageType.HELLO])
+        # Every hello has matched: this party's own set goes first, then the
+        # sets routed here, one pass per hop in ascending order, each pass's
+        # sets in origin order.
+        self.phase = Phase.ROUND_ONE
+        kept = self._mask_sets(transport, 0, {self.party_id: EncryptedSet(self.hashed_records)})
+        for hop, keys in groupby(routed, key=itemgetter(2)):
+            msgs = self._await(transport, expected, list(keys))
+            sets = {msg.origin: self._decode_set(msg, self._item_shape) for msg in msgs}
+            if hop == count:
+                # The active party's own set, back with every layer.
+                kept.update(sets)
             else:
-                hellos -= 1
-                if not hellos:
-                    # Every hello has matched: this party's own set goes first.
-                    self.phase = Phase.ROUND_ONE
-                    self._mask_sets(transport, 0, {self.party_id: EncryptedSet(self.hashed_records)})
-            while not hellos and passes and all(key in held for key in passes[0]):
-                self._take_sets(transport, [held.pop(key) for key in passes.pop(0)])
+                self.peer_sizes.update((origin, len(enc_set.items)) for origin, enc_set in sets.items())
+                kept.update(self._mask_sets(transport, hop, sets))
         self.phase = Phase.ROUND_TWO
+        return kept
 
-    def _take_sets(self, transport, msgs) -> None:
-        """Keep the active party's own full set, or mask one hop's sets."""
-        hop = msgs[0].hop
-        sets = {msg.origin: self._decode_set(msg, self._item_shape) for msg in msgs}
-        if hop == self.party_count:
-            # The active party's own set, back with every layer.
-            self._finals.update(sets)
-            return
-        self.peer_sizes.update((origin, len(enc_set.items)) for origin, enc_set in sets.items())
-        self._mask_sets(transport, hop, sets)
+    def _mask_sets(self, transport, hop: int, sets: dict[int, EncryptedSet]) -> dict[int, EncryptedSet]:
+        """Add this party's layer to each origin's hop-``hop`` set, in one pass, and pass each on.
 
-    def _mask_sets(self, transport, hop: int, sets: dict[int, EncryptedSet]) -> None:
-        """Add this party's layer to each origin's hop-``hop`` set, in one pass, and pass each on."""
+        Returns the sets routed back to this party, which it keeps.
+        """
         masked = encrypt_sets(list(sets.values()), self.exponents[0], self.group, self.rng)
+        kept = {}
         for origin, outgoing in zip(sets, masked):
             if self._pass_on(transport, MessageType.SET_TRANSFER, origin, hop + 1, outgoing):
-                self._finals[origin] = outgoing
+                kept[origin] = outgoing
+        return kept
 
     # -- phase 3: union construction ---------------------------------------------
-
-    def _provisional_union(self) -> list[EncryptedIdentifier]:
-        concatenated: list[EncryptedIdentifier] = []
-        for origin in range(self.party_count):
-            concatenated.extend(self._finals[origin].items)
-        self._finals.clear()
-        if self.match_cfg.ordered:
-            return dedup_exact(concatenated)
-        return dedup_noisy(concatenated, self.match_cfg, self.rng)
 
     def _union_exponent(self) -> int:
         return (self.exponents[2] * self.exponents[1]) % self.group.q
 
-    def _round_two(self, transport) -> None:
+    def _round_two(self, transport, kept: dict[int, EncryptedSet]) -> None:
         active = self.party_count - 1
         # The union starts its walk at the active party, the one no hop is routed to.
         expected = self._expect(
             (MessageType.UNION_TRANSFER, active, hop) for hop in range(1, self.party_count)
         )
         if expected:
-            msg = self._recv(transport, expected)
+            (msg,) = self._await(transport, expected, list(expected))
             hop, union = msg.hop, self._decode_set(msg, self._entry_shape)
         else:
-            hop, union = 0, EncryptedSet(self._provisional_union())
+            # The provisional union: every origin's full set, in origin order, deduplicated.
+            items = [item for origin in sorted(kept) for item in kept[origin].items]
+            if self.match_cfg.ordered:
+                union = EncryptedSet(dedup_exact(items))
+            else:
+                union = EncryptedSet(dedup_noisy(items, self.match_cfg, self.rng))
+            hop = 0
         masked = encrypt_set(union, self._union_exponent(), self.group, self.rng)
         if hop + 1 == self.party_count:
             # Party 0 holds the finished union: it orders the elements,
@@ -474,31 +481,21 @@ class Party:
             + [(MessageType.TOKEN_RELAY, origin, hop) for origin in origins for hop in range(count - 1)]
         )
         self.index_map = UniversalIndexMap(self.party_id)
-        if self.union_table is not None:
-            locate = self._open_relay(transport, expected)
+        if self.union_table is None:
+            (msg,) = self._await(transport, expected, [(MessageType.UID_BROADCAST, 0, count)])
+            self.union_table = UnionTable(tuple(self._decode_set(msg, self._entry_shape).items))
+        if self.hashed_records:
+            # The opened records and their memo die once sent.
+            self._pass_on(transport, MessageType.TOKEN_RELAY, self.party_id, 0,
+                          self._masked(self.hashed_records, self.exponents[1]))
+            returned = (MessageType.TOKEN_RETURN, self.party_id, count - 1)
+            expected.update(self._expect([returned]))
+            # Built while the peers add their layers.
+            locate = entry_locator(self.union_table, self.match_cfg)
+            (msg,) = self._await(transport, expected, [returned])
+            self.index_map = self._close_return(msg, locate)
         while expected:
-            msg = self._recv(transport, expected)
-            if msg.msg_type is MessageType.TOKEN_RELAY:
-                self._serve_relay(transport, msg)
-            elif msg.msg_type is MessageType.TOKEN_RETURN:
-                self.index_map = self._close_return(msg, locate)
-            else:
-                entries = self._decode_set(msg, self._entry_shape)
-                self.union_table = UnionTable(tuple(entries.items))
-                locate = self._open_relay(transport, expected)
-
-    def _open_relay(self, transport, expected):
-        """Send this party's records on their relay, if any; return the locator for their return."""
-        if not self.hashed_records:
-            return None
-        # The opened records and their memo die once sent.
-        masked = self._masked(self.hashed_records, self.exponents[1])
-        self._pass_on(transport, MessageType.TOKEN_RELAY, self.party_id, 0, masked)
-        expected.update(
-            self._expect([(MessageType.TOKEN_RETURN, self.party_id, self.party_count - 1)])
-        )
-        # Built while the peers add their layers.
-        return entry_locator(self.union_table, self.match_cfg)
+            self._take(transport, expected)
 
     def _serve_relay(self, transport, msg) -> None:
         """Add this party's layer to one origin's relay, as a pass of its own, and pass it on."""

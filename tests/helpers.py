@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from psualign import (
+    EncryptedIdentifier,
     GroupParams,
     MatchConfig,
     FeatureSpec,
@@ -97,6 +98,18 @@ def set_length(enc_set, group, index_width) -> int:
         + len(enc_set.items) * shape_width
         + (0 if distinct == len(values) else len(values) * index_width)
     )
+
+
+def compose(ident, exponents, group: GroupParams):
+    """Apply a list of exponents in order; equals one pass with their product.
+
+    Tokens keep their positions.  An empty list is the identity.
+    """
+    for exponent in exponents:
+        ident = EncryptedIdentifier(
+            tuple(tuple(group.exp_many(feature, exponent)) for feature in ident.features)
+        )
+    return ident
 
 
 def free_port() -> int:
@@ -264,9 +277,10 @@ class HoldingHub:
     releases it: a set of message types and (type, origin, hop) keys.  The
     frame is delivered right after the first frame that matches one of
     them reaches the same receiver, which thus reads that frame first; at
-    once if one already has.  Every endpoint sends under one lock, and
-    ``taken[k]`` lists the (type, origin, hop) of the frames party k
-    received, in order.
+    once if one already has.  A released frame reaches its receiver too,
+    so holds chain.  Every endpoint sends under one lock, and ``taken[k]``
+    lists the (type, origin, hop) of the frames party k received, in
+    order.
     """
 
     def __init__(self, party_count: int, recv_timeout: float, holds):
@@ -280,6 +294,18 @@ class HoldingHub:
 
     def transport(self, party_id: int) -> "HoldingEndpoint":
         return HoldingEndpoint(self, self.endpoints[party_id])
+
+    def deliver(self, inner, to, message) -> None:
+        """Send ``message`` through ``inner``, then each held frame it releases, in turn."""
+        queue = [(inner, message)]
+        while queue:
+            inner, message = queue.pop(0)
+            inner.send(to, message)
+            matches = {message.msg_type, frame_key(message)}
+            self.reached[to] |= matches
+            for held in [h for h in self.held if h[1] == to and matches & h[3]]:
+                self.held.remove(held)
+                queue.append((held[0], held[2]))
 
 
 def frame_key(message) -> tuple:
@@ -303,12 +329,7 @@ class HoldingEndpoint:
             if release is not None and not release & owner.reached[to]:
                 owner.held.append((self.inner, to, message, release))
                 return
-            self.inner.send(to, message)
-            matches = {message.msg_type, frame_key(message)}
-            owner.reached[to] |= matches
-            for held in [h for h in owner.held if h[1] == to and matches & h[3]]:
-                owner.held.remove(held)
-                held[0].send(to, held[2])
+            owner.deliver(self.inner, to, message)
 
     def recv(self, timeout=None):
         sender, message = self.inner.recv(timeout)

@@ -20,7 +20,6 @@ from psualign import (
     bloom_encode,
     bloom_prefilter,
     compare,
-    compose,
     decode_identifier,
     decode_set,
     encode_identifier,
@@ -39,6 +38,7 @@ from psualign.transport import total_message_counts
 
 from helpers import (
     TWO_FEATURES,
+    compose,
     hash_rows,
     hashed_union_oracle,
     overlap_count,

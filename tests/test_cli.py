@@ -228,6 +228,37 @@ def test_evaluate_rejects_a_bad_index_cell(tmp_path, capsys, cell):
     assert f"{aligned}: row 1 has index {cell!r}" in err
 
 
+# Each edit of a 20-row aligned_party0.csv, and the error evaluate gives for it.
+ALIGNED_EDITS = {
+    "cut-to-4-rows": (lambda lines: lines[:5], "{aligned} holds 4 rows, {source} 20"),
+    "one-extra-row": (lambda lines: lines + lines[-1:], "{aligned} holds 21 rows, {source} 20"),
+    "blank-first-line": (
+        lambda lines: [""] + lines,
+        "{aligned}: the header is not {source}'s with a universal_index column",
+    ),
+    "changed-row": (
+        lambda lines: lines[:3] + ["x" + lines[3]] + lines[4:],
+        "{aligned}: row 2 is not row 2 of {source}",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", ALIGNED_EDITS)
+def test_evaluate_refuses_an_aligned_csv_that_does_not_hold_its_partys_rows(tmp_path, capsys, edit):
+    assert main(["gen-corpus", "--out", str(tmp_path), "--sizes", "20,15", "--seed", "3"]) == 0
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config)]) == 0
+    aligned = tmp_path / "out" / "aligned_party0.csv"
+    change, error = ALIGNED_EDITS[edit]
+    aligned.write_text("\n".join(change(aligned.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+
+    assert main(["evaluate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert error.format(aligned=aligned, source=tmp_path / "party0.csv") in err
+
+
 def test_missing_dataset_column_exits_2(tmp_path, capsys):
     (tmp_path / "party0.csv").write_text("wrong\nx\n")
     (tmp_path / "party1.csv").write_text("name\ny\n")

@@ -272,7 +272,7 @@ def test_aligned_csv_roundtrip(tmp_path):
     write_aligned_csv(out, loaded, index_map)
     text = out.read_text()
     assert text.splitlines() == ["name,universal_index", "ann,4", "bob,0", "cid,1"]
-    back = read_aligned_csv(out, 0, loaded.spec)
+    back = read_aligned_csv(out, 0, loaded)
     assert back == index_map
 
 

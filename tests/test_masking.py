@@ -13,7 +13,6 @@ from psualign import (
     MatchConfig,
     EncryptedIdentifier,
     EncryptedSet,
-    compose,
     decode_identifier,
     decode_set,
     encode_identifier,
@@ -29,6 +28,7 @@ from psualign.simulate import run_local_session
 
 from helpers import (
     TWO_FEATURES,
+    compose,
     hash_rows,
     hashed_union_oracle,
     plaintext_equal_pairs,

@@ -21,7 +21,6 @@ from psualign import (
     PhaseViolation,
     ProtocolAbort,
     TransportFailure,
-    compose,
     decode_set,
     encode_identifier,
     encode_set,
@@ -35,6 +34,7 @@ from psualign.transport import InProcessHub, TcpTransport, total_message_counts
 
 from helpers import (
     TWO_FEATURES,
+    compose,
     hash_rows,
     hashed_union_oracle,
     plaintext_equal_pairs,

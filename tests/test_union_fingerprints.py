@@ -14,12 +14,13 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psualign import EncryptedSet, compare, compose, encode_identifier, encode_set, fingerprint
+from psualign import EncryptedSet, compare, encode_identifier, encode_set, fingerprint
 from psualign import protocol
 
 from helpers import (
     SINGLE_FEATURE_NOISY,
     TWO_FEATURES,
+    compose,
     hash_rows,
     random_instance,
     run_tapped,
